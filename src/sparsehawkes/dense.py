@@ -99,37 +99,34 @@ def dense_gradient(params: ModelParams, data: Dataset) -> GradientBuffer:
     dself = np.zeros(n_ent)
     du = np.zeros((n_ent, d))
     dv = np.zeros((n_ent, d))
-    dbeta_terms = []
 
     batch = batch_sequence_stats(params, data, gradients=True)
-    for k in _canonical_order(data):
-        seq = data.sequences[k]
-        st = batch.stats(k)
-        act = st.active
-        # Background block: every entity pays the horizon, active ones get
-        # their log-intensity mass back.
-        dmu -= seq.horizon
-        dmu[act] += st.inv_lam
-        dself[act] += st.r_over_lam - st.q / beta
-        # Receiving embeddings: the z-mass hits every entity's compensator.
-        du -= st.z[None, :] / beta
-        du[act] += (
-            st.s_over_lam
-            - st.v_act * st.r_over_lam[:, None]
-            + st.v_act * st.q[:, None] / beta
-        )
-        dv[act] += (
-            st.p_rev
-            - st.u_act * st.r_over_lam[:, None]
-            - (u_sum[None, :] - st.u_act) * st.q[:, None] / beta
-        )
-        uz = float((u_full @ st.z).sum())
-        uz_beta = float((u_full @ st.z_beta).sum())
-        cq = float(st.c_act @ st.q)
-        cq_beta = float(st.c_act @ st.q_beta)
-        dbeta_terms.append(st.beta_log + (uz + cq) / beta**2 - (uz_beta + cq_beta) / beta)
+    order = _canonical_order(data)
+    uz, uz_beta = np.zeros((2, batch.num_seqs))
+    for k in order:
+        # Background block: every entity pays the horizon.  Receiving
+        # embeddings: the z-mass hits every entity's compensator.
+        dmu -= batch.horizons[k]
+        du -= batch.z[k][None, :] / beta
+        uz[k] = (u_full @ batch.z[k]).sum()
+        uz_beta[k] = (u_full @ batch.z_beta[k]).sum()
 
-    dbeta = math.fsum(dbeta_terms)
+    # Active entities get their log-intensity mass and event terms back,
+    # one (sequence, entity) slot at a time, added in the same order.
+    rank = np.empty(batch.num_seqs, dtype=np.int64)
+    rank[order] = np.arange(batch.num_seqs)
+    sl = np.argsort(rank[batch.slot_seq], kind="stable")
+    act = batch.slot_entity[sl]
+    q, r = batch.q[sl][:, None], batch.r_over_lam[sl][:, None]
+    u_act, v_act = batch.u_slot[sl], batch.v_slot[sl]
+    np.add.at(dmu, act, batch.inv_lam[sl])
+    np.add.at(dself, act, (r - q / beta)[:, 0])
+    np.add.at(du, act, batch.s_over_lam[sl] - v_act * r + v_act * q / beta)
+    np.add.at(dv, act, batch.p_rev[sl] - u_act * r - (u_sum[None, :] - u_act) * q / beta)
+    cq = np.bincount(batch.slot_seq, weights=batch.c_slot * batch.q, minlength=batch.num_seqs)
+    cq_beta = np.bincount(batch.slot_seq, weights=batch.c_slot * batch.q_beta, minlength=batch.num_seqs)
+
+    dbeta = math.fsum((batch.beta_log + (uz + cq) / beta**2 - (uz_beta + cq_beta) / beta).tolist())
     return GradientBuffer(
         d_theta_mu=dmu * softplus_grad(params.theta_mu),
         d_theta_beta=float(dbeta * softplus_grad(params.theta_beta)),

@@ -6,6 +6,10 @@ receiving embedding and the decay-weighted emitting totals across sequences.
 Precomputing those (plus a per-entity share of the horizons where an entity
 is absent) removes every per-inactive-entity term from the likelihood and
 gradient, which is what makes training on huge entity universes feasible.
+
+One gradient formula (``_slot_gradients``) serves every caller: the full
+pass scatters its per-slot rows by entity and adds the never-active terms;
+a training step uses its one sequence's rows as they are.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .dense import GradientBuffer
 from .model import Dataset, ModelParams, NumericalDivergenceError, Sequence, checked_beta, softplus, softplus_grad
-from .scan import batch_sequence_stats, sequence_stats
+from .scan import BatchStats, batch_sequence_stats
 
 __all__ = [
     "StaleCacheError",
@@ -85,15 +89,6 @@ class SequenceGradient:
     d_theta_u: np.ndarray       # (a, d)
     d_theta_v: np.ndarray       # (a, d)
     d_theta_beta: float
-
-
-def _sequence_z(params: ModelParams, seq: Sequence, beta: float) -> np.ndarray:
-    if len(seq) == 0:
-        return np.zeros(params.dim)
-    active, loc = np.unique(seq.entities, return_inverse=True)
-    v_act = softplus(params.theta_v[active])
-    w = -np.expm1(-beta * (seq.horizon - seq.times))
-    return w @ v_act[loc]
 
 
 def build_caches(params: ModelParams, data: Dataset) -> LazyCaches:
@@ -181,6 +176,44 @@ def lazy_log_likelihood(
     return total
 
 
+def _slot_gradients(
+    params: ModelParams, bs: BatchStats, caches: LazyCaches, activity: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw-parameter gradient rows ``[u | v | mu | self]`` per slot of ``bs``,
+    and the (ns,) decay terms per sequence, without never-active corrections.
+
+    ``activity`` is the dataset-wide count of sequences per entity.
+    """
+    beta = checked_beta(params)
+    u_hat = caches.u_hat
+    ent = bs.slot_entity
+    hor = bs.horizons[bs.slot_seq]
+    g_mu = bs.inv_lam - hor - caches.g_mu_const[ent]
+    g_self = bs.r_over_lam - bs.q / beta
+    # Emitting and receiving embeddings share the structure "event sums
+    # minus the slot's share of the compensator"; the sequence-local
+    # emitting total cancels between the own-pair and shared terms,
+    # leaving the self-rate correction and one global outer product each.
+    # Each block is computed in place in its columns of ``rows``.
+    d = params.dim
+    rows = np.empty((len(ent), 2 * d + 2))
+    g_u = np.subtract(bs.s_over_lam, bs.v_slot * g_self[:, None], out=rows[:, :d])
+    g_u -= np.outer(1.0 / (beta * activity[ent]), caches.z_hat)
+    g_u *= softplus_grad(params.theta_u[ent])
+    g_v = np.subtract(bs.p_rev, bs.u_slot * g_self[:, None], out=rows[:, d:2 * d])
+    g_v -= np.outer(bs.q / beta, u_hat)
+    g_v *= softplus_grad(params.theta_v[ent])
+    rows[:, 2 * d] = g_mu * softplus_grad(params.theta_mu[ent])
+    rows[:, 2 * d + 1] = g_self * softplus_grad(params.theta_self[ent])
+    ns = bs.num_seqs
+    uz = bs.z @ u_hat
+    uz_beta = bs.z_beta @ u_hat
+    cq = np.bincount(bs.slot_seq, weights=bs.c_slot * bs.q, minlength=ns)
+    cq_beta = np.bincount(bs.slot_seq, weights=bs.c_slot * bs.q_beta, minlength=ns)
+    g_beta = bs.beta_log + (uz + cq) / beta**2 - (uz_beta + cq_beta) / beta
+    return rows, g_beta * softplus_grad(params.theta_beta)
+
+
 def lazy_sequence_gradients(
     params: ModelParams,
     seq: Sequence,
@@ -198,49 +231,16 @@ def lazy_sequence_gradients(
     """
     if check_caches:
         caches.check(params)
-    st = sequence_stats(params, seq, gradients=True)
-    act = st.active
-    a = len(act)
+    bs = batch_sequence_stats(params, [seq], gradients=True)
+    rows, g_beta = _slot_gradients(params, bs, caches, data.activity_count)
     d = params.dim
-    beta = checked_beta(params)
-    if a == 0:
-        return SequenceGradient(
-            entities=act,
-            d_theta_mu=np.zeros(0),
-            d_theta_self=np.zeros(0),
-            d_theta_u=np.zeros((0, d)),
-            d_theta_v=np.zeros((0, d)),
-            d_theta_beta=0.0,
-        )
-    u_hat = caches.u_hat
-    activity = data.activity_count[act]
-
-    g_mu = st.inv_lam - seq.horizon - caches.g_mu_const[act]
-    g_self = st.r_over_lam - st.q / beta
-    g_u = (
-        st.s_over_lam
-        - st.v_act * st.r_over_lam[:, None]
-        - (st.z[None, :] - st.v_act * st.q[:, None]) / beta
-        + (st.z[None, :] - caches.z_hat[None, :] / activity[:, None]) / beta
-    )
-    g_v = (
-        st.p_rev
-        - st.u_act * st.r_over_lam[:, None]
-        - (u_hat[None, :] - st.u_act) * st.q[:, None] / beta
-    )
-    uz = float(u_hat @ st.z)
-    uz_beta = float(u_hat @ st.z_beta)
-    cq = float(st.c_act @ st.q)
-    cq_beta = float(st.c_act @ st.q_beta)
-    g_beta = st.beta_log + (uz + cq) / beta**2 - (uz_beta + cq_beta) / beta
-
     return SequenceGradient(
-        entities=act,
-        d_theta_mu=g_mu * softplus_grad(params.theta_mu[act]),
-        d_theta_self=g_self * softplus_grad(params.theta_self[act]),
-        d_theta_u=g_u * softplus_grad(params.theta_u[act]),
-        d_theta_v=g_v * softplus_grad(params.theta_v[act]),
-        d_theta_beta=float(g_beta * softplus_grad(params.theta_beta)),
+        entities=bs.slot_entity,
+        d_theta_mu=rows[:, 2 * d],
+        d_theta_self=rows[:, 2 * d + 1],
+        d_theta_u=rows[:, :d],
+        d_theta_v=rows[:, d:2 * d],
+        d_theta_beta=float(g_beta[0]),
     )
 
 
@@ -258,72 +258,36 @@ def accumulate_lazy_gradient(
     """
     if check_caches:
         caches.check(params)
-    n_ent = params.num_entities
-    d = params.dim
-    beta = checked_beta(params)
-    buf = GradientBuffer.zeros(n_ent, d)
     bs = batch_sequence_stats(params, data, gradients=True)
-    ns = bs.num_seqs
-    u_hat = caches.u_hat
+    rows, g_beta = _slot_gradients(params, bs, caches, data.activity_count)
+    d = params.dim
+    buf = GradientBuffer.zeros(params.num_entities, d)
     ent = bs.slot_entity
     if len(ent):
-        hor = bs.horizons[bs.slot_seq]
-        activity = data.activity_count[ent]
-
-        g_mu = bs.inv_lam - hor - caches.g_mu_const[ent]
-        g_self = bs.r_over_lam - bs.q / beta
-        # Emitting and receiving embeddings share the structure "event sums
-        # minus the slot's share of the compensator"; the sequence-local
-        # emitting total cancels between the own-pair and shared terms,
-        # leaving the self-rate correction and one global outer product each.
-        g_u = (
-            bs.s_over_lam
-            - bs.v_slot * g_self[:, None]
-            - np.outer(1.0 / (beta * activity), caches.z_hat)
-        )
-        g_v = (
-            bs.p_rev
-            - bs.u_slot * g_self[:, None]
-            - np.outer(bs.q / beta, u_hat)
-        )
-        gu_raw = g_u * softplus_grad(params.theta_u[ent])
-        gv_raw = g_v * softplus_grad(params.theta_v[ent])
-        scalars = np.stack(
-            [
-                g_mu * softplus_grad(params.theta_mu[ent]),
-                g_self * softplus_grad(params.theta_self[ent]),
-            ],
-            axis=1,
-        )
         # Group the slot rows by entity once and scatter the per-entity sums;
         # entities touched nowhere in the batch are simply never written.
-        stacked = np.concatenate([gu_raw, gv_raw, scalars], axis=1)
         order_e = np.argsort(ent, kind="stable")
         ent_sorted = ent[order_e]
         starts = np.flatnonzero(np.r_[True, ent_sorted[1:] != ent_sorted[:-1]])
-        sums = np.add.reduceat(stacked[order_e], starts, axis=0)
+        sums = np.add.reduceat(rows[order_e], starts, axis=0)
         uniq = ent_sorted[starts]
         buf.d_theta_u[uniq] += sums[:, :d]
         buf.d_theta_v[uniq] += sums[:, d:2 * d]
         buf.d_theta_mu[uniq] += sums[:, 2 * d]
         buf.d_theta_self[uniq] += sums[:, 2 * d + 1]
 
-    uz = bs.z @ u_hat
-    uz_beta = bs.z_beta @ u_hat
-    cq = np.bincount(bs.slot_seq, weights=bs.c_slot * bs.q, minlength=ns)
-    cq_beta = np.bincount(bs.slot_seq, weights=bs.c_slot * bs.q_beta, minlength=ns)
-    g_beta = bs.beta_log + (uz + cq) / beta**2 - (uz_beta + cq_beta) / beta
-    beta_terms = (g_beta * softplus_grad(params.theta_beta)).tolist()
     never = caches.never_active
     if len(never):
         buf.d_theta_mu[never] = -caches.total_horizon * softplus_grad(params.theta_mu[never])
         buf.d_theta_u[never] = (
             -(caches.z_hat[None, :] / checked_beta(params)) * softplus_grad(params.theta_u[never])
         )
-    buf.d_theta_beta = math.fsum(beta_terms)
+    buf.d_theta_beta = math.fsum(g_beta.tolist())
     return buf
 
 
-def update_u_hat(caches: LazyCaches, entity: int, theta_u_old: np.ndarray, theta_u_new: np.ndarray):
-    """Constant-time refresh of the receiving-embedding total after one row moved."""
-    caches.u_hat += softplus(theta_u_new) - softplus(theta_u_old)
+def update_u_hat(caches: LazyCaches, entities, theta_u_old: np.ndarray, theta_u_new: np.ndarray):
+    """Constant-time-per-row refresh of the receiving-embedding total after
+    the rows of ``entities`` (one id with (d,) rows, or ids with (a, d)) moved."""
+    delta = softplus(theta_u_new) - softplus(theta_u_old)
+    caches.u_hat += delta.reshape(-1, len(caches.u_hat)).sum(axis=0)

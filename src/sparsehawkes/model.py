@@ -39,8 +39,16 @@ class NumericalDivergenceError(RuntimeError):
 
 
 def softplus(x):
-    """Elementwise log(1 + e^x), safe against overflow for large x."""
-    return np.logaddexp(0.0, x)
+    """Elementwise log(1 + e^x), safe against overflow for large x: the split
+    max(x, 0) + log1p(e^-|x|) of ``np.logaddexp(0, x)``, in whole-array
+    passes on one buffer."""
+    x = np.asarray(x, dtype=float)
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out[()]
 
 
 def softplus_grad(x):
@@ -49,7 +57,11 @@ def softplus_grad(x):
     Written via tanh so it is stable for arguments of either sign.
     """
     x = np.asarray(x, dtype=float)
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    out = np.multiply(x, 0.5, out=np.empty_like(x))
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out[()]
 
 
 def softplus_inv(y):
@@ -171,18 +183,19 @@ class Sequence:
 class Dataset:
     """A collection of sequences over a shared entity universe.
 
-    ``active_index[x]`` lists the positions of sequences containing at least
-    one event of entity x; it is what makes per-entity bookkeeping cheap even
-    when most entities never appear.
+    ``activity_count[x]`` counts the sequences containing at least one event
+    of entity x; it is what makes per-entity bookkeeping cheap even when most
+    entities never appear.
     """
 
     __slots__ = (
         "num_entities",
         "sequences",
-        "active_index",
         "activity_count",
+        "_index",
         "_flat",
         "_slots",
+        "_offsets",
     )
 
     def __init__(self, num_entities: int, sequences: SequenceType[Sequence]):
@@ -190,21 +203,26 @@ class Dataset:
         if num_entities <= 0:
             raise ValueError("num_entities must be positive")
         sequences = list(sequences)
-        index: list[list[int]] = [[] for _ in range(num_entities)]
         for k, seq in enumerate(sequences):
             if len(seq) and int(seq.entities.max()) >= num_entities:
                 raise ValueError(
                     f"sequence {k} references entity {int(seq.entities.max())} "
                     f"outside the universe of {num_entities} entities"
                 )
-            for x in seq.active_entities:
-                index[int(x)].append(k)
         self.num_entities = num_entities
         self.sequences = sequences
-        self.active_index = index
-        self.activity_count = np.array([len(ids) for ids in index], dtype=np.int64)
-        self._flat = None
-        self._slots = None
+        self._index = self._flat = self._slots = self._offsets = None
+        self.activity_count = np.bincount(self.slot_tables()[2], minlength=num_entities)
+
+    @property
+    def active_index(self) -> list[list[int]]:
+        """Positions of the sequences with an event of each entity, built on first use."""
+        if self._index is None:
+            _, slot_seq, slot_entity, _, _ = self.slot_tables()
+            self._index = [[] for _ in range(self.num_entities)]
+            for k, x in zip(slot_seq.tolist(), slot_entity.tolist()):
+                self._index[x].append(k)
+        return self._index
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -257,6 +275,14 @@ class Dataset:
             counts = np.bincount(slot_of, minlength=len(uq)).astype(np.int64)
             self._slots = (slot_of, slot_seq, slot_entity, seq_slot_start, counts)
         return self._slots
+
+    def event_offsets(self) -> np.ndarray:
+        """``(len(sequences) + 1,)``: sequence ``k`` owns flat events
+        ``offsets[k]:offsets[k + 1]``.  Built once."""
+        if self._offsets is None:
+            lengths = np.array([len(s) for s in self.sequences], dtype=np.int64)
+            self._offsets = np.concatenate([[0], np.cumsum(lengths)])
+        return self._offsets
 
     @property
     def total_events(self) -> int:

@@ -10,14 +10,16 @@ charge the inactive entities.
 Two implementations live here.  ``sequence_stats_reference`` walks events one
 by one through :class:`~.model.SequenceScan` and is kept as the slow,
 obviously-correct formulation.  ``batch_sequence_stats`` computes the same
-sums for a whole list of sequences with array prefix scans and is what the
-engines actually call.  The decayed sums are linear recurrences whose closed
-form is a prefix sum of ``exp(beta*t_j) * value_j`` rescaled by
-``exp(-beta*t_i)``; raw exponentials of the phase ``beta*t`` overflow once it
-passes ~709, so the phase axis of every sequence is cut into fixed-width
-bands.  Within a band the stored exponentials stay bounded and, because
-events are time-ordered, every prefix term is no larger than the rescaling
-factor that multiplies it, which keeps the summation well conditioned.
+sums with array prefix scans on a :class:`~.model.Dataset`'s cached flat
+layout, the one place a layout is built; the engines scan all sequences and
+a training step slices out its one sequence.  The decayed sums are linear
+recurrences whose closed form is a prefix sum of ``exp(beta*t_j) * value_j``
+rescaled by ``exp(-beta*t_i)``; raw exponentials of the phase ``beta*t``
+overflow once it passes ~709, so the phase axis of every sequence is cut
+into fixed-width bands.  Within a band the stored exponentials stay bounded
+and, because events are time-ordered, every prefix term is no larger than
+the rescaling factor that multiplies it, which keeps the summation well
+conditioned.
 Across bands only a per-band carry survives, propagated with step factors of
 ``exp(-width)`` per band so the huge and tiny scales cancel in pairs.
 """
@@ -218,10 +220,11 @@ def _banded_excl_scan(x, band_first, band_len, band_of, pos, reverse=False):
         if reverse:
             grid = grid[:, ::-1]
         cs = np.cumsum(grid, axis=1)
-        ex = cs - grid
+        totals = cs[:, -1].copy()
+        cs -= grid
         if reverse:
-            ex = ex[:, ::-1]
-        return ex.reshape(x.shape), cs[:, -1]
+            cs = cs[:, ::-1]
+        return cs.reshape(x.shape), totals
     out = np.empty_like(x)
     totals = np.zeros((nb,) + tail_shape)
     short = band_len <= _PAD_CAP
@@ -263,7 +266,8 @@ def _chain_carries(first_flags, g, totals, reverse=False):
     """
     ne = len(g)
     carr = np.zeros_like(totals)
-    if ne == 0:
+    if first_flags.all():
+        # every chain is a single band: nothing crosses a band boundary
         return carr
     chain_of = np.cumsum(first_flags) - 1
     chain_first = np.flatnonzero(first_flags)
@@ -333,8 +337,6 @@ class BatchStats:
         """Slice sequence ``k``'s statistics out of the slot tables."""
         o0 = int(self.seq_slot_start[k])
         o1 = int(self.seq_slot_start[k + 1])
-        if o1 == o0:
-            return _empty_stats(self.dim, self.gradients)
         sl = slice(o0, o1)
         g = self.gradients
         return SequenceStats(
@@ -387,33 +389,39 @@ def _empty_batch(params: ModelParams, ns: int, horizons: np.ndarray, gradients: 
 
 
 def batch_sequence_stats(
-    params: ModelParams, seqs, gradients: bool = False
+    params: ModelParams, seqs, gradients: bool = False, subset: tuple[int, int] | None = None
 ) -> BatchStats:
     """Scan every sequence in one shot using banded prefix sums.
 
-    ``seqs`` is a list of sequences or a whole :class:`~.model.Dataset`; the
-    latter reuses the dataset's cached flat event layout.  Produces the same
-    per-sequence quantities as the reference scan, with work dominated by a
-    fixed number of array passes over the concatenated events instead of
-    per-event interpreter steps.
+    ``seqs`` is a :class:`~.model.Dataset`, whose cached layout is reused, or
+    a list of sequences, which is wrapped in one.  ``subset=(start, stop)``
+    scans only those dataset positions, sliced out of the cached layout, with
+    results indexed from ``start`` and bit-identical to a full scan's.
+    Produces the same per-sequence quantities as the reference scan, with
+    work dominated by a fixed number of array passes over the concatenated
+    events instead of per-event interpreter steps.
     """
-    ds = seqs if isinstance(seqs, Dataset) else None
-    if ds is not None:
-        horizons, nonempty, lengths, t, lab = ds.flat_events()
-        ns = len(ds.sequences)
-    else:
-        ns = len(seqs)
-        horizons = np.array([s.horizon for s in seqs], dtype=np.float64)
-        nonempty = np.flatnonzero([len(s) > 0 for s in seqs])
-        lengths = np.array([len(seqs[k]) for k in nonempty], dtype=np.int64)
-        t = np.concatenate([seqs[k].times for k in nonempty]) if nonempty.size else np.zeros(0)
-        lab = (
-            np.concatenate([seqs[k].entities for k in nonempty]).astype(np.int64)
-            if nonempty.size
-            else np.zeros(0, dtype=np.int64)
-        )
+    data = seqs if isinstance(seqs, Dataset) else Dataset(params.num_entities, seqs)
+    horizons, nonempty, lengths, t, lab = data.flat_events()
+    slot_of, slot_seq, slot_entity, seq_slot_start, counts = data.slot_tables()
+    if subset is not None:
+        k0, k1 = subset
+        offsets = data.event_offsets()
+        e0, e1 = offsets[k0], offsets[k1]
+        s0, s1 = seq_slot_start[k0], seq_slot_start[k1]
+        horizons = horizons[k0:k1]
+        lengths = offsets[k0 + 1:k1 + 1] - offsets[k0:k1]
+        nonempty = np.flatnonzero(lengths)
+        lengths = lengths[nonempty]
+        t = t[e0:e1]
+        lab = lab[e0:e1]
+        slot_of = slot_of[e0:e1] - s0
+        slot_seq = slot_seq[s0:s1] - k0
+        slot_entity = slot_entity[s0:s1]
+        seq_slot_start = seq_slot_start[k0:k1 + 1] - s0
+        counts = counts[s0:s1]
+    ns = len(horizons)
     d = params.dim
-    n_ent = params.num_entities
     if nonempty.size == 0:
         return _empty_batch(params, ns, horizons, gradients)
 
@@ -422,17 +430,6 @@ def batch_sequence_stats(
     orig_ev = np.repeat(nonempty, lengths)
     hor_ev = np.repeat(horizons[nonempty], lengths)
     beta = params.beta()
-
-    # Slot tables: one row per (sequence, entity) pair, sequence-major.
-    if ds is not None:
-        slot_of, slot_seq, slot_entity, seq_slot_start, counts = ds.slot_tables()
-    else:
-        code = orig_ev * np.int64(n_ent) + lab
-        uq, slot_of = np.unique(code, return_inverse=True)
-        slot_seq = uq // n_ent
-        slot_entity = uq % n_ent
-        seq_slot_start = np.searchsorted(slot_seq, np.arange(ns + 1)).astype(np.int64)
-        counts = np.bincount(slot_of, minlength=len(uq)).astype(np.int64)
     n_slots = len(slot_seq)
 
     mu_slot = softplus(params.theta_mu[slot_entity])
@@ -468,7 +465,7 @@ def batch_sequence_stats(
     new_band[1:] |= g_ev[1:] != g_ev[:-1]
     band_of = np.cumsum(new_band) - 1
     band_first = np.flatnonzero(new_band)
-    band_len = np.diff(np.concatenate([band_first, [m]]))
+    band_len = np.bincount(band_of)
     band_g = g_ev[band_first]
     band_chain_first = np.empty(len(band_first), dtype=bool)
     band_chain_first[0] = True
@@ -478,14 +475,18 @@ def batch_sequence_stats(
 
     # Forward scan of the emitting embeddings (and their time-weighted
     # companions when gradients are on, stacked to share the passes).
-    w_fwd = e_up[:, None] * v_ev
+    # Each step below writes into one (m, d) or (m, 2d) buffer, so the scan's
+    # peak memory stays a few such blocks and fresh pages are rarely touched.
+    full = np.empty((m, 2 * d if gradients else d))
+    np.multiply(e_up[:, None], v_ev, out=full[:, :d])
     if gradients:
-        w_fwd = np.concatenate([w_fwd, w_fwd * trel[:, None]], axis=1)
-    pref, band_tot = _banded_excl_scan(w_fwd, band_first, band_len, band_of, pos)
-    carry = _chain_carries(band_chain_first, band_g, band_tot)
-    full = e_dn[:, None] * (pref + carry[band_of])
-    s_all = full[:, :d]
-    s_dbeta = -trel[:, None] * s_all + full[:, d:] if gradients else None
+        np.multiply(full[:, :d], trel[:, None], out=full[:, d:])
+    full, band_tot = _banded_excl_scan(full, band_first, band_len, band_of, pos)
+    full += _chain_carries(band_chain_first, band_g, band_tot)[band_of]
+    full *= e_dn[:, None]
+    s_all, s_dbeta = full[:, :d], full[:, d:]
+    if gradients:
+        s_dbeta -= trel[:, None] * s_all
 
     # Same-entity scalar scan: regroup events by (band, entity) so each
     # group is contiguous, then scan and route carries along (sequence,
@@ -560,28 +561,26 @@ def batch_sequence_stats(
 
     # Reverse scan: decayed sums over later events of u/lambda, delivered to
     # each event's emitting side.
-    w_rev = e_dn[:, None] * (u_ev * inv[:, None])
-    suff, band_tot_rev = _banded_excl_scan(
-        w_rev, band_first, band_len, band_of, pos, reverse=True
-    )
+    rev = u_ev * inv[:, None]
+    rev *= e_dn[:, None]
+    rev, band_tot_rev = _banded_excl_scan(rev, band_first, band_len, band_of, pos, reverse=True)
     rev_carry = _chain_carries(band_chain_first, band_g, band_tot_rev, reverse=True)
-    p_all = e_up[:, None] * suff + np.exp(psi - _BAND_WIDTH)[:, None] * rev_carry[band_of]
 
     # Per-slot sums of all per-event gradient quantities in one grouped pass:
     # stable sort by slot keeps each slot's events contiguous and in order, so
     # a single reduceat covers both (m, d) blocks and the scalar columns.
-    stacked = np.concatenate(
-        [
-            s_all * inv[:, None],
-            p_all,
-            np.stack([inv, r_all * inv, e_tail], axis=1),
-        ],
-        axis=1,
-    )
-    order_slot = np.argsort(slot_of, kind="stable")
-    slot_sorted = slot_of[order_slot]
-    starts = np.flatnonzero(np.r_[True, slot_sorted[1:] != slot_sorted[:-1]])
-    sums = np.add.reduceat(stacked[order_slot], starts, axis=0)
+    # When no slot holds two events the sums are the rows themselves.
+    stacked = np.empty((m, 2 * d + 3))
+    np.multiply(s_all, inv[:, None], out=stacked[:, :d])
+    p_all = np.multiply(e_up[:, None], rev, out=stacked[:, d:2 * d])
+    p_all += np.exp(psi - _BAND_WIDTH)[:, None] * rev_carry[band_of]
+    stacked[:, 2 * d:] = np.stack([inv, r_all * inv, e_tail], axis=1)
+    if mm:
+        order_slot = np.argsort(slot_of, kind="stable")
+        sums = np.add.reduceat(stacked[order_slot], np.cumsum(counts) - counts, axis=0)
+    else:
+        sums = np.empty_like(stacked)
+        sums[slot_of] = stacked
     s_over_lam = sums[:, :d]
     p_rev = sums[:, d:2 * d]
     inv_lam = sums[:, 2 * d]
@@ -605,6 +604,4 @@ def sequence_stats(params: ModelParams, seq: Sequence, gradients: bool = False) 
     Work is linear in the number of events times the embedding dimension and
     touches only entities that appear in the sequence.
     """
-    if len(seq) == 0:
-        return _empty_stats(params.dim, gradients)
     return batch_sequence_stats(params, [seq], gradients=gradients).stats(0)

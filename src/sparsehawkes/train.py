@@ -1,28 +1,34 @@
 """Stochastic training: per-sequence sparse Adam steps over the lazy engine.
 
-One epoch walks the sequences once.  Each step reads the one-epoch-lagged
-decayed emitting totals from the caches, the incrementally maintained
-receiving-embedding total, and only the parameters of entities active in the
-sequence; the Adam update then touches exactly those rows plus the global
-decay slot.  The parallel mode runs the same step lock-free from several
-workers over shared memory, trading bitwise reproducibility for throughput.
+One epoch walks the sequences once.  Each step scans one sequence on the
+dataset's cached layout, reads the one-epoch-lagged decayed emitting totals
+from the caches, the incrementally maintained receiving-embedding total, and
+only the parameters of entities active in the sequence; the lazy engine's
+gradient rows for those entities then get one Adam update as a stacked
+block, which also moves the global decay slot and refreshes the receiving
+total.  The parallel mode runs the same step lock-free from several workers
+over shared memory (only the decay slot is locked), trading bitwise
+reproducibility for throughput.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import json
 import math
 import multiprocessing
 import os
+import queue as queue_module
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lazy import LazyCaches, SequenceGradient, _sequence_z, build_caches, lazy_log_likelihood, lazy_sequence_gradients, update_u_hat
+from .lazy import LazyCaches, SequenceGradient, _slot_gradients, build_caches, lazy_log_likelihood, update_u_hat
 from .model import Dataset, ModelParams, NumericalDivergenceError, softplus, softplus_inv
+from .scan import batch_sequence_stats
 
 __all__ = [
     "TrainingDivergedError",
@@ -34,6 +40,9 @@ __all__ = [
     "train",
     "train_parallel",
 ]
+
+# Wait on the result queue between checks that the workers are alive.
+_POLL_SECONDS = 0.1
 
 
 class TrainingDivergedError(RuntimeError):
@@ -90,40 +99,24 @@ class TrainConfig:
         return hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
 
 
-@dataclass
 class AdamState:
-    """Moment buffers shaped like the parameters, with per-row step counts.
+    """Adam moments as (n, 2d + 2) rows ``[u | v | mu | self]``, with per-row step counts.
 
-    Counters advance only when their row is touched, so rarely seen entities
-    get the full bias correction on their first updates instead of a stale
-    global step number.
+    A row's blocks move together and share the counter ``t``, which advances
+    only when the row is touched, so rarely seen entities get the full bias
+    correction on their first updates instead of a stale global step number.
+    ``decay_guard`` wraps each update of the decay scalars; parallel workers
+    point it at the shared decay slot.
     """
 
-    m_mu: np.ndarray
-    v_mu: np.ndarray
-    t_mu: np.ndarray
-    m_beta: float
-    v_beta: float
-    t_beta: int
-    m_self: np.ndarray
-    v_self: np.ndarray
-    t_self: np.ndarray
-    m_u: np.ndarray
-    v_u: np.ndarray
-    t_u: np.ndarray
-    m_v: np.ndarray
-    v_v: np.ndarray
-    t_v: np.ndarray
+    def __init__(self, m: np.ndarray, v: np.ndarray, t: np.ndarray):
+        self.m, self.v, self.t = m, v, t
+        self.m_beta, self.v_beta, self.t_beta = 0.0, 0.0, 0
+        self.decay_guard = contextlib.nullcontext
 
     @classmethod
     def zeros(cls, n: int, d: int) -> "AdamState":
-        return cls(
-            m_mu=np.zeros(n), v_mu=np.zeros(n), t_mu=np.zeros(n, dtype=np.int64),
-            m_beta=0.0, v_beta=0.0, t_beta=0,
-            m_self=np.zeros(n), v_self=np.zeros(n), t_self=np.zeros(n, dtype=np.int64),
-            m_u=np.zeros((n, d)), v_u=np.zeros((n, d)), t_u=np.zeros(n, dtype=np.int64),
-            m_v=np.zeros((n, d)), v_v=np.zeros((n, d)), t_v=np.zeros(n, dtype=np.int64),
-        )
+        return cls(np.zeros((n, 2 * d + 2)), np.zeros((n, 2 * d + 2)), np.zeros(n, dtype=np.int64))
 
 
 @dataclass
@@ -134,6 +127,7 @@ class TrainReport:
     receiving-embedding total and a from-scratch recomputation.
     ``final_caches`` is the training-state cache object at exit (lagged
     aggregates included), kept for invariant checks and warm restarts.
+    ``decay_steps`` counts Adam steps on the decay parameter.
     """
 
     epoch_loglik: list[float] = field(default_factory=list)
@@ -141,27 +135,41 @@ class TrainReport:
     snapshot_paths: list[str] = field(default_factory=list)
     u_hat_drift: list[float] = field(default_factory=list)
     final_caches: LazyCaches | None = None
+    decay_steps: int = 0
 
 
-def _adam_rows(m, v, t, idx, grad, config) -> np.ndarray:
-    """Bias-corrected Adam direction for the touched rows of one block.
+def _adam_rows(state: AdamState, idx: np.ndarray, rows: np.ndarray, d_beta: float,
+               config: TrainConfig, params: ModelParams):
+    """One sparse ascent step, in place, on the gradient rows ``[u | v | mu | self]``
+    of entities ``idx`` and on the decay.
 
-    The trainer maximizes the log-likelihood; following the usual minimizer
-    convention the accumulated moment is of the negated gradient and the
-    returned step is subtracted by the caller.
+    The moments are of the negated gradient (the usual minimizer convention)
+    and the step is subtracted.
     """
-    g = -grad
     b1 = config.adam_beta1
     b2 = config.adam_beta2
-    t[idx] += 1
-    steps = t[idx]
-    if g.ndim == 2:
-        steps = steps[:, None]
-    m[idx] = b1 * m[idx] + (1.0 - b1) * g
-    v[idx] = b2 * v[idx] + (1.0 - b2) * g * g
-    m_hat = m[idx] / (1.0 - b1**steps)
-    v_hat = v[idx] / (1.0 - b2**steps)
-    return config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    if len(idx):
+        g = -rows
+        state.t[idx] = steps = state.t[idx] + 1
+        state.m[idx] = m = b1 * state.m[idx] + (1.0 - b1) * g
+        state.v[idx] = v = b2 * state.v[idx] + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**steps)[:, None]
+        v_hat = v / (1.0 - b2**steps)[:, None]
+        step = config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+        d = params.dim
+        params.theta_u[idx] -= step[:, :d]
+        params.theta_v[idx] -= step[:, d:2 * d]
+        params.theta_mu[idx] -= step[:, 2 * d]
+        params.theta_self[idx] -= step[:, 2 * d + 1]
+
+    g = -d_beta
+    with state.decay_guard():
+        state.t_beta += 1
+        state.m_beta = b1 * state.m_beta + (1.0 - b1) * g
+        state.v_beta = b2 * state.v_beta + (1.0 - b2) * g * g
+        m_hat = state.m_beta / (1.0 - b1**state.t_beta)
+        v_hat = state.v_beta / (1.0 - b2**state.t_beta)
+        params.theta_beta -= config.learning_rate * m_hat / (math.sqrt(v_hat) + config.adam_eps)
 
 
 def adam_step(state: AdamState, grads: SequenceGradient, config: TrainConfig, params: ModelParams):
@@ -170,22 +178,11 @@ def adam_step(state: AdamState, grads: SequenceGradient, config: TrainConfig, pa
     Only rows of ``grads.entities`` and the global decay parameter move;
     every other row's parameters, moments, and counters stay untouched.
     """
-    idx = grads.entities
-    if len(idx):
-        params.theta_mu[idx] -= _adam_rows(state.m_mu, state.v_mu, state.t_mu, idx, grads.d_theta_mu, config)
-        params.theta_self[idx] -= _adam_rows(state.m_self, state.v_self, state.t_self, idx, grads.d_theta_self, config)
-        params.theta_u[idx] -= _adam_rows(state.m_u, state.v_u, state.t_u, idx, grads.d_theta_u, config)
-        params.theta_v[idx] -= _adam_rows(state.m_v, state.v_v, state.t_v, idx, grads.d_theta_v, config)
-
-    g = -grads.d_theta_beta
-    b1 = config.adam_beta1
-    b2 = config.adam_beta2
-    state.t_beta += 1
-    state.m_beta = b1 * state.m_beta + (1.0 - b1) * g
-    state.v_beta = b2 * state.v_beta + (1.0 - b2) * g * g
-    m_hat = state.m_beta / (1.0 - b1**state.t_beta)
-    v_hat = state.v_beta / (1.0 - b2**state.t_beta)
-    params.theta_beta -= config.learning_rate * m_hat / (math.sqrt(v_hat) + config.adam_eps)
+    rows = np.concatenate(
+        [grads.d_theta_u, grads.d_theta_v, grads.d_theta_mu[:, None], grads.d_theta_self[:, None]],
+        axis=1,
+    )
+    _adam_rows(state, grads.entities, rows, grads.d_theta_beta, config, params)
 
 
 def init_params(data: Dataset, config: TrainConfig, rng: np.random.Generator) -> ModelParams:
@@ -197,10 +194,7 @@ def init_params(data: Dataset, config: TrainConfig, rng: np.random.Generator) ->
     positive, away from the flat region of the softplus.
     """
     n = data.num_entities
-    counts = np.zeros(n)
-    for seq in data.sequences:
-        if len(seq):
-            counts += np.bincount(seq.entities, minlength=n)
+    counts = np.bincount(data.flat_events()[4], minlength=n)
     rates = np.maximum(counts, 0.5) / data.total_horizon
     return ModelParams(
         theta_mu=softplus_inv(rates),
@@ -252,6 +246,22 @@ def _finish_epoch(params: ModelParams, data: Dataset, caches: LazyCaches,
     return loglik
 
 
+def _step(params: ModelParams, data: Dataset, k: int, caches: LazyCaches, state: AdamState,
+          config: TrainConfig) -> np.ndarray:
+    """One sparse Adam step on sequence ``k``, against the lagged ``z_hat``.
+
+    Returns the sequence's decayed emitting total under the parameters before
+    the step, its share of the next epoch's ``z_hat``.
+    """
+    bs = batch_sequence_stats(params, data, gradients=True, subset=(k, k + 1))
+    rows, g_beta = _slot_gradients(params, bs, caches, data.activity_count)
+    idx = bs.slot_entity
+    old_u = params.theta_u[idx]
+    _adam_rows(state, idx, rows, float(g_beta[0]), config, params)
+    update_u_hat(caches, idx, old_u, params.theta_u[idx])
+    return bs.z[0]
+
+
 def train(
     data: Dataset,
     config: TrainConfig,
@@ -259,11 +269,9 @@ def train(
 ) -> tuple[ModelParams, TrainReport]:
     """Sequential training; deterministic for a fixed config.
 
-    Per epoch, per sequence: add the sequence's decayed emitting total to the
-    next epoch's aggregate, take the sparse gradient against the lagged
-    aggregate, apply Adam to the touched rows, then refresh the running
-    receiving-embedding total for exactly those rows.  Reported likelihoods
-    are exact, computed against rebuilt caches after each epoch.
+    Per epoch, one :func:`_step` per non-empty sequence, in order or in a
+    seeded shuffle.  Reported likelihoods are exact, computed against rebuilt
+    caches after each epoch.
     """
     rng = np.random.default_rng(config.seed)
     if init is None:
@@ -279,22 +287,15 @@ def train(
     report = TrainReport()
     last_good = params.copy()
     base_order = np.arange(len(data.sequences))
+    nonempty = np.diff(data.event_offsets()) > 0
 
     for epoch in range(1, config.epochs + 1):
         start = time.perf_counter()
         order = rng.permutation(base_order) if config.shuffle else base_order
         z_next = np.zeros(params.dim)
         try:
-            for si in order:
-                seq = data.sequences[si]
-                if len(seq) == 0:
-                    continue
-                z_next += _sequence_z(params, seq, params.beta())
-                grads = lazy_sequence_gradients(params, seq, caches, data, check_caches=False)
-                old_rows = params.theta_u[grads.entities].copy()
-                adam_step(state, grads, config, params)
-                for k, x in enumerate(grads.entities):
-                    update_u_hat(caches, int(x), old_rows[k], params.theta_u[x])
+            for k in order[nonempty[order]].tolist():
+                z_next += _step(params, data, k, caches, state, config)
         except NumericalDivergenceError as exc:
             raise TrainingDivergedError(
                 f"epoch {epoch}: {exc}", last_good, report, epoch
@@ -304,6 +305,7 @@ def train(
         _finish_epoch(params, data, caches, config, report, epoch, secs, last_good)
         last_good = params.copy()
     report.final_caches = caches
+    report.decay_steps = state.t_beta
     return params, report
 
 
@@ -318,22 +320,13 @@ def _shared_array(shape, dtype=np.float64):
     return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
-def _shared_adam_state(n: int, d: int) -> AdamState:
-    return AdamState(
-        m_mu=_shared_array((n,)), v_mu=_shared_array((n,)), t_mu=_shared_array((n,), np.int64),
-        m_beta=0.0, v_beta=0.0, t_beta=0,
-        m_self=_shared_array((n,)), v_self=_shared_array((n,)), t_self=_shared_array((n,), np.int64),
-        m_u=_shared_array((n, d)), v_u=_shared_array((n, d)), t_u=_shared_array((n,), np.int64),
-        m_v=_shared_array((n, d)), v_v=_shared_array((n, d)), t_v=_shared_array((n,), np.int64),
-    )
-
-
 def _parallel_worker(
     worker_id: int,
     shard: np.ndarray,
     data: Dataset,
     params: ModelParams,
     beta_slots: np.ndarray,
+    beta_lock,
     state: AdamState,
     caches: LazyCaches,
     config: TrainConfig,
@@ -342,31 +335,26 @@ def _parallel_worker(
     """One epoch over a shard against shared-memory parameters.
 
     The decay parameter and its Adam scalars live in a shared slot vector
-    (value, first moment, second moment, step count); reads and writes of
-    individual float64 slots are atomic on the supported platforms, and torn
-    vector rows are tolerated by the lock-free contract.
+    (value, first moment, second moment, step count).  A step's gradient may
+    use a decay value another worker has since moved, and torn embedding rows
+    are tolerated, as the lock-free contract allows; but each update of the
+    slots holds ``beta_lock`` from read to write, so none is lost.
     """
-    dim = params.dim
-    z_partial = np.zeros(dim)
-    try:
-        for si in shard:
-            seq = data.sequences[si]
-            if len(seq) == 0:
-                continue
-            params.theta_beta = float(beta_slots[0])
-            state.m_beta = float(beta_slots[1])
-            state.v_beta = float(beta_slots[2])
+
+    @contextlib.contextmanager
+    def decay_guard():
+        with beta_lock:
+            params.theta_beta, state.m_beta, state.v_beta = beta_slots[:3].tolist()
             state.t_beta = int(beta_slots[3])
-            z_partial += _sequence_z(params, seq, params.beta())
-            grads = lazy_sequence_gradients(params, seq, caches, data, check_caches=False)
-            old_rows = params.theta_u[grads.entities].copy()
-            adam_step(state, grads, config, params)
-            beta_slots[0] = params.theta_beta
-            beta_slots[1] = state.m_beta
-            beta_slots[2] = state.v_beta
-            beta_slots[3] = float(state.t_beta)
-            for k, x in enumerate(grads.entities):
-                update_u_hat(caches, int(x), old_rows[k], params.theta_u[x])
+            yield
+            beta_slots[:] = (params.theta_beta, state.m_beta, state.v_beta, state.t_beta)
+
+    state.decay_guard = decay_guard
+    z_partial = np.zeros(params.dim)
+    try:
+        for k in shard.tolist():
+            params.theta_beta = float(beta_slots[0])
+            z_partial += _step(params, data, k, caches, state, config)
         queue.put(("done", worker_id, z_partial))
     except NumericalDivergenceError as exc:
         queue.put(("diverged", worker_id, str(exc)))
@@ -374,15 +362,39 @@ def _parallel_worker(
         queue.put(("error", worker_id, f"{type(exc).__name__}: {exc}"))
 
 
+def _collect(queue, workers, epoch: int) -> dict:
+    """One ``(kind, payload)`` per worker id; a worker that exits silently is an error.
+
+    A worker that had exited before an empty wait began had sent nothing.
+    """
+    results = {}
+    while len(results) < len(workers):
+        exited = [wid for wid, w in enumerate(workers)
+                  if wid not in results and w.exitcode is not None]
+        try:
+            kind, wid, payload = queue.get(timeout=_POLL_SECONDS)
+        except queue_module.Empty:
+            if exited:
+                wid = exited[0]
+                raise RuntimeError(
+                    f"epoch {epoch} worker {wid} exited with code "
+                    f"{workers[wid].exitcode} without reporting a result"
+                ) from None
+            continue
+        results[wid] = (kind, payload)
+    return results
+
+
 def train_parallel(data: Dataset, config: TrainConfig) -> tuple[ModelParams, TrainReport]:
     """Lock-free parallel training over forked workers and shared memory.
 
     Sequences are split into one static shard per worker; each epoch forks
-    the workers, they stream updates into the shared parameter blocks
-    without locks, and the parent then swaps in the next epoch's decayed
-    emitting totals, measures the receiving-total drift, rebuilds it, and
-    reports the exact likelihood.  Results match sequential training
-    statistically, not bitwise.
+    the workers, they run :func:`train`'s step, streaming updates into the
+    shared parameter blocks without locks (the decay slot excepted), and the
+    parent then swaps in the next epoch's decayed emitting totals, measures
+    the receiving-total drift, rebuilds it, and reports the exact likelihood.
+    Results match sequential training statistically, not bitwise.  A worker
+    that dies raises an error naming it and the epoch; the others are reaped.
     """
     if config.threads < 2:
         raise ValueError("train_parallel needs threads >= 2; use train for one")
@@ -393,22 +405,19 @@ def train_parallel(data: Dataset, config: TrainConfig) -> tuple[ModelParams, Tra
     d = config.dim
 
     params = ModelParams(
-        theta_mu=_shared_array((n,)),
-        theta_beta=seed_params.theta_beta,
-        theta_self=_shared_array((n,)),
-        theta_u=_shared_array((n, d)),
-        theta_v=_shared_array((n, d)),
-        dim=d,
+        theta_mu=_shared_array((n,)), theta_beta=seed_params.theta_beta, theta_self=_shared_array((n,)),
+        theta_u=_shared_array((n, d)), theta_v=_shared_array((n, d)), dim=d,
     )
-    params.theta_mu[:] = seed_params.theta_mu
-    params.theta_self[:] = seed_params.theta_self
-    params.theta_u[:] = seed_params.theta_u
-    params.theta_v[:] = seed_params.theta_v
+    for name in ("theta_mu", "theta_self", "theta_u", "theta_v"):
+        getattr(params, name)[:] = getattr(seed_params, name)
     # slot vector: decay value, its two Adam moments, its step count
     beta_slots = _shared_array((4,))
     beta_slots[0] = seed_params.theta_beta
+    beta_lock = ctx.Lock()
 
-    state = _shared_adam_state(n, d)
+    state = AdamState(
+        _shared_array((n, 2 * d + 2)), _shared_array((n, 2 * d + 2)), _shared_array((n,), np.int64)
+    )
     caches = build_caches(params, data)
     shared_u_hat = _shared_array((d,))
     shared_u_hat[:] = caches.u_hat
@@ -417,40 +426,42 @@ def train_parallel(data: Dataset, config: TrainConfig) -> tuple[ModelParams, Tra
     report = TrainReport()
     last_good = params.copy()
     base_order = np.arange(len(data.sequences))
+    nonempty = np.diff(data.event_offsets()) > 0
 
     for epoch in range(1, config.epochs + 1):
         start = time.perf_counter()
         order = rng.permutation(base_order) if config.shuffle else base_order
-        shards = np.array_split(order, config.threads)
+        shards = [shard[nonempty[shard]] for shard in np.array_split(order, config.threads)]
         queue = ctx.Queue()
         workers = [
             ctx.Process(
                 target=_parallel_worker,
-                args=(wid, shard, data, params, beta_slots, state, caches, config, queue),
+                args=(wid, shard, data, params, beta_slots, beta_lock, state, caches, config, queue),
             )
             for wid, shard in enumerate(shards)
         ]
-        for w in workers:
-            w.start()
-        z_next = np.zeros(d)
-        failures = []
-        for _ in workers:
-            kind, wid, payload = queue.get()
-            if kind == "done":
-                z_next += payload
-            else:
-                failures.append((kind, wid, payload))
-        for w in workers:
-            w.join()
+        results = None
+        try:
+            for w in workers:
+                w.start()
+            results = _collect(queue, workers, epoch)
+        finally:
+            for w in workers:
+                if results is None and w.is_alive():
+                    w.terminate()
+                if w.pid is not None:
+                    w.join()
         params.theta_beta = float(beta_slots[0])
+        failures = [(wid, kind, payload) for wid, (kind, payload) in sorted(results.items())
+                    if kind != "done"]
         if failures:
-            kind, wid, payload = failures[0]
+            wid, kind, payload = failures[0]
             if kind == "diverged":
                 raise TrainingDivergedError(
                     f"epoch {epoch} worker {wid}: {payload}", last_good, report, epoch
                 )
             raise RuntimeError(f"epoch {epoch} worker {wid} failed: {payload}")
-        caches.z_hat = z_next
+        caches.z_hat = np.sum([results[wid][1] for wid in range(len(workers))], axis=0)
         secs = time.perf_counter() - start
         _finish_epoch(params, data, caches, config, report, epoch, secs, last_good)
         # lock-free interleaving lets the incremental receiving total drift;
@@ -458,4 +469,5 @@ def train_parallel(data: Dataset, config: TrainConfig) -> tuple[ModelParams, Tra
         caches.u_hat[:] = softplus(params.theta_u).sum(axis=0)
         last_good = params.copy()
     report.final_caches = caches
+    report.decay_steps = int(beta_slots[3])
     return params, report

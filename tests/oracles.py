@@ -137,3 +137,90 @@ def rel_close(a, b, rtol: float, atol: float = 0.0) -> bool:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return bool(np.all(np.abs(a - b) <= atol + rtol * np.maximum(np.abs(a), np.abs(b))))
+
+
+def reference_train(data: Dataset, config, init: ModelParams):
+    """Sequential training as first written: the old per-sequence step.
+
+    One step per non-empty sequence, in dataset order: the stepwise scan,
+    the per-sequence gradient formulas (in their original form, which keeps
+    the sequence-local emitting total the package's form cancels), Adam
+    applied block by block, the receiving total refreshed row by row, and
+    each sequence's decayed emitting total summed into the next epoch's.
+    Unlike the rest of this module it reuses the package's stepwise
+    reference scan and activations; what it pins down is the step around
+    them.  Returns the final parameters and the brute-force log-likelihood
+    after each epoch.
+    """
+    from sparsehawkes.model import softplus, softplus_grad
+    from sparsehawkes.scan import sequence_stats_reference
+
+    params = init.copy()
+    n, d = params.num_entities, params.dim
+    activity = data.activity_count
+    horizons = np.array([s.horizon for s in data.sequences])
+    absent = np.array([
+        sum(h for k, h in enumerate(horizons) if k not in data.active_index[x])
+        for x in range(n)
+    ])
+    g_mu_const = np.where(activity > 0, absent / np.maximum(activity, 1), 0.0)
+
+    def decayed_total(seq):
+        beta = sp(params.theta_beta)
+        w = -np.expm1(-beta * (seq.horizon - seq.times))
+        return w @ softplus(params.theta_v[seq.entities])
+
+    u_hat = softplus(params.theta_u).sum(axis=0)
+    z_hat = sum((decayed_total(s) for s in data.sequences if len(s)), np.zeros(d))
+    blocks = ("theta_mu", "theta_self", "theta_u", "theta_v")
+    moments = {b: [np.zeros_like(getattr(params, b)), np.zeros_like(getattr(params, b)),
+                   np.zeros(n, dtype=np.int64)] for b in blocks}
+    beta_moments = [0.0, 0.0, 0]
+    b1, b2, lr, eps = config.adam_beta1, config.adam_beta2, config.learning_rate, config.adam_eps
+
+    def adam(m, v, t, idx, grad):
+        g = -grad
+        t[idx] += 1
+        steps = t[idx] if g.ndim == 1 else t[idx][:, None]
+        m[idx] = b1 * m[idx] + (1.0 - b1) * g
+        v[idx] = b2 * v[idx] + (1.0 - b2) * g * g
+        return lr * (m[idx] / (1.0 - b1**steps)) / (np.sqrt(v[idx] / (1.0 - b2**steps)) + eps)
+
+    logliks = []
+    for _ in range(config.epochs):
+        z_next = np.zeros(d)
+        for seq in data.sequences:
+            if len(seq) == 0:
+                continue
+            z_next += decayed_total(seq)
+            st = sequence_stats_reference(params, seq, gradients=True)
+            act = st.active
+            beta = sp(params.theta_beta)
+            g_self = st.r_over_lam - st.q / beta
+            grads = {
+                "theta_mu": st.inv_lam - seq.horizon - g_mu_const[act],
+                "theta_self": g_self,
+                "theta_u": (st.s_over_lam - st.v_act * st.r_over_lam[:, None]
+                            - (st.z[None, :] - st.v_act * st.q[:, None]) / beta
+                            + (st.z[None, :] - z_hat[None, :] / activity[act][:, None]) / beta),
+                "theta_v": (st.p_rev - st.u_act * st.r_over_lam[:, None]
+                            - (u_hat[None, :] - st.u_act) * st.q[:, None] / beta),
+            }
+            g_beta = (st.beta_log + (u_hat @ st.z + st.c_act @ st.q) / beta**2
+                      - (u_hat @ st.z_beta + st.c_act @ st.q_beta) / beta)
+            old_u = params.theta_u[act].copy()
+            for b in blocks:
+                raw = grads[b] * softplus_grad(getattr(params, b)[act])
+                getattr(params, b)[act] -= adam(*moments[b], act, raw)
+            g = -float(g_beta * softplus_grad(params.theta_beta))
+            m, v, t = beta_moments
+            t += 1
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            beta_moments = [m, v, t]
+            params.theta_beta -= lr * (m / (1.0 - b1**t)) / (math.sqrt(v / (1.0 - b2**t)) + eps)
+            for k, x in enumerate(act):
+                u_hat += softplus(params.theta_u[x]) - softplus(old_u[k])
+        z_hat = z_next
+        logliks.append(loglik_brute(params, data))
+    return params, logliks

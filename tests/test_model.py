@@ -31,6 +31,22 @@ def test_softplus_known_values():
     assert np.all(np.isfinite(softplus(np.array([-800.0, 0.0, 800.0]))))
 
 
+def test_softplus_matches_logaddexp_on_arrays_and_scalars():
+    xs = np.concatenate([
+        np.random.default_rng(5).normal(0.0, 30.0, 2000),
+        [0.0, -0.0, 36.7, -745.0, 800.0, -800.0, np.inf, -np.inf],
+    ])
+    want = np.logaddexp(0.0, xs)
+    got = softplus(xs.reshape(8, -1)[:, ::-1])[:, ::-1].ravel()
+    scalars = np.array([softplus(float(x)) for x in xs])
+    for vals in (got, scalars):
+        assert np.array_equal(vals == np.inf, want == np.inf)
+        fin = np.isfinite(want)
+        assert np.all(np.abs(vals[fin] - want[fin]) <= 4 * np.spacing(want[fin]))
+    assert np.isnan(softplus(np.nan)) and np.isnan(softplus(np.array([np.nan]))[0])
+    assert softplus(np.array([1, 2])).dtype == np.float64
+
+
 def test_softplus_grad_matches_finite_difference():
     xs = np.linspace(-20.0, 20.0, 41)
     h = 1e-6

@@ -10,8 +10,9 @@ degenerate shapes (single event, single entity, empty sequences).
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sparsehawkes.model import NumericalDivergenceError, Sequence
+from sparsehawkes.model import Dataset, NumericalDivergenceError, Sequence, softplus_inv
 from sparsehawkes.scan import (
     batch_sequence_stats,
     sequence_stats,
@@ -200,3 +201,54 @@ def test_batched_accumulation_matches_per_sequence_sum():
         assert rel_close(got.d_theta_beta, beta_sum, 1e-10) or abs(
             got.d_theta_beta - beta_sum
         ) < 1e-12
+
+
+_WIDTH = 350.0  # phase width of one scan band
+
+
+@st.composite
+def banded_datasets(draw):
+    """Small datasets whose phases cross band edges, sit far from zero, and
+    repeat entities across bands."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    params = random_params(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, d)
+    beta = draw(st.sampled_from([0.03, 1.0, 6.0]))
+    params.theta_beta = float(softplus_inv(beta))
+    # gaps in phase units: tiny, a hair either side of one band, several bands
+    gap = st.sampled_from([1e-3, 0.7, _WIDTH - 1e-6, _WIDTH + 1e-6, 3.2 * _WIDTH])
+    seqs = []
+    for _ in range(draw(st.integers(1, 5))):
+        m = draw(st.integers(0, 10))
+        start = draw(st.sampled_from([0.0, 0.4, 1e6]))
+        phases = start + np.cumsum(draw(st.lists(gap, min_size=m, max_size=m)))
+        times = phases / beta
+        horizon = (phases[-1] if m else start) / beta + draw(st.sampled_from([0.5, 900.0]))
+        ents = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+        seqs.append(Sequence.from_arrays(times, ents, horizon))
+    return params, Dataset(n, seqs)
+
+
+def assert_bit_identical(got, want):
+    for name in (
+        "active", "counts", "mu_act", "u_act", "v_act", "c_act", "z", "q",
+        "inv_lam", "r_over_lam", "s_over_lam", "p_rev", "z_beta", "q_beta",
+    ):
+        npt.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert got.loglam == want.loglam
+    assert got.beta_log == want.beta_log
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(banded_datasets())
+def test_subset_scan_equals_slice_of_full_scan(case):
+    params, data = case
+    full = batch_sequence_stats(params, data, gradients=True)
+    ns = len(data.sequences)
+    for k in range(ns):
+        one = batch_sequence_stats(params, data, gradients=True, subset=(k, k + 1))
+        assert one.num_seqs == 1
+        assert_bit_identical(one.stats(0), full.stats(k))
+    tail = batch_sequence_stats(params, data, gradients=True, subset=(1, ns))
+    for k in range(1, ns):
+        assert_bit_identical(tail.stats(k - 1), full.stats(k))

@@ -1,3 +1,9 @@
+import importlib
+import multiprocessing
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -14,7 +20,7 @@ from sparsehawkes import (
     update_u_hat,
 )
 from sparsehawkes.data_io import read_checkpoint
-from sparsehawkes.lazy import _sequence_z
+from sparsehawkes.model import softplus_inv
 from sparsehawkes.train import (
     AdamState,
     SequenceGradient,
@@ -27,6 +33,10 @@ from sparsehawkes.train import (
 )
 
 from oracles import random_params
+import oracles
+
+# the package re-exports the function ``train``, which shadows the module
+train_module = importlib.import_module("sparsehawkes.train")
 
 
 def small_params(n=5, d=2, seed=0):
@@ -102,11 +112,11 @@ def test_adam_untouched_rows_completely_frozen():
     np.testing.assert_array_equal(params.theta_self[rest], before.theta_self[rest])
     np.testing.assert_array_equal(params.theta_u[rest], before.theta_u[rest])
     np.testing.assert_array_equal(params.theta_v[rest], before.theta_v[rest])
-    assert np.all(state.m_mu[rest] == 0) and np.all(state.t_mu[rest] == 0)
-    assert np.all(state.m_u[rest] == 0) and np.all(state.t_u[rest] == 0)
+    assert np.all(state.m[rest] == 0) and np.all(state.v[rest] == 0)
+    assert np.all(state.t[rest] == 0)
     # touched rows did move and their counters advanced
     assert np.all(params.theta_mu[[1, 3]] != before.theta_mu[[1, 3]])
-    assert np.all(state.t_mu[[1, 3]] == 1)
+    assert np.all(state.t[[1, 3]] == 1)
     assert state.t_beta == 1
 
 
@@ -349,3 +359,77 @@ def test_parallel_quality_matches_sequential():
     )
     caches = build_caches(par_params, data)
     assert np.isfinite(lazy_log_likelihood(par_params, data, caches))
+
+
+def test_train_reproduces_reference_trajectory():
+    # The original per-sequence step (stepwise scan, per-sequence gradient
+    # formulas, block-by-block Adam, row-by-row receiving total) against the
+    # step on the cached layout; an empty sequence and silent entities ride
+    # along.
+    base, _ = synthetic_dataset(
+        nodes=8, sequences=12, beta=1.0, mu_rate=0.08, horizon=25.0, seed=17
+    )
+    data = Dataset(11, base.sequences + [Sequence([], horizon=3.0)])
+    config = TrainConfig(epochs=3, dim=3, learning_rate=0.05, log_every=100)
+    init = init_params(data, config, np.random.default_rng(3))
+    params, report = train(data, config, init=init)
+    want, want_ll = oracles.reference_train(data, config, init)
+    assert oracles.rel_close(oracles.pack(params), oracles.pack(want), rtol=1e-10)
+    assert oracles.rel_close(report.epoch_loglik, want_ll, rtol=1e-12)
+    assert report.decay_steps == 3 * sum(1 for s in data.sequences if len(s))
+
+
+def test_init_params_counts_events_across_empty_sequences():
+    seqs = [
+        Sequence([], horizon=3.0),
+        Sequence.from_arrays([0.5, 1.0, 2.0], [2, 0, 2], 3.0),
+        Sequence([], horizon=1.0),
+        Sequence.from_arrays([0.1], [4], 2.0),
+    ]
+    data = Dataset(6, seqs)
+    params = init_params(data, TrainConfig(dim=2), np.random.default_rng(4))
+    counts = np.zeros(6)
+    for seq in seqs:
+        if len(seq):
+            counts += np.bincount(seq.entities, minlength=6)
+    expected = np.maximum(counts, 0.5) / data.total_horizon
+    np.testing.assert_array_equal(params.theta_mu, softplus_inv(expected))
+
+
+def test_parallel_applies_every_decay_step():
+    # Two workers share the decay slot; every non-empty sequence of every
+    # epoch must land exactly one Adam step on it.
+    base, _ = synthetic_dataset(
+        nodes=20, sequences=150, beta=1.0, mu_rate=0.05, horizon=40.0, seed=18
+    )
+    data = Dataset(20, base.sequences + [Sequence([], horizon=5.0)])
+    nonempty = sum(1 for s in data.sequences if len(s))
+    _, report = train_parallel(data, TrainConfig(epochs=3, dim=3, threads=2, log_every=100))
+    assert report.decay_steps == 3 * nonempty
+
+
+def test_parallel_dead_worker_raises_instead_of_hanging(monkeypatch):
+    real_worker = train_module._parallel_worker
+
+    def first_worker_dies(worker_id, *args):
+        if worker_id == 0:
+            os._exit(1)
+        real_worker(worker_id, *args)
+
+    def hung(signum, frame):
+        raise TimeoutError("train_parallel still waiting on a dead worker")
+
+    monkeypatch.setattr(train_module, "_parallel_worker", first_worker_dies)
+    data = poisson_dataset(rate=0.5, horizon=10.0, n_seqs=6, seed=19)
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    start = time.perf_counter()
+    try:
+        with pytest.raises(RuntimeError, match=r"epoch 1 worker 0 exited with code 1"):
+            train_parallel(data, TrainConfig(epochs=2, dim=1, threads=2, log_every=100))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert time.perf_counter() - start < 30.0
+    # the surviving worker was reaped, not left running
+    assert multiprocessing.active_children() == []
