@@ -28,14 +28,13 @@ from .data_io import (
 )
 from .evaluate import (
     RecoveryReport,
-    materialize_influence,
     rmse_params,
     runtime_benchmark,
     write_benchmark_tsv,
     write_recovery_tsv,
 )
 from .lazy import build_caches, lazy_log_likelihood
-from .model import Dataset, NumericalDivergenceError, Sequence
+from .model import Dataset, NumericalDivergenceError, Sequence, influence_matrix
 from .simulate import UnstableConfigurationError, synthetic_dataset
 from .train import TrainConfig, TrainingDivergedError, train, train_parallel
 
@@ -335,7 +334,7 @@ def cmd_inspect(args) -> int:
                 f"refusing dense influence export for {n} entities "
                 f"(bound is {args.max_dense}; raise --max-dense to override)"
             )
-        alpha = materialize_influence(params)
+        alpha = influence_matrix(params)
         with open(os.path.join(out, "alpha.tsv"), "w", encoding="utf-8") as fh:
             fh.write("\t".join(["target"] + labels) + "\n")
             for x in range(n):

@@ -10,8 +10,10 @@ blob.  Both parsers reject malformed input outright instead of repairing it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -265,7 +267,9 @@ def write_checkpoint(path, params: ModelParams, meta: dict,
     """Binary dump of the parameter blocks plus vocabulary and metadata.
 
     Metadata must be JSON-serializable; it is stored canonically (sorted
-    keys) so identical inputs produce identical bytes.
+    keys) so identical inputs produce identical bytes.  The file is written
+    under a temporary name in the same directory and then renamed over
+    ``path``, so a write that fails midway leaves any previous file intact.
     """
     n = params.num_entities
     if vocabulary is None:
@@ -273,22 +277,29 @@ def write_checkpoint(path, params: ModelParams, meta: dict,
     elif len(vocabulary) != n:
         raise ValueError(f"vocabulary has {len(vocabulary)} labels for {n} entities")
     meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<QQ", n, params.dim))
-        fh.write(np.ascontiguousarray(params.theta_mu, dtype="<f8").tobytes())
-        fh.write(struct.pack("<d", params.theta_beta))
-        fh.write(np.ascontiguousarray(params.theta_self, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(params.theta_u, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(params.theta_v, dtype="<f8").tobytes())
-        fh.write(struct.pack("<Q", len(vocabulary)))
-        for label in vocabulary:
-            raw = label.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-        fh.write(struct.pack("<Q", len(meta_blob)))
-        fh.write(meta_blob)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<QQ", n, params.dim))
+            fh.write(params.theta_mu.astype("<f8", copy=False).tobytes())
+            fh.write(struct.pack("<d", params.theta_beta))
+            # each view of the row block is copied once, by ``tobytes``
+            for block in (params.theta_self, params.theta_u, params.theta_v):
+                fh.write(block.astype("<f8", copy=False).tobytes())
+            fh.write(struct.pack("<Q", len(vocabulary)))
+            for label in vocabulary:
+                raw = label.encode("utf-8")
+                fh.write(struct.pack("<I", len(raw)))
+                fh.write(raw)
+            fh.write(struct.pack("<Q", len(meta_blob)))
+            fh.write(meta_blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
@@ -313,15 +324,15 @@ def read_checkpoint_full(path) -> Checkpoint:
             raise CheckpointFormatError(f"implausible dimensions |X|={n} d={d}")
         n = int(n)
         d = int(d)
-        theta_mu = np.frombuffer(_read_exact(fh, 8 * n, "theta_mu"), dtype="<f8").copy()
+        # Each part is read straight into its columns of one [u | v | mu | self]
+        # block, allocated once the file has shown it holds the first part.
+        raw_mu = _read_exact(fh, 8 * n, "theta_mu")
+        theta = np.empty((n, 2 * d + 2))
+        theta[:, 2 * d] = np.frombuffer(raw_mu, dtype="<f8")
         (theta_beta,) = struct.unpack("<d", _read_exact(fh, 8, "theta_beta"))
-        theta_self = np.frombuffer(_read_exact(fh, 8 * n, "theta_self"), dtype="<f8").copy()
-        theta_u = np.frombuffer(
-            _read_exact(fh, 8 * n * d, "theta_u"), dtype="<f8"
-        ).reshape(n, d).copy()
-        theta_v = np.frombuffer(
-            _read_exact(fh, 8 * n * d, "theta_v"), dtype="<f8"
-        ).reshape(n, d).copy()
+        theta[:, 2 * d + 1] = np.frombuffer(_read_exact(fh, 8 * n, "theta_self"), dtype="<f8")
+        for cols, name in ((slice(0, d), "theta_u"), (slice(d, 2 * d), "theta_v")):
+            theta[:, cols] = np.frombuffer(_read_exact(fh, 8 * n * d, name), dtype="<f8").reshape(n, d)
         (vocab_count,) = struct.unpack("<Q", _read_exact(fh, 8, "vocabulary count"))
         if vocab_count not in (0, n):
             raise CheckpointFormatError(
@@ -343,14 +354,7 @@ def read_checkpoint_full(path) -> Checkpoint:
         meta = json.loads(meta_blob)
     except json.JSONDecodeError:
         raise CheckpointFormatError("metadata is not valid JSON") from None
-    params = ModelParams(
-        theta_mu=theta_mu,
-        theta_beta=float(theta_beta),
-        theta_self=theta_self,
-        theta_u=theta_u,
-        theta_v=theta_v,
-        dim=d,
-    )
+    params = ModelParams.from_block(theta, theta_beta, d)
     return Checkpoint(params=params, meta=meta, vocabulary=vocabulary, version=int(version))
 
 

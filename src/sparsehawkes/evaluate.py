@@ -14,12 +14,11 @@ import numpy as np
 
 from .dense import dense_gradient
 from .lazy import accumulate_lazy_gradient, build_caches, lazy_log_likelihood
-from .model import Dataset, ModelParams, softplus_inv
+from .model import Dataset, ModelParams, influence_matrix, softplus_inv
 
 __all__ = [
     "RecoveryReport",
     "BenchmarkResult",
-    "materialize_influence",
     "rmse_params",
     "holdout_loglik",
     "runtime_benchmark",
@@ -50,18 +49,6 @@ class RecoveryReport:
                 raise ValueError(f"{name} must be non-negative")
 
 
-def materialize_influence(params: ModelParams) -> np.ndarray:
-    """The full pairwise influence matrix implied by the factorization.
-
-    Entry (x, y) is the jump entity y's events cause in entity x's
-    intensity; the diagonal comes from the dedicated self-excitation
-    parameters, everything else from the low-rank factors.
-    """
-    alpha = params.factors_u() @ params.factors_v().T
-    np.fill_diagonal(alpha, params.self_rates())
-    return alpha
-
-
 def _unpack_truth(truth):
     if hasattr(truth, "mu"):
         return (
@@ -88,7 +75,7 @@ def rmse_params(estimated: ModelParams, truth, loglik: float = float("nan")) -> 
         raise ValueError(f"truth alpha has shape {alpha.shape}, expected ({n}, {n})")
 
     mu_err = estimated.mu() - mu
-    alpha_err = materialize_influence(estimated) - alpha
+    alpha_err = influence_matrix(estimated) - alpha
     return RecoveryReport(
         rmse_mu=float(np.sqrt(np.mean(mu_err**2))),
         rmse_beta=abs(estimated.beta() - beta),

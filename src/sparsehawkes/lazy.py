@@ -9,7 +9,9 @@ gradient, which is what makes training on huge entity universes feasible.
 
 One gradient formula (``_slot_gradients``) serves every caller: the full
 pass scatters its per-slot rows by entity and adds the never-active terms;
-a training step uses its one sequence's rows as they are.
+a training step uses its one sequence's rows as they are.  The rows are in
+the parameter block's ``[u | v | mu | self]`` layout, and every activation
+(and its derivative) is computed once per (sequence, entity) slot.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import GradientBuffer
-from .model import Dataset, ModelParams, NumericalDivergenceError, Sequence, checked_beta, softplus, softplus_grad
+from .model import Dataset, ModelParams, NumericalDivergenceError, Sequence, softplus, softplus_grad
 from .scan import BatchStats, batch_sequence_stats
 
 __all__ = [
@@ -46,9 +48,8 @@ class LazyCaches:
     u_hat : (d,) sum of receiving embeddings over all entities
     z_hat : (d,) decay-weighted emitting totals summed over all sequences
     d_const : (n,) per-entity inactive-horizon share, zero for entities with
-        no events anywhere
-    g_mu_const : (n,) same quotient, kept separately because the likelihood
-        and the background-rate gradient consume it independently
+        no events anywhere; the likelihood and the background-rate gradient
+        both consume it
     total_horizon : summed observation windows
     never_active : entity ids absent from every sequence; their compensator
         mass cannot ride on the per-active terms and is added globally
@@ -58,21 +59,13 @@ class LazyCaches:
     u_hat: np.ndarray
     z_hat: np.ndarray
     d_const: np.ndarray
-    g_mu_const: np.ndarray
     total_horizon: float
     never_active: np.ndarray
     built_from: ModelParams
 
     def check(self, params: ModelParams):
         ref = self.built_from
-        same = (
-            ref.theta_beta == params.theta_beta
-            and np.array_equal(ref.theta_mu, params.theta_mu)
-            and np.array_equal(ref.theta_self, params.theta_self)
-            and np.array_equal(ref.theta_u, params.theta_u)
-            and np.array_equal(ref.theta_v, params.theta_v)
-        )
-        if not same:
+        if ref.theta_beta != params.theta_beta or not np.array_equal(ref.theta, params.theta):
             raise StaleCacheError(
                 "caches were built from different parameter values; rebuild them "
                 "or pass check_caches=False if the drift is intentional"
@@ -97,15 +90,17 @@ def build_caches(params: ModelParams, data: Dataset) -> LazyCaches:
     u_hat = params.factors_u().sum(axis=0)
     z_hat = np.zeros(params.dim)
     active_horizon = np.zeros(data.num_entities)
-    all_horizons, nonempty, lengths, times, labels = data.flat_events()
+    all_horizons, nonempty, _, _, _ = data.flat_events()
     if nonempty.size:
         n = data.num_entities
-        tails = np.repeat(all_horizons[nonempty], lengths) - times
-        w = -np.expm1(-beta * tails)
-        z_hat = w @ softplus(params.theta_v[labels])
-        # Each (sequence, entity) slot contributes its sequence's horizon to
-        # the entity's active-time total.
-        _, slot_seq, slot_entity, _, _ = data.slot_tables()
+        w = -np.expm1(-beta * data.event_frame()[1])
+        # Emitting embeddings are activated once per (sequence, entity) slot,
+        # against the slot's summed tail weights; each slot also contributes
+        # its sequence's horizon to the entity's active-time total.
+        slot_of, slot_seq, slot_entity, _, _ = data.slot_tables()
+        z_hat = np.bincount(slot_of, weights=w, minlength=len(slot_entity)) @ softplus(
+            params.theta_v[slot_entity]
+        )
         active_horizon = np.bincount(
             slot_entity, weights=all_horizons[slot_seq], minlength=n
         )
@@ -122,7 +117,6 @@ def build_caches(params: ModelParams, data: Dataset) -> LazyCaches:
         u_hat=u_hat,
         z_hat=z_hat,
         d_const=d_const,
-        g_mu_const=d_const.copy(),
         total_horizon=float(total_horizon),
         never_active=data.never_active(),
         built_from=params.copy(),
@@ -143,9 +137,9 @@ def lazy_log_likelihood(
     """
     if check_caches:
         caches.check(params)
-    beta = checked_beta(params)
     u_hat = caches.u_hat
     bs = batch_sequence_stats(params, data)
+    beta = bs.beta
     ns = bs.num_seqs
     n_active = bs.active_counts
     # Per-slot pieces of the active-entity compensator, reduced per sequence.
@@ -184,27 +178,25 @@ def _slot_gradients(
 
     ``activity`` is the dataset-wide count of sequences per entity.
     """
-    beta = checked_beta(params)
+    beta = bs.beta
     u_hat = caches.u_hat
     ent = bs.slot_entity
-    hor = bs.horizons[bs.slot_seq]
-    g_mu = bs.inv_lam - hor - caches.g_mu_const[ent]
-    g_self = bs.r_over_lam - bs.q / beta
     # Emitting and receiving embeddings share the structure "event sums
     # minus the slot's share of the compensator"; the sequence-local
     # emitting total cancels between the own-pair and shared terms,
     # leaving the self-rate correction and one global outer product each.
-    # Each block is computed in place in its columns of ``rows``.
+    # Each block is computed in place in its columns of ``rows``, and the
+    # whole row block is then scaled by the activation's derivative at once.
     d = params.dim
     rows = np.empty((len(ent), 2 * d + 2))
+    g_self = np.subtract(bs.r_over_lam, bs.q / beta, out=rows[:, 2 * d + 1])
     g_u = np.subtract(bs.s_over_lam, bs.v_slot * g_self[:, None], out=rows[:, :d])
-    g_u -= np.outer(1.0 / (beta * activity[ent]), caches.z_hat)
-    g_u *= softplus_grad(params.theta_u[ent])
+    g_u -= (1.0 / (beta * activity[ent]))[:, None] * caches.z_hat
     g_v = np.subtract(bs.p_rev, bs.u_slot * g_self[:, None], out=rows[:, d:2 * d])
-    g_v -= np.outer(bs.q / beta, u_hat)
-    g_v *= softplus_grad(params.theta_v[ent])
-    rows[:, 2 * d] = g_mu * softplus_grad(params.theta_mu[ent])
-    rows[:, 2 * d + 1] = g_self * softplus_grad(params.theta_self[ent])
+    g_v -= (bs.q / beta)[:, None] * u_hat
+    g_mu = np.subtract(bs.inv_lam, bs.horizons[bs.slot_seq], out=rows[:, 2 * d])
+    g_mu -= caches.d_const[ent]
+    rows *= softplus_grad(params.theta[ent])
     ns = bs.num_seqs
     uz = bs.z @ u_hat
     uz_beta = bs.z_beta @ u_hat
@@ -280,7 +272,7 @@ def accumulate_lazy_gradient(
     if len(never):
         buf.d_theta_mu[never] = -caches.total_horizon * softplus_grad(params.theta_mu[never])
         buf.d_theta_u[never] = (
-            -(caches.z_hat[None, :] / checked_beta(params)) * softplus_grad(params.theta_u[never])
+            -(caches.z_hat[None, :] / bs.beta) * softplus_grad(params.theta_u[never])
         )
     buf.d_theta_beta = math.fsum(g_beta.tolist())
     return buf

@@ -5,7 +5,10 @@ exponentially decaying influence kernel between entity pairs.  The influence
 matrix is factorized: off-diagonal entries are inner products of low-rank
 non-negative embeddings, diagonal entries get their own parameter.  All raw
 parameters live in an unconstrained space and are mapped through softplus,
-so positivity never has to be enforced by projection.
+so positivity never has to be enforced by projection.  The per-entity ones
+form one ``(n, 2d + 2)`` row block ``[u | v | mu | self]``, the layout of the
+gradient rows and the Adam moments.  A :class:`Dataset` caches its flat event
+layout, slot tables and per-event frame, which no parameter affects.
 """
 
 from __future__ import annotations
@@ -196,6 +199,7 @@ class Dataset:
         "_flat",
         "_slots",
         "_offsets",
+        "_frame",
     )
 
     def __init__(self, num_entities: int, sequences: SequenceType[Sequence]):
@@ -211,7 +215,7 @@ class Dataset:
                 )
         self.num_entities = num_entities
         self.sequences = sequences
-        self._index = self._flat = self._slots = self._offsets = None
+        self._index = self._flat = self._slots = self._offsets = self._frame = None
         self.activity_count = np.bincount(self.slot_tables()[2], minlength=num_entities)
 
     @property
@@ -263,9 +267,9 @@ class Dataset:
         parameters.
         """
         if self._slots is None:
-            _, nonempty, lengths, _, labels = self.flat_events()
+            labels = self.flat_events()[4]
             n = np.int64(self.num_entities)
-            code = np.repeat(nonempty, lengths) * n + labels
+            code = self.event_frame()[0] * n + labels
             uq, slot_of = np.unique(code, return_inverse=True)
             slot_seq = uq // n
             slot_entity = uq % n
@@ -283,6 +287,20 @@ class Dataset:
             lengths = np.array([len(s) for s in self.sequences], dtype=np.int64)
             self._offsets = np.concatenate([[0], np.cumsum(lengths)])
         return self._offsets
+
+    def event_frame(self):
+        """Per-event columns that do not depend on the parameters, built once.
+
+        Returns ``(seq_of, tail, trel)`` in flat event order: each event's
+        sequence position, ``horizon - t`` and ``t - t_first`` (the offset
+        from its sequence's first event).
+        """
+        if self._frame is None:
+            horizons, nonempty, lengths, times, _ = self.flat_events()
+            seq_of = np.repeat(nonempty, lengths)
+            first = times[self.event_offsets()[seq_of]]
+            self._frame = (seq_of, horizons[seq_of] - times, times - first)
+        return self._frame
 
     @property
     def total_events(self) -> int:
@@ -306,48 +324,84 @@ class Dataset:
         )
 
 
-@dataclass
+class _Columns:
+    """Columns ``cols(dim)`` of :attr:`ModelParams.theta` as a view;
+    assigning to it writes into the block."""
+
+    def __init__(self, cols):
+        self.cols = cols
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.theta[:, self.cols(obj.dim)]
+
+    def __set__(self, obj, value):
+        obj.theta[:, self.cols(obj.dim)] = value
+
+
 class ModelParams:
     """Raw (pre-softplus) parameters of the factorized Hawkes model.
 
-    theta_mu : (n,) background rates
-    theta_beta : global decay speed, shared by every pair
-    theta_self : (n,) diagonal self-excitation
+    Every per-entity parameter lives in one ``(n, 2d + 2)`` row block
+    ``theta`` laid out ``[u | v | mu | self]``, the layout of the gradient
+    rows and the Adam moments, so a training step gathers, activates and
+    updates an entity's parameters as one row.  The named blocks are views
+    of its columns:
+
     theta_u : (n, d) receiving-side embeddings
     theta_v : (n, d) emitting-side embeddings
+    theta_mu : (n,) background rates
+    theta_self : (n,) diagonal self-excitation
+    theta_beta : global decay speed, shared by every pair (a float)
     """
 
-    theta_mu: np.ndarray
-    theta_beta: float
-    theta_self: np.ndarray
-    theta_u: np.ndarray
-    theta_v: np.ndarray
-    dim: int
+    theta_u = _Columns(lambda d: slice(0, d))
+    theta_v = _Columns(lambda d: slice(d, 2 * d))
+    theta_mu = _Columns(lambda d: 2 * d)
+    theta_self = _Columns(lambda d: 2 * d + 1)
 
-    def __post_init__(self):
-        self.theta_mu = np.asarray(self.theta_mu, dtype=np.float64)
-        self.theta_self = np.asarray(self.theta_self, dtype=np.float64)
-        self.theta_u = np.asarray(self.theta_u, dtype=np.float64)
-        self.theta_v = np.asarray(self.theta_v, dtype=np.float64)
-        self.theta_beta = float(self.theta_beta)
-        self.dim = int(self.dim)
-        n = self.theta_mu.shape[0]
-        if self.theta_mu.ndim != 1 or self.theta_self.shape != (n,):
+    def __init__(self, theta_mu, theta_beta, theta_self, theta_u, theta_v, dim):
+        theta_mu = np.asarray(theta_mu, dtype=np.float64)
+        theta_self = np.asarray(theta_self, dtype=np.float64)
+        theta_u = np.asarray(theta_u, dtype=np.float64)
+        theta_v = np.asarray(theta_v, dtype=np.float64)
+        dim = int(dim)
+        n = theta_mu.shape[0]
+        if theta_mu.ndim != 1 or theta_self.shape != (n,):
             raise ValueError("theta_mu and theta_self must be (n,) arrays")
-        if self.theta_u.shape != (n, self.dim) or self.theta_v.shape != (n, self.dim):
+        if theta_u.shape != (n, dim) or theta_v.shape != (n, dim):
             raise ValueError(
-                f"embedding blocks must have shape ({n}, {self.dim}); "
-                f"got {self.theta_u.shape} and {self.theta_v.shape}"
+                f"embedding blocks must have shape ({n}, {dim}); "
+                f"got {theta_u.shape} and {theta_v.shape}"
             )
-        for block in (self.theta_mu, self.theta_self, self.theta_u, self.theta_v):
-            if not np.all(np.isfinite(block)):
-                raise ValueError("parameters must be finite")
+        theta = np.empty((n, 2 * dim + 2))
+        theta[:, :dim] = theta_u
+        theta[:, dim:2 * dim] = theta_v
+        theta[:, 2 * dim] = theta_mu
+        theta[:, 2 * dim + 1] = theta_self
+        self._adopt(theta, theta_beta, dim)
+
+    @classmethod
+    def from_block(cls, theta: np.ndarray, theta_beta: float, dim: int) -> "ModelParams":
+        """Parameters over an existing ``[u | v | mu | self]`` block, which is
+        used as it is, not copied."""
+        params = cls.__new__(cls)
+        params._adopt(theta, theta_beta, int(dim))
+        return params
+
+    def _adopt(self, theta, theta_beta, dim):
+        if theta.dtype != np.float64 or theta.ndim != 2 or theta.shape[1] != 2 * dim + 2:
+            raise ValueError(f"parameter block must be float64 of shape (n, {2 * dim + 2})")
+        if not np.isfinite(theta).all():
+            raise ValueError("parameters must be finite")
+        self.theta = theta
+        self.theta_beta = float(theta_beta)
+        self.dim = dim
         if not math.isfinite(self.theta_beta):
             raise ValueError("theta_beta must be finite")
 
     @property
     def num_entities(self) -> int:
-        return self.theta_mu.shape[0]
+        return self.theta.shape[0]
 
     def mu(self) -> np.ndarray:
         return softplus(self.theta_mu)
@@ -365,14 +419,7 @@ class ModelParams:
         return softplus(self.theta_v)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.theta_mu.copy(),
-            self.theta_beta,
-            self.theta_self.copy(),
-            self.theta_u.copy(),
-            self.theta_v.copy(),
-            self.dim,
-        )
+        return ModelParams.from_block(self.theta.copy(), self.theta_beta, self.dim)
 
 
 def alpha(params: ModelParams, x: int, y: int) -> float:
@@ -398,7 +445,9 @@ def alpha_row(params: ModelParams, x: int, ys: np.ndarray) -> np.ndarray:
 def influence_matrix(params: ModelParams) -> np.ndarray:
     """Materialize the full (n, n) influence matrix.
 
-    Quadratic in the number of entities; meant for inspection and evaluation
+    Entry (x, y) is the jump entity y's events cause in entity x's
+    intensity; the diagonal comes from the self-excitation parameters,
+    everything else from the low-rank factors.  Quadratic in the number of entities; meant for inspection and evaluation
     at small scale, not for the evaluation engines.
     """
     u = params.factors_u()

@@ -11,15 +11,17 @@ Two implementations live here.  ``sequence_stats_reference`` walks events one
 by one through :class:`~.model.SequenceScan` and is kept as the slow,
 obviously-correct formulation.  ``batch_sequence_stats`` computes the same
 sums with array prefix scans on a :class:`~.model.Dataset`'s cached flat
-layout, the one place a layout is built; the engines scan all sequences and
-a training step slices out its one sequence.  The decayed sums are linear
-recurrences whose closed form is a prefix sum of ``exp(beta*t_j) * value_j``
-rescaled by ``exp(-beta*t_i)``; raw exponentials of the phase ``beta*t``
-overflow once it passes ~709, so the phase axis of every sequence is cut
-into fixed-width bands.  Within a band the stored exponentials stay bounded
-and, because events are time-ordered, every prefix term is no larger than
-the rescaling factor that multiplies it, which keeps the summation well
-conditioned.
+layout and per-event frame, the one place a layout is built; the engines
+scan all sequences and a training step slices out its one sequence.  A scan
+gathers its slots' raw parameter rows once, activates them with one softplus
+and checks the decay rate once, for every consumer of its result.  The
+decayed sums are linear recurrences whose closed form is a prefix sum of
+``exp(beta*t_j) * value_j`` rescaled by ``exp(-beta*t_i)``; raw exponentials
+of the phase ``beta*t`` overflow once it passes ~709, so the phase axis of
+every sequence is cut into fixed-width bands.  Within a band the stored
+exponentials stay bounded and, because events are time-ordered, every
+prefix term is no larger than the rescaling factor that multiplies it,
+which keeps the summation well conditioned.
 Across bands only a per-band carry survives, propagated with step factors of
 ``exp(-width)`` per band so the huge and tiny scales cancel in pairs.
 """
@@ -37,6 +39,7 @@ from .model import (
     NumericalDivergenceError,
     Sequence,
     SequenceScan,
+    checked_beta,
     softplus,
 )
 
@@ -212,14 +215,14 @@ def _banded_excl_scan(x, band_first, band_len, band_of, pos, reverse=False):
     nb = len(band_first)
     tail_shape = x.shape[1:]
     width = int(band_len[0]) if nb else 0
-    if nb and band_len.min() == width == band_len.max():
+    if nb and (band_len == width).all():
         # All bands the same length: the flat rows already form a
         # (bands, width) grid, so no scatter or gather is needed and the
         # partial sums come out in the exact order of the general path.
         grid = x.reshape((nb, width) + tail_shape)
         if reverse:
             grid = grid[:, ::-1]
-        cs = np.cumsum(grid, axis=1)
+        cs = grid.cumsum(axis=1)
         totals = cs[:, -1].copy()
         cs -= grid
         if reverse:
@@ -228,7 +231,7 @@ def _banded_excl_scan(x, band_first, band_len, band_of, pos, reverse=False):
     out = np.empty_like(x)
     totals = np.zeros((nb,) + tail_shape)
     short = band_len <= _PAD_CAP
-    sidx = np.flatnonzero(short)
+    sidx = short.nonzero()[0]
     if sidx.size:
         width = int(band_len[sidx].max())
         row_of = np.full(nb, -1)
@@ -240,14 +243,14 @@ def _banded_excl_scan(x, band_first, band_len, band_of, pos, reverse=False):
             p = band_len[band_of[emask]] - 1 - p
         pad = np.zeros((sidx.size, width) + tail_shape)
         pad[rows, p] = x[emask]
-        cs = np.cumsum(pad, axis=1)
+        cs = pad.cumsum(axis=1)
         out[emask] = cs[rows, p] - x[emask]
         totals[sidx] = cs[:, -1]
-    for b in np.flatnonzero(~short):
+    for b in (~short).nonzero()[0]:
         i0 = int(band_first[b])
         sl = slice(i0, i0 + int(band_len[b]))
         xs = x[sl][::-1] if reverse else x[sl]
-        cs = np.cumsum(xs, axis=0)
+        cs = xs.cumsum(axis=0)
         totals[b] = cs[-1]
         ex = cs - xs
         out[sl] = ex[::-1] if reverse else ex
@@ -262,22 +265,22 @@ def _chain_carries(first_flags, g, totals, reverse=False):
     carries accumulate everything before a band, decayed to the band's start;
     reverse carries accumulate everything after it, decayed so that one more
     factor of ``exp(pos - width)`` lands on the consuming row.  Bands of a
-    chain are processed level by level, vectorized across chains.
+    chain are processed level by level, vectorized across chains.  Returns
+    None when every chain is a single band: nothing crosses a band boundary.
     """
-    ne = len(g)
-    carr = np.zeros_like(totals)
     if first_flags.all():
-        # every chain is a single band: nothing crosses a band boundary
-        return carr
-    chain_of = np.cumsum(first_flags) - 1
-    chain_first = np.flatnonzero(first_flags)
+        return None
+    ne = len(g)
+    carr = np.zeros(totals.shape)
+    chain_of = first_flags.cumsum() - 1
+    chain_first = first_flags.nonzero()[0]
     rank = np.arange(ne) - chain_first[chain_of]
     gf = g.astype(np.float64)
     expand = (slice(None),) + (None,) * (totals.ndim - 1)
     kmax = int(rank.max())
     if not reverse:
         for k in range(1, kmax + 1):
-            idx = np.flatnonzero(rank == k)
+            idx = (rank == k).nonzero()[0]
             prev = idx - 1
             fac = np.exp((gf[prev] - gf[idx]) * _BAND_WIDTH)
             carr[idx] = fac[expand] * (carr[prev] + totals[prev])
@@ -287,7 +290,7 @@ def _chain_carries(first_flags, g, totals, reverse=False):
         last_flags[-1] = True
         dec = math.exp(-_BAND_WIDTH)
         for k in range(kmax - 1, -1, -1):
-            idx = np.flatnonzero((rank == k) & ~last_flags)
+            idx = ((rank == k) & ~last_flags).nonzero()[0]
             nxt = idx + 1
             fac = np.exp((gf[idx] - gf[nxt] + 1.0) * _BAND_WIDTH)
             carr[idx] = fac[expand] * (totals[nxt] + dec * carr[nxt])
@@ -308,6 +311,7 @@ class BatchStats:
     dim: int
     num_seqs: int
     gradients: bool
+    beta: float                 # decay rate, checked once per scan
     horizons: np.ndarray        # (ns,)
     loglam: np.ndarray          # (ns,)
     z: np.ndarray               # (ns, d)
@@ -359,13 +363,13 @@ class BatchStats:
         )
 
 
-def _empty_batch(params: ModelParams, ns: int, horizons: np.ndarray, gradients: bool) -> BatchStats:
-    d = params.dim
+def _empty_batch(d: int, beta: float, ns: int, horizons: np.ndarray, gradients: bool) -> BatchStats:
     no_slots = np.empty(0, dtype=np.int64)
     return BatchStats(
         dim=d,
         num_seqs=ns,
         gradients=gradients,
+        beta=beta,
         horizons=horizons,
         loglam=np.zeros(ns),
         z=np.zeros((ns, d)),
@@ -402,57 +406,45 @@ def batch_sequence_stats(
     events instead of per-event interpreter steps.
     """
     data = seqs if isinstance(seqs, Dataset) else Dataset(params.num_entities, seqs)
-    horizons, nonempty, lengths, t, lab = data.flat_events()
+    beta = checked_beta(params)
+    horizons, _, _, t, lab = data.flat_events()
+    seq_ev, tail, trel = data.event_frame()
     slot_of, slot_seq, slot_entity, seq_slot_start, counts = data.slot_tables()
-    if subset is not None:
-        k0, k1 = subset
-        offsets = data.event_offsets()
-        e0, e1 = offsets[k0], offsets[k1]
-        s0, s1 = seq_slot_start[k0], seq_slot_start[k1]
-        horizons = horizons[k0:k1]
-        lengths = offsets[k0 + 1:k1 + 1] - offsets[k0:k1]
-        nonempty = np.flatnonzero(lengths)
-        lengths = lengths[nonempty]
-        t = t[e0:e1]
-        lab = lab[e0:e1]
-        slot_of = slot_of[e0:e1] - s0
-        slot_seq = slot_seq[s0:s1] - k0
-        slot_entity = slot_entity[s0:s1]
-        seq_slot_start = seq_slot_start[k0:k1 + 1] - s0
-        counts = counts[s0:s1]
+    offsets = data.event_offsets()
+    k0, k1 = (0, len(horizons)) if subset is None else subset
+    e0, e1 = offsets[k0], offsets[k1]
+    s0, s1 = seq_slot_start[k0], seq_slot_start[k1]
+    bounds = offsets[k0:k1 + 1] - e0
+    nonempty = (bounds[1:] != bounds[:-1]).nonzero()[0]
+    starts = bounds[nonempty]
+    horizons = horizons[k0:k1]
+    t, lab, seq_ev, tail, trel = t[e0:e1], lab[e0:e1], seq_ev[e0:e1], tail[e0:e1], trel[e0:e1]
+    slot_of = slot_of[e0:e1] - s0
+    slot_seq = slot_seq[s0:s1] - k0
+    slot_entity = slot_entity[s0:s1]
+    seq_slot_start = seq_slot_start[k0:k1 + 1] - s0
+    counts = counts[s0:s1]
     ns = len(horizons)
     d = params.dim
-    if nonempty.size == 0:
-        return _empty_batch(params, ns, horizons, gradients)
+    m = len(t)
+    if m == 0:
+        return _empty_batch(d, beta, ns, horizons, gradients)
 
-    seq_ev_start = np.concatenate([[0], np.cumsum(lengths)])
-    m = int(seq_ev_start[-1])
-    orig_ev = np.repeat(nonempty, lengths)
-    hor_ev = np.repeat(horizons[nonempty], lengths)
-    beta = params.beta()
-    n_slots = len(slot_seq)
-
-    mu_slot = softplus(params.theta_mu[slot_entity])
-    u_slot = softplus(params.theta_u[slot_entity])
-    v_slot = softplus(params.theta_v[slot_entity])
-    c_slot = softplus(params.theta_self[slot_entity]) - np.einsum(
-        "ij,ij->i", u_slot, v_slot
-    )
-    mu_ev = mu_slot[slot_of]
-    u_ev = u_slot[slot_of]
-    v_ev = v_slot[slot_of]
-    c_ev = c_slot[slot_of]
+    # One gather and one activation of the raw rows [u | v | mu | self];
+    # the last column then becomes the diagonal correction s - u.v.
+    act = softplus(params.theta[slot_entity])
+    u_slot, v_slot, mu_slot, c_slot = act[:, :d], act[:, d:2 * d], act[:, 2 * d], act[:, 2 * d + 1]
+    c_slot -= np.einsum("ij,ij->i", u_slot, v_slot)
+    ev = act[slot_of]
+    u_ev, v_ev, mu_ev, c_ev = ev[:, :d], ev[:, d:2 * d], ev[:, 2 * d], ev[:, 2 * d + 1]
 
     # Compensator tail weights need no banding: their exponents are negative.
-    tail = hor_ev - t
     wtail = -np.expm1(-beta * tail)
     z = np.zeros((ns, d))
-    z[nonempty] = np.add.reduceat(wtail[:, None] * v_ev, seq_ev_start[:-1], axis=0)
-    q = np.bincount(slot_of, weights=wtail, minlength=n_slots)
+    z[nonempty] = np.add.reduceat(wtail[:, None] * v_ev, starts, axis=0)
+    q = np.bincount(slot_of, weights=wtail, minlength=len(slot_seq))
 
     # Phase bands: per-sequence elapsed phase cut into fixed-width strips.
-    tfirst_ev = np.repeat(t[seq_ev_start[:-1]], lengths)
-    trel = t - tfirst_ev
     phase = beta * trel
     g_ev = np.floor(phase / _BAND_WIDTH).astype(np.int64)
     psi = phase - g_ev * _BAND_WIDTH
@@ -460,16 +452,16 @@ def batch_sequence_stats(
     e_dn = np.exp(-psi)
 
     ev_first = np.zeros(m, dtype=bool)
-    ev_first[seq_ev_start[:-1]] = True
+    ev_first[starts] = True
     new_band = ev_first.copy()
     new_band[1:] |= g_ev[1:] != g_ev[:-1]
-    band_of = np.cumsum(new_band) - 1
-    band_first = np.flatnonzero(new_band)
+    band_of = new_band.cumsum() - 1
+    band_first = new_band.nonzero()[0]
     band_len = np.bincount(band_of)
     band_g = g_ev[band_first]
     band_chain_first = np.empty(len(band_first), dtype=bool)
     band_chain_first[0] = True
-    band_rows = orig_ev[band_first]
+    band_rows = seq_ev[band_first]
     band_chain_first[1:] = band_rows[1:] != band_rows[:-1]
     pos = np.arange(m) - band_first[band_of]
 
@@ -482,7 +474,9 @@ def batch_sequence_stats(
     if gradients:
         np.multiply(full[:, :d], trel[:, None], out=full[:, d:])
     full, band_tot = _banded_excl_scan(full, band_first, band_len, band_of, pos)
-    full += _chain_carries(band_chain_first, band_g, band_tot)[band_of]
+    carries = _chain_carries(band_chain_first, band_g, band_tot)
+    if carries is not None:
+        full += carries[band_of]
     full *= e_dn[:, None]
     s_all, s_dbeta = full[:, :d], full[:, d:]
     if gradients:
@@ -494,7 +488,7 @@ def batch_sequence_stats(
     # event neither receive nor feed this scan, so only the repeated slots
     # are touched; on sparse data that skips most of the work.
     r_cols = np.zeros((m, 2 if gradients else 1))
-    idx_m = np.flatnonzero(counts[slot_of] >= 2)
+    idx_m = (counts[slot_of] >= 2).nonzero()[0]
     mm = idx_m.size
     if mm:
         band_m = band_of[idx_m]
@@ -505,15 +499,15 @@ def batch_sequence_stats(
         new_grp = np.empty(mm, dtype=bool)
         new_grp[0] = True
         new_grp[1:] = (band2[1:] != band2[:-1]) | (lab2[1:] != lab2[:-1])
-        grp_of2 = np.cumsum(new_grp) - 1
-        grp_first = np.flatnonzero(new_grp)
+        grp_of2 = new_grp.cumsum() - 1
+        grp_first = new_grp.nonzero()[0]
         grp_len = np.diff(np.concatenate([grp_first, [mm]]))
         pos2 = np.arange(mm) - grp_first[grp_of2]
         e_grp = e_up[order2][:, None]
         if gradients:
             e_grp = np.concatenate([e_grp, (e_up * trel)[order2][:, None]], axis=1)
         pref2, grp_tot = _banded_excl_scan(e_grp, grp_first, grp_len, grp_of2, pos2)
-        grp_seq = orig_ev[order2[grp_first]]
+        grp_seq = seq_ev[order2[grp_first]]
         grp_lab = lab2[grp_first]
         grp_g = g_ev[order2[grp_first]]
         order_g = np.lexsort((grp_g, grp_lab, grp_seq))
@@ -523,9 +517,11 @@ def batch_sequence_stats(
         chain_first_p[0] = True
         chain_first_p[1:] = (seq_p[1:] != seq_p[:-1]) | (lab_p[1:] != lab_p[:-1])
         carry_p = _chain_carries(chain_first_p, grp_g[order_g], grp_tot[order_g])
-        grp_carry = np.empty_like(grp_tot)
-        grp_carry[order_g] = carry_p
-        r_cols[order2] = e_dn[order2][:, None] * (pref2 + grp_carry[grp_of2])
+        if carry_p is not None:
+            grp_carry = np.empty_like(grp_tot)
+            grp_carry[order_g] = carry_p
+            pref2 += grp_carry[grp_of2]
+        r_cols[order2] = e_dn[order2][:, None] * pref2
     r_all = r_cols[:, 0]
     r_dbeta = -trel * r_all + r_cols[:, 1] if gradients else None
 
@@ -533,16 +529,17 @@ def batch_sequence_stats(
     good = (lam > 0.0) & np.isfinite(lam)
     if not good.all():
         i = int(np.argmin(good))
-        i_loc = i - int(seq_ev_start[np.searchsorted(seq_ev_start, i, side="right") - 1])
+        k = int(seq_ev[i])
         raise NumericalDivergenceError(
-            f"non-positive intensity {lam[i]!r} at event index {i_loc} (t={t[i]!r})"
+            f"non-positive intensity {float(lam[i])!r} at sequence {k} event index "
+            f"{e0 + i - offsets[k]} (t={float(t[i])!r})"
         )
     loglam = np.zeros(ns)
-    loglam[nonempty] = np.add.reduceat(np.log(lam), seq_ev_start[:-1])
+    loglam[nonempty] = np.add.reduceat(np.log(lam), starts)
 
     if not gradients:
         return BatchStats(
-            dim=d, num_seqs=ns, gradients=False, horizons=horizons,
+            dim=d, num_seqs=ns, gradients=False, beta=beta, horizons=horizons,
             loglam=loglam, z=z,
             slot_seq=slot_seq, slot_entity=slot_entity,
             seq_slot_start=seq_slot_start, counts=counts, q=q,
@@ -553,11 +550,11 @@ def batch_sequence_stats(
 
     beta_ev = (np.einsum("ij,ij->i", u_ev, s_dbeta) + c_ev * r_dbeta) * inv
     beta_log = np.zeros(ns)
-    beta_log[nonempty] = np.add.reduceat(beta_ev, seq_ev_start[:-1])
+    beta_log[nonempty] = np.add.reduceat(beta_ev, starts)
 
     e_tail = tail * np.exp(-beta * tail)
     z_beta = np.zeros((ns, d))
-    z_beta[nonempty] = np.add.reduceat(e_tail[:, None] * v_ev, seq_ev_start[:-1], axis=0)
+    z_beta[nonempty] = np.add.reduceat(e_tail[:, None] * v_ev, starts, axis=0)
 
     # Reverse scan: decayed sums over later events of u/lambda, delivered to
     # each event's emitting side.
@@ -573,11 +570,14 @@ def batch_sequence_stats(
     stacked = np.empty((m, 2 * d + 3))
     np.multiply(s_all, inv[:, None], out=stacked[:, :d])
     p_all = np.multiply(e_up[:, None], rev, out=stacked[:, d:2 * d])
-    p_all += np.exp(psi - _BAND_WIDTH)[:, None] * rev_carry[band_of]
-    stacked[:, 2 * d:] = np.stack([inv, r_all * inv, e_tail], axis=1)
+    if rev_carry is not None:
+        p_all += np.exp(psi - _BAND_WIDTH)[:, None] * rev_carry[band_of]
+    stacked[:, 2 * d] = inv
+    np.multiply(r_all, inv, out=stacked[:, 2 * d + 1])
+    stacked[:, 2 * d + 2] = e_tail
     if mm:
         order_slot = np.argsort(slot_of, kind="stable")
-        sums = np.add.reduceat(stacked[order_slot], np.cumsum(counts) - counts, axis=0)
+        sums = np.add.reduceat(stacked[order_slot], counts.cumsum() - counts, axis=0)
     else:
         sums = np.empty_like(stacked)
         sums[slot_of] = stacked
@@ -588,7 +588,7 @@ def batch_sequence_stats(
     q_beta = sums[:, 2 * d + 2]
 
     return BatchStats(
-        dim=d, num_seqs=ns, gradients=True, horizons=horizons,
+        dim=d, num_seqs=ns, gradients=True, beta=beta, horizons=horizons,
         loglam=loglam, z=z,
         slot_seq=slot_seq, slot_entity=slot_entity,
         seq_slot_start=seq_slot_start, counts=counts, q=q,

@@ -4,11 +4,11 @@ One epoch walks the sequences once.  Each step scans one sequence on the
 dataset's cached layout, reads the one-epoch-lagged decayed emitting totals
 from the caches, the incrementally maintained receiving-embedding total, and
 only the parameters of entities active in the sequence; the lazy engine's
-gradient rows for those entities then get one Adam update as a stacked
-block, which also moves the global decay slot and refreshes the receiving
-total.  The parallel mode runs the same step lock-free from several workers
-over shared memory (only the decay slot is locked), trading bitwise
-reproducibility for throughput.
+gradient rows for those entities then get one Adam update of their rows of
+the ``[u | v | mu | self]`` parameter block, which also moves the global
+decay slot and refreshes the receiving total.  The parallel mode runs the
+same step lock-free from several workers over shared memory (only the decay
+slot is locked), trading bitwise reproducibility for throughput.
 """
 
 from __future__ import annotations
@@ -155,12 +155,7 @@ def _adam_rows(state: AdamState, idx: np.ndarray, rows: np.ndarray, d_beta: floa
         state.v[idx] = v = b2 * state.v[idx] + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**steps)[:, None]
         v_hat = v / (1.0 - b2**steps)[:, None]
-        step = config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-        d = params.dim
-        params.theta_u[idx] -= step[:, :d]
-        params.theta_v[idx] -= step[:, d:2 * d]
-        params.theta_mu[idx] -= step[:, 2 * d]
-        params.theta_self[idx] -= step[:, 2 * d + 1]
+        params.theta[idx] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
 
     g = -d_beta
     with state.decay_guard():
@@ -193,17 +188,17 @@ def init_params(data: Dataset, config: TrainConfig, rng: np.random.Generator) ->
     decay speed starts at 1; embeddings and diagonals start small and
     positive, away from the flat region of the softplus.
     """
-    n = data.num_entities
+    n, d = data.num_entities, config.dim
     counts = np.bincount(data.flat_events()[4], minlength=n)
     rates = np.maximum(counts, 0.5) / data.total_horizon
-    return ModelParams(
-        theta_mu=softplus_inv(rates),
-        theta_beta=float(softplus_inv(1.0)),
-        theta_self=rng.normal(-2.0, 0.1, size=n),
-        theta_u=rng.normal(-2.0, 0.1, size=(n, config.dim)),
-        theta_v=rng.normal(-2.0, 0.1, size=(n, config.dim)),
-        dim=config.dim,
-    )
+    # Drawn straight into the [u | v | mu | self] block, one part at a time,
+    # in the order the draws have always been made.
+    theta = np.empty((n, 2 * d + 2))
+    theta[:, 2 * d] = softplus_inv(rates)
+    theta[:, 2 * d + 1] = rng.normal(-2.0, 0.1, size=n)
+    theta[:, :d] = rng.normal(-2.0, 0.1, size=(n, d))
+    theta[:, d:2 * d] = rng.normal(-2.0, 0.1, size=(n, d))
+    return ModelParams.from_block(theta, float(softplus_inv(1.0)), d)
 
 
 def _maybe_checkpoint(config: TrainConfig, params: ModelParams, epoch: int,
@@ -404,12 +399,8 @@ def train_parallel(data: Dataset, config: TrainConfig) -> tuple[ModelParams, Tra
     n = data.num_entities
     d = config.dim
 
-    params = ModelParams(
-        theta_mu=_shared_array((n,)), theta_beta=seed_params.theta_beta, theta_self=_shared_array((n,)),
-        theta_u=_shared_array((n, d)), theta_v=_shared_array((n, d)), dim=d,
-    )
-    for name in ("theta_mu", "theta_self", "theta_u", "theta_v"):
-        getattr(params, name)[:] = getattr(seed_params, name)
+    params = ModelParams.from_block(_shared_array((n, 2 * d + 2)), seed_params.theta_beta, d)
+    params.theta[:] = seed_params.theta
     # slot vector: decay value, its two Adam moments, its step count
     beta_slots = _shared_array((4,))
     beta_slots[0] = seed_params.theta_beta

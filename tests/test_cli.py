@@ -5,7 +5,7 @@ import pytest
 
 from sparsehawkes import (
     ModelParams,
-    materialize_influence,
+    influence_matrix,
     read_checkpoint_full,
     softplus,
     softplus_inv,
@@ -182,7 +182,7 @@ def test_eval_zero_rmse_against_own_parameters(tmp_path, sim_dir, fit_dir):
     mu_full = np.zeros(12)
     mu_full[idx] = params.mu()
     alpha_full = np.zeros((12, 12))
-    alpha_full[np.ix_(idx, idx)] = materialize_influence(params)
+    alpha_full[np.ix_(idx, idx)] = influence_matrix(params)
     truth_path = tmp_path / "truth.npz"
     np.savez(truth_path, mu=mu_full, beta=np.float64(params.beta()),
              alpha=alpha_full)
@@ -317,7 +317,7 @@ def test_inspect_alpha_export(tmp_path):
     assert code == 0
     lines = (out / "alpha.tsv").read_text().splitlines()
     assert lines[0].split("\t") == ["target"] + vocab
-    alpha = materialize_influence(params)
+    alpha = influence_matrix(params)
     row1 = lines[2].split("\t")
     assert row1[0] == "e1"
     np.testing.assert_allclose([float(v) for v in row1[1:]], alpha[1])

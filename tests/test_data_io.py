@@ -305,6 +305,18 @@ def test_checkpoint_rewrite_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_checkpoint_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_checkpoint(path, small_params(seed=1), {"epoch": 1}, vocabulary=["a", "b", "c", "d"])
+    before = path.read_bytes()
+    # a lone surrogate cannot be encoded: the write fails after the
+    # parameter blocks have gone out
+    with pytest.raises(UnicodeEncodeError):
+        write_checkpoint(path, small_params(seed=2), {"epoch": 2}, vocabulary=["a", "b", "\ud800", "d"])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
 def test_checkpoint_without_vocabulary(tmp_path):
     params = small_params(seed=1)
     path = tmp_path / "m.ckpt"

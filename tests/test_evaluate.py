@@ -9,7 +9,7 @@ from sparsehawkes import (
     Sequence,
     dense_log_likelihood,
     holdout_loglik,
-    materialize_influence,
+    influence_matrix,
     rmse_params,
     runtime_benchmark,
     softplus_inv,
@@ -26,12 +26,12 @@ from oracles import alpha_brute, random_params, random_sequence, sp
 
 
 def truth_from(params):
-    return params.mu(), params.beta(), materialize_influence(params)
+    return params.mu(), params.beta(), influence_matrix(params)
 
 
 def test_materialize_influence_matches_pairwise_oracle():
     params = random_params(np.random.default_rng(0), n=5, d=3)
-    alpha = materialize_influence(params)
+    alpha = influence_matrix(params)
     for x in range(5):
         for y in range(5):
             assert alpha[x, y] == pytest.approx(alpha_brute(params, x, y), rel=1e-12)

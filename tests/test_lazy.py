@@ -48,7 +48,19 @@ def test_cache_identities():
             assert x in caches.never_active
     np.testing.assert_allclose(caches.u_hat, params.factors_u().sum(axis=0), rtol=1e-12)
     assert caches.total_horizon == pytest.approx(float(horizons.sum()))
-    np.testing.assert_array_equal(caches.g_mu_const, caches.d_const)
+
+
+def test_z_hat_per_slot_matches_per_event_sum():
+    # build_caches activates each (sequence, entity) slot once; the plain
+    # form activates every event's emitting row
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        params, data = oracles.random_instance(rng, max_entities=10, max_seqs=8)
+        want = np.zeros(params.dim)
+        for seq in data.sequences:
+            w = -np.expm1(-params.beta() * (seq.horizon - seq.times))
+            want += w @ softplus(params.theta_v[seq.entities])
+        np.testing.assert_allclose(build_caches(params, data).z_hat, want, rtol=1e-12, atol=0)
 
 
 def test_u_hat_share_identity():

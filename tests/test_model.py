@@ -118,6 +118,38 @@ def test_model_params_validation():
         ModelParams(bad, 0.0, np.zeros(n), np.zeros((n, d)), np.zeros((n, d)), d)
 
 
+def test_model_params_blocks_are_views_of_one_row_block():
+    n, d = 4, 3
+    rng = np.random.default_rng(3)
+    parts = [rng.normal(size=n), rng.normal(size=n), rng.normal(size=(n, d)), rng.normal(size=(n, d))]
+    params = ModelParams(parts[0], 0.5, parts[1], parts[2], parts[3], d)
+    assert params.theta.shape == (n, 2 * d + 2)
+    np.testing.assert_array_equal(params.theta, np.column_stack([parts[2], parts[3], parts[0], parts[1]]))
+    # writes through a view land in the block; assignment writes into it
+    params.theta_v[2, 1] = 7.0
+    assert params.theta[2, d + 1] == 7.0
+    params.theta_self = params.theta_self + 1.0
+    np.testing.assert_array_equal(params.theta[:, 2 * d + 1], parts[1] + 1.0)
+    params.theta_mu[:] = -1.0
+    assert np.all(params.theta[:, 2 * d] == -1.0)
+    # a copy owns its block; adopting a block does not copy it
+    twin = params.copy()
+    twin.theta_u[0, 0] = 99.0
+    twin.theta_beta = 2.0
+    assert params.theta[0, 0] == parts[2][0, 0] and params.theta_beta == 0.5
+    block = np.zeros((n, 2 * d + 2))
+    adopted = ModelParams.from_block(block, 0.0, d)
+    adopted.theta_u[1] = 4.0
+    assert np.all(block[1, :d] == 4.0)
+    with pytest.raises(ValueError):
+        ModelParams.from_block(np.zeros((n, 2 * d)), 0.0, d)
+    block[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        ModelParams.from_block(block, 0.0, d)
+    with pytest.raises(ValueError):
+        ModelParams.from_block(np.zeros((n, 2 * d + 2)), np.inf, d)
+
+
 def test_alpha_factorization():
     rng = np.random.default_rng(7)
     params = oracles.random_params(rng, 5, 3)

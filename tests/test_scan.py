@@ -243,6 +243,15 @@ def assert_bit_identical(got, want):
 @given(banded_datasets())
 def test_subset_scan_equals_slice_of_full_scan(case):
     params, data = case
+    # the scans slice the dataset's per-event frame
+    seq_of, tail, trel = data.event_frame()
+    offsets = data.event_offsets()
+    assert len(seq_of) == data.total_events
+    for k, seq in enumerate(data.sequences):
+        sl = slice(offsets[k], offsets[k + 1])
+        npt.assert_array_equal(seq_of[sl], k)
+        npt.assert_array_equal(tail[sl], seq.horizon - seq.times)
+        npt.assert_array_equal(trel[sl], seq.times - seq.times[:1])
     full = batch_sequence_stats(params, data, gradients=True)
     ns = len(data.sequences)
     for k in range(ns):

@@ -20,7 +20,8 @@ from sparsehawkes import (
     update_u_hat,
 )
 from sparsehawkes.data_io import read_checkpoint
-from sparsehawkes.model import softplus_inv
+from sparsehawkes.lazy import accumulate_lazy_gradient
+from sparsehawkes.model import NumericalDivergenceError, softplus_inv
 from sparsehawkes.train import (
     AdamState,
     SequenceGradient,
@@ -288,6 +289,29 @@ def test_divergence_raises_with_last_good_snapshot():
     assert err.epoch == 1
     assert np.all(np.isfinite(err.last_params.theta_u))
     assert err.report.epoch_loglik == []
+
+
+def test_divergence_names_the_sequence():
+    # entity 2's background rate underflows to exactly zero and it opens the
+    # third sequence, so that sequence's first intensity is zero
+    seqs = [
+        Sequence.from_arrays([0.5, 1.0, 1.5], [0, 1, 0], 4.0),
+        Sequence.from_arrays([0.4, 2.2], [1, 0], 4.0),
+        Sequence.from_arrays([0.3, 0.9], [2, 0], 4.0),
+    ]
+    data = Dataset(3, seqs)
+    init = ModelParams(
+        theta_mu=np.array([-1.0, -1.0, -800.0]),
+        theta_beta=0.0,
+        theta_self=np.full(3, -1.0),
+        theta_u=np.full((3, 2), -1.0),
+        theta_v=np.full((3, 2), -1.0),
+        dim=2,
+    )
+    with pytest.raises(NumericalDivergenceError, match="at sequence 2 event index 0 "):
+        accumulate_lazy_gradient(init, data, build_caches(init, data))
+    with pytest.raises(TrainingDivergedError, match="^epoch 1: .* at sequence 2 event index 0 "):
+        train(data, TrainConfig(epochs=1, dim=2, log_every=100), init=init)
 
 
 def test_progress_lines_follow_log_every(capsys):
