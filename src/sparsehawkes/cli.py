@@ -34,7 +34,7 @@ from .evaluate import (
     write_recovery_tsv,
 )
 from .lazy import build_caches, lazy_log_likelihood
-from .model import Dataset, NumericalDivergenceError, Sequence, influence_matrix
+from .model import Dataset, NumericalDivergenceError, influence_matrix
 from .simulate import UnstableConfigurationError, synthetic_dataset
 from .train import TrainConfig, TrainingDivergedError, train, train_parallel
 
@@ -153,7 +153,7 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
         "out": args.out,
     })
-    print(f"wrote {len(data.sequences)} sequences, {data.total_events} events "
+    print(f"wrote {len(data)} sequences, {data.total_events} events "
           f"over {data.num_entities} entities to {out}")
     return 0
 
@@ -207,26 +207,22 @@ def cmd_train(args) -> int:
 
 def remap_to_checkpoint(cascade: CascadeFile, vocabulary: list[str],
                         num_entities: int) -> Dataset:
-    """Re-index parsed events into the checkpoint's entity numbering."""
-    if not vocabulary:
-        if cascade.dataset.num_entities != num_entities:
-            raise CliError(
-                f"checkpoint has no vocabulary and {num_entities} entities but "
-                f"the data file has {cascade.dataset.num_entities}"
-            )
-        return Dataset(num_entities, cascade.dataset.sequences)
-    index = {label: i for i, label in enumerate(vocabulary)}
-    lookup = np.empty(len(cascade.vocabulary), dtype=np.int64)
-    for i, label in enumerate(cascade.vocabulary):
-        target = index.get(label)
-        if target is None:
-            raise CliError(f"entity label {label!r} is not in the checkpoint")
-        lookup[i] = target
-    sequences = [
-        Sequence.from_arrays(seq.times, lookup[seq.entities], seq.horizon)
-        for seq in cascade.dataset.sequences
-    ]
-    return Dataset(num_entities, sequences)
+    """Re-index parsed events into the checkpoint's entity numbering, sharing
+    the times, offsets and horizons.  Without a vocabulary the labels must be
+    entity indices, the decimal labels :func:`write_cascades` writes by default."""
+    if vocabulary:
+        lookup = list(map(dict(zip(vocabulary, range(num_entities))).get, cascade.vocabulary))
+    else:
+        lookup = [int(x) if x.isascii() and x.isdigit() and int(x) < num_entities else None
+                  for x in cascade.vocabulary]
+    if None in lookup:
+        label = cascade.vocabulary[lookup.index(None)]
+        raise CliError(f"entity label {label!r} is not in the checkpoint" if vocabulary else
+                       f"entity label {label!r} is not an index below {num_entities} (the "
+                       "checkpoint has no vocabulary)")
+    data = cascade.dataset
+    return Dataset.from_columns(num_entities, data.offsets, data.times,
+                                np.array(lookup)[data.labels], data.horizons)
 
 
 def load_truth(path, vocabulary: list[str], num_entities: int):

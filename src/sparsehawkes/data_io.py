@@ -1,8 +1,10 @@
 """Cascade text ingestion, dataset statistics, and checkpoint persistence.
 
-Two on-disk contracts live here.  Cascade files are UTF-8 text, one event per
-line as ``<sequence-id>\\t<entity-label>\\t<timestamp>``, with an optional
+Two on-disk contracts live here.  Cascade files are UTF-8 text (a leading
+byte-order mark is skipped), one event per line as
+``<sequence-id>\\t<entity-label>\\t<timestamp>``, with an optional
 ``#horizon <real>`` line that applies to the sequence of the next event line.
+They are parsed in bounded chunks straight into a dataset's flat columns.
 Checkpoints are a small self-describing binary: magic, version, dimensions,
 the raw float64 parameter blocks, the entity vocabulary, and a JSON metadata
 blob.  Both parsers reject malformed input outright instead of repairing it.
@@ -11,15 +13,17 @@ blob.  Both parsers reject malformed input outright instead of repairing it.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import math
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import chain, compress, count, filterfalse, repeat
 
 import numpy as np
 
-from .model import Dataset, ModelParams, Sequence
+from .model import Dataset, ModelParams
 
 __all__ = [
     "CascadeFormatError",
@@ -60,117 +64,139 @@ class CascadeFile:
     dataset: Dataset
 
 
-def read_cascade_file(path) -> CascadeFile:
-    path = str(path)
-    label_index: dict[str, int] = {}
-    vocabulary: list[str] = []
-    # per sequence id: list of (timestamp, entity, line_no), declared horizon
-    events: dict[str, list[tuple[float, int, int]]] = {}
-    horizons: dict[str, tuple[float, int]] = {}
-    order: list[str] = []
-    pending_horizon: tuple[float, int] | None = None
+# ``readlines`` hint in characters: the parser holds one chunk's lines at a time.
+CHUNK_HINT = 1 << 16
 
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.split()
-                if parts[0] != "#horizon" or len(parts) != 2:
-                    raise CascadeFormatError(
-                        f"line {line_no}: unknown directive {parts[0]!r}"
-                    )
-                if pending_horizon is not None:
-                    raise CascadeFormatError(
-                        f"line {line_no}: horizon directive follows another with no "
-                        "event line between them"
-                    )
-                try:
-                    value = float(parts[1])
-                except ValueError:
-                    raise CascadeFormatError(
-                        f"line {line_no}: horizon {parts[1]!r} is not a number"
-                    ) from None
-                if not math.isfinite(value) or value <= 0:
-                    raise CascadeFormatError(
-                        f"line {line_no}: horizon must be a finite positive number"
-                    )
-                pending_horizon = (value, line_no)
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise CascadeFormatError(
-                    f"line {line_no}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            seq_id, label, stamp_text = fields
-            if not seq_id or not label:
-                raise CascadeFormatError(
-                    f"line {line_no}: empty sequence id or entity label"
-                )
+
+def _event_line_error(line: str) -> str | None:
+    """What is wrong with an event line, if anything."""
+    fields = line.split("\t")
+    if len(fields) != 3:
+        return f"expected 3 tab-separated fields, got {len(fields)}"
+    if not fields[0] or not fields[1]:
+        return "empty sequence id or entity label"
+    try:
+        stamp = float(fields[2])
+    except ValueError:
+        return f"timestamp {fields[2]!r} is not a number"
+    if not math.isfinite(stamp):
+        return "timestamp must be finite"
+    return "negative timestamp" if stamp < 0 else None
+
+
+def _codes(keys: list[str], index: dict[str, int]) -> np.ndarray:
+    """Int codes of ``keys``, numbering keys new to ``index`` in order of appearance."""
+    index.update(zip(filterfalse(index.__contains__, dict.fromkeys(keys)), count(len(index))))
+    return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+
+
+class _CascadeParse:
+    """State of one parse: id and label codes, declared horizons and, per chunk,
+    the sequence codes, times, entity codes and line numbers of its events."""
+
+    def __init__(self):
+        self.seq_index, self.label_index, self.declared, self.columns = {}, {}, {}, []
+        self.pending = None  # (horizon, line) of the directive awaiting its event line
+
+    def take(self, lines: list[str], base: int):
+        """Parse ``lines``, the file's lines from ``base + 1`` on."""
+        hashed = np.array(lines, dtype="U1") == "#"
+        event = ~hashed & (np.fromiter(map(str.count, lines, repeat("\t")), int, len(lines)) == 2)
+        ev = np.flatnonzero(event)
+        fields = "\t".join(compress(lines, event.tolist())).split("\t") if ev.size else []
+        ids, labels, stamps = fields[0::3], fields[1::3], fields[2::3]
+        try:
+            times = np.fromiter(map(float, stamps), np.float64, len(stamps))
+            ok = np.isfinite(times).all() and (times >= 0).all()
+        except ValueError:
+            ok = False
+        odd = np.flatnonzero(~(hashed | event)).tolist()
+        if not ok or "" in ids or "" in labels or any(map(lines.__getitem__, odd)):
+            i, error = next((i, e) for i, line in enumerate(lines)
+                            if line and not hashed[i] and (e := _event_line_error(line)))
+            self.take(lines[:i], base)
+            raise CascadeFormatError(f"line {base + i + 1}: {error}")
+        seq = _codes(ids, self.seq_index)
+        self.columns.append((seq, times, _codes(labels, self.label_index), ev + base + 1))
+
+        directives = np.flatnonzero(hashed).tolist()
+        if self.pending and ev.size and not (directives and directives[0] < ev[0]):
+            self._bind(int(seq[0]))
+        for k, (i, j) in enumerate(zip(directives, np.searchsorted(ev, directives).tolist())):
+            line_no, parts = base + i + 1, lines[i].split()
+            if parts[0] != "#horizon" or len(parts) != 2:
+                raise CascadeFormatError(f"line {line_no}: unknown directive {parts[0]!r}")
+            if self.pending:
+                raise CascadeFormatError(f"line {line_no}: horizon directive follows another "
+                                         "with no event line between them")
             try:
-                stamp = float(stamp_text)
+                value = float(parts[1])
             except ValueError:
                 raise CascadeFormatError(
-                    f"line {line_no}: timestamp {stamp_text!r} is not a number"
-                ) from None
-            if not math.isfinite(stamp):
-                raise CascadeFormatError(f"line {line_no}: timestamp must be finite")
-            if stamp < 0:
-                raise CascadeFormatError(f"line {line_no}: negative timestamp")
-            if pending_horizon is not None:
-                if seq_id in horizons:
-                    raise CascadeFormatError(
-                        f"line {pending_horizon[1]}: duplicate horizon for sequence "
-                        f"{seq_id!r} (first given on line {horizons[seq_id][1]})"
-                    )
-                horizons[seq_id] = pending_horizon
-                pending_horizon = None
-            entity = label_index.get(label)
-            if entity is None:
-                entity = len(vocabulary)
-                label_index[label] = entity
-                vocabulary.append(label)
-            bucket = events.get(seq_id)
-            if bucket is None:
-                bucket = []
-                events[seq_id] = bucket
-                order.append(seq_id)
-            bucket.append((stamp, entity, line_no))
-
-    if pending_horizon is not None:
-        raise CascadeFormatError(
-            f"line {pending_horizon[1]}: horizon directive with no event line after it"
-        )
-    if not order:
-        raise CascadeFormatError(f"{path}: no sequences")
-
-    sequences = []
-    for seq_id in order:
-        rows = sorted(events[seq_id], key=lambda r: r[0])
-        for (t0, _, _), (t1, _, ln) in zip(rows, rows[1:]):
-            if t1 == t0:
+                    f"line {line_no}: horizon {parts[1]!r} is not a number") from None
+            if not math.isfinite(value) or value <= 0:
                 raise CascadeFormatError(
-                    f"line {ln}: duplicate timestamp {t1!r} in sequence {seq_id!r}"
-                )
-        declared = horizons.get(seq_id)
-        horizon = declared[0] if declared is not None else rows[-1][0]
-        if horizon <= 0:
+                    f"line {line_no}: horizon must be a finite positive number")
+            self.pending = (value, line_no)
+            if j < len(ev) and (k + 1 == len(directives) or ev[j] < directives[k + 1]):
+                self._bind(int(seq[j]))
+
+    def _bind(self, code: int):
+        if code in self.declared:
             raise CascadeFormatError(
-                f"sequence {seq_id!r}: all timestamps are 0 and no horizon was given"
-            )
-        beyond = next((r for r in rows if r[0] > horizon), None)
-        if beyond is not None:
+                f"line {self.pending[1]}: duplicate horizon for sequence "
+                f"{list(self.seq_index)[code]!r} (first given on line {self.declared[code][1]})")
+        self.declared[code], self.pending = self.pending, None
+
+    def finish(self, path: str) -> CascadeFile:
+        """Sort each sequence's events by time and run the whole-sequence checks."""
+        if self.pending:
             raise CascadeFormatError(
-                f"line {beyond[2]}: timestamp {beyond[0]!r} exceeds the horizon "
-                f"{horizon!r} of sequence {seq_id!r}"
-            )
-        sequences.append(
-            Sequence.from_arrays(
-                [r[0] for r in rows], [r[1] for r in rows], horizon
-            )
-        )
-    return CascadeFile(path=path, vocabulary=vocabulary, dataset=Dataset(len(vocabulary), sequences))
+                f"line {self.pending[1]}: horizon directive with no event line after it")
+        if not self.seq_index:
+            raise CascadeFormatError(f"{path}: no sequences")
+        seq, times, labels, line_nos = (np.concatenate(c) for c in zip(*self.columns))
+        self.columns = []
+        order = np.lexsort((times, seq))
+        seq, times, labels, line_nos = seq[order], times[order], labels[order], line_nos[order]
+        k = len(self.seq_index)
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(seq, minlength=k))])
+        horizons = times[offsets[1:] - 1]  # the last timestamp unless declared
+        for code, (value, _) in self.declared.items():
+            horizons[code] = value
+        # the first sequence with a fault names it; its duplicates come first
+        dup = np.flatnonzero((seq[1:] == seq[:-1]) & (times[1:] == times[:-1])) + 1
+        zero = np.flatnonzero(horizons <= 0)
+        over = np.flatnonzero(times > horizons[seq])
+        bad = min([int(seq[a[0]]) for a in (dup, over) if a.size] + zero[:1].tolist(), default=k)
+        if bad < k:
+            name = list(self.seq_index)[bad]
+            if dup.size and seq[dup[0]] == bad:
+                raise CascadeFormatError(f"line {line_nos[dup[0]]}: duplicate timestamp "
+                                         f"{float(times[dup[0]])!r} in sequence {name!r}")
+            if horizons[bad] <= 0:
+                raise CascadeFormatError(
+                    f"sequence {name!r}: all timestamps are 0 and no horizon was given")
+            raise CascadeFormatError(
+                f"line {line_nos[over[0]]}: timestamp {float(times[over[0]])!r} exceeds "
+                f"the horizon {float(horizons[bad])!r} of sequence {name!r}")
+        vocabulary = list(self.label_index)
+        dataset = Dataset.from_columns(len(vocabulary), offsets, times, labels, horizons)
+        return CascadeFile(path=path, vocabulary=vocabulary, dataset=dataset)
+
+
+def read_cascade_file(path) -> CascadeFile:
+    """Parse a cascade file, ``CHUNK_HINT`` characters at a time: a chunk's
+    event lines are split in one pass, their ids and labels coded through
+    dicts, their timestamps parsed into arrays, and the lines before a bad
+    event line parsed first, so the error raised is the first in the file."""
+    parse = _CascadeParse()
+    with open(path, encoding="utf-8-sig") as fh:
+        base = 0
+        while chunk := fh.readlines(CHUNK_HINT):
+            parse.take(list(map(str.rstrip, chunk, repeat("\n"))), base)
+            base += len(chunk)
+    return parse.finish(str(path))
 
 
 def parse_cascades(path) -> Dataset:
@@ -233,14 +259,14 @@ class DatasetStats:
 
 
 def dataset_stats(data: Dataset) -> DatasetStats:
-    if len(data.sequences) == 0:
+    if len(data) == 0:
         raise ValueError("dataset has no sequences")
-    active_counts = np.array([len(s.active_entities) for s in data.sequences], dtype=np.int64)
-    event_counts = np.array([len(s) for s in data.sequences], dtype=np.int64)
+    active_counts = np.diff(data.slot_tables()[3])
+    event_counts = np.diff(data.event_offsets())
     fractions = np.sort(active_counts / data.num_entities)[::-1]
     return DatasetStats(
         num_entities=data.num_entities,
-        num_sequences=len(data.sequences),
+        num_sequences=len(data),
         total_events=int(event_counts.sum()),
         active_fractions=fractions,
         event_count_histogram=np.bincount(event_counts),
@@ -250,6 +276,7 @@ def dataset_stats(data: Dataset) -> DatasetStats:
 
 CHECKPOINT_MAGIC = b"LMHP"
 CHECKPOINT_VERSION = 1
+_LABEL_LENGTH = struct.Struct("<I")
 
 
 @dataclass
@@ -289,10 +316,9 @@ def write_checkpoint(path, params: ModelParams, meta: dict,
             for block in (params.theta_self, params.theta_u, params.theta_v):
                 fh.write(block.astype("<f8", copy=False).tobytes())
             fh.write(struct.pack("<Q", len(vocabulary)))
-            for label in vocabulary:
-                raw = label.encode("utf-8")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
+            encoded = list(map(str.encode, vocabulary))
+            fh.write(b"".join(chain.from_iterable(
+                zip(map(_LABEL_LENGTH.pack, map(len, encoded)), encoded))))
             fh.write(struct.pack("<Q", len(meta_blob)))
             fh.write(meta_blob)
         os.replace(tmp, path)
@@ -338,18 +364,25 @@ def read_checkpoint_full(path) -> Checkpoint:
             raise CheckpointFormatError(
                 f"vocabulary holds {vocab_count} labels for {n} entities"
             )
-        vocabulary = []
+        rest = io.BytesIO(fh.read())  # the labels and the metadata, in one read
+    view, pos, vocabulary = rest.getbuffer(), 0, []
+    try:
         for i in range(vocab_count):
-            (length,) = struct.unpack("<I", _read_exact(fh, 4, f"label {i} length"))
-            raw = _read_exact(fh, length, f"label {i}")
-            try:
-                vocabulary.append(raw.decode("utf-8"))
-            except UnicodeDecodeError:
-                raise CheckpointFormatError(f"label {i} is not valid UTF-8") from None
-        (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, "metadata length"))
-        meta_blob = _read_exact(fh, meta_len, "metadata")
-        if fh.read(1):
-            raise CheckpointFormatError("trailing bytes after checkpoint payload")
+            (length,) = _LABEL_LENGTH.unpack_from(view, pos)
+            pos += 4 + length
+            vocabulary.append(str(view[pos - length:pos], "utf-8"))
+    except struct.error:
+        raise CheckpointFormatError(f"truncated checkpoint: label {i} has no length") from None
+    except UnicodeDecodeError:
+        if pos <= len(view):
+            raise CheckpointFormatError(f"label {i} is not valid UTF-8") from None
+    if pos > len(view):
+        raise CheckpointFormatError(f"truncated checkpoint: label {i} runs past the end")
+    rest.seek(pos)
+    (meta_len,) = struct.unpack("<Q", _read_exact(rest, 8, "metadata length"))
+    meta_blob = _read_exact(rest, meta_len, "metadata")
+    if rest.read(1):
+        raise CheckpointFormatError("trailing bytes after checkpoint payload")
     try:
         meta = json.loads(meta_blob)
     except json.JSONDecodeError:

@@ -122,9 +122,8 @@ def _touch_count(engine: str, data: Dataset) -> int:
     n = data.num_entities
     events = data.total_events
     if engine == "dense":
-        return n * (events + len(data.sequences))
-    active = sum(len(s.active_entities) for s in data.sequences)
-    return events + active + n
+        return n * (events + len(data))
+    return events + len(data.slot_tables()[1]) + n
 
 
 def runtime_benchmark(engine: str, data: Dataset, repetitions: int = 5,

@@ -7,8 +7,9 @@ non-negative embeddings, diagonal entries get their own parameter.  All raw
 parameters live in an unconstrained space and are mapped through softplus,
 so positivity never has to be enforced by projection.  The per-entity ones
 form one ``(n, 2d + 2)`` row block ``[u | v | mu | self]``, the layout of the
-gradient rows and the Adam moments.  A :class:`Dataset` caches its flat event
-layout, slot tables and per-event frame, which no parameter affects.
+gradient rows and the Adam moments.  A :class:`Dataset` owns flat event
+columns, its sequences are read-only views of them, and it caches the slot
+tables and per-event frame derived from them, which no parameter affects.
 """
 
 from __future__ import annotations
@@ -127,6 +128,13 @@ class Sequence:
         )
         return obj
 
+    @classmethod
+    def _view(cls, times, entities, horizon: float) -> "Sequence":
+        """A sequence over arrays a :class:`Dataset` has validated, not copied."""
+        obj = cls.__new__(cls)
+        obj.times, obj.entities, obj.horizon, obj._active = times, entities, horizon, None
+        return obj
+
     def _init_from_arrays(self, times, entities, horizon):
         if times.ndim != 1 or entities.ndim != 1 or len(times) != len(entities):
             raise ValueError("times and entities must be 1-d arrays of equal length")
@@ -184,39 +192,75 @@ class Sequence:
 
 
 class Dataset:
-    """A collection of sequences over a shared entity universe.
+    """A collection of sequences over a shared entity universe, held as
+    read-only flat columns.
 
+    Sequence ``k`` owns events ``offsets[k]:offsets[k + 1]`` of ``times`` and
+    ``labels`` and is observed on ``[0, horizons[k]]``.  The engines read the
+    columns and the layouts cached from them; :attr:`sequences` are views.
     ``activity_count[x]`` counts the sequences containing at least one event
     of entity x; it is what makes per-entity bookkeeping cheap even when most
     entities never appear.
     """
 
-    __slots__ = (
-        "num_entities",
-        "sequences",
-        "activity_count",
-        "_index",
-        "_flat",
-        "_slots",
-        "_offsets",
-        "_frame",
-    )
+    __slots__ = ("num_entities", "offsets", "times", "labels", "horizons", "activity_count",
+                 "_sequences", "_index", "_flat", "_slots", "_frame")
 
     def __init__(self, num_entities: int, sequences: SequenceType[Sequence]):
+        sequences = list(sequences)
+        self._init(num_entities, np.cumsum([0] + [len(s) for s in sequences]),
+                   np.concatenate([s.times for s in sequences] or [np.zeros(0)]),
+                   np.concatenate([s.entities for s in sequences] or [np.zeros(0, np.int64)]),
+                   np.array([s.horizon for s in sequences], dtype=np.float64), sequences)
+
+    @classmethod
+    def from_columns(cls, num_entities: int, offsets, times, labels, horizons) -> "Dataset":
+        """A dataset over ready columns, adopted without a copy when they are
+        int64 (offsets, labels) and float64 (times, horizons) already."""
+        data = cls.__new__(cls)
+        data._init(num_entities, np.asarray(offsets, np.int64), np.asarray(times, np.float64),
+                   np.asarray(labels, np.int64), np.asarray(horizons, np.float64))
+        return data
+
+    def _init(self, num_entities, offsets, times, labels, horizons, sequences=None):
         num_entities = int(num_entities)
         if num_entities <= 0:
             raise ValueError("num_entities must be positive")
-        sequences = list(sequences)
-        for k, seq in enumerate(sequences):
-            if len(seq) and int(seq.entities.max()) >= num_entities:
-                raise ValueError(
-                    f"sequence {k} references entity {int(seq.entities.max())} "
-                    f"outside the universe of {num_entities} entities"
-                )
-        self.num_entities = num_entities
-        self.sequences = sequences
-        self._index = self._flat = self._slots = self._offsets = self._frame = None
+        lengths = np.diff(offsets)
+        if (len(offsets) != len(horizons) + 1 or offsets[0] != 0 or offsets[-1] != len(times)
+                or len(labels) != len(times) or np.any(lengths < 0)):
+            raise ValueError("inconsistent dataset columns")
+        seq_of = np.repeat(np.arange(len(horizons)), lengths)
+        tail = horizons[seq_of] - times
+        outside = (labels < 0) | (labels >= num_entities)
+        if outside.any():
+            i = int(outside.argmax())
+            raise ValueError(f"sequence {int(seq_of[i])} references entity {int(labels[i])} "
+                             f"outside the universe of {num_entities} entities")
+        if not (np.isfinite(horizons).all() and (horizons > 0).all() and np.isfinite(times).all()
+                and (times >= 0).all() and (tail >= 0).all()):
+            raise ValueError("horizons must be positive reals and event times within [0, horizon]")
+        if ((np.diff(times) <= 0) & (seq_of[1:] == seq_of[:-1])).any():
+            raise ValueError("event times must strictly increase within a sequence")
+        for column in (offsets, times, labels, horizons):
+            column.setflags(write=False)
+        self.num_entities, self._sequences = num_entities, sequences
+        self.offsets, self.times, self.labels, self.horizons = offsets, times, labels, horizons
+        nonempty = np.flatnonzero(lengths)
+        self._flat = (horizons, nonempty, lengths[nonempty], times, labels)
+        self._frame = (seq_of, tail, times - times[offsets[seq_of]])
+        self._index = self._slots = None
         self.activity_count = np.bincount(self.slot_tables()[2], minlength=num_entities)
+
+    @property
+    def sequences(self) -> list[Sequence]:
+        """The list the dataset was built from, or else read-only views of the
+        columns, built on first use."""
+        if self._sequences is None:
+            bounds = self.offsets.tolist()
+            self._sequences = [Sequence._view(self.times[a:b], self.labels[a:b], h) for a, b, h
+                               in zip(bounds, bounds[1:], self.horizons.tolist())]
+        return self._sequences
 
     @property
     def active_index(self) -> list[list[int]]:
@@ -229,32 +273,11 @@ class Dataset:
         return self._index
 
     def __len__(self) -> int:
-        return len(self.sequences)
+        return len(self.horizons)
 
     def flat_events(self):
-        """Concatenated event arrays over all sequences, built once.
-
-        Returns ``(horizons, nonempty, lengths, times, labels)`` where
-        ``horizons`` covers every sequence and the other four describe the
-        non-empty ones in order.  Sequences are fixed after construction, so
-        the layout is computed on first use and reused by every engine pass.
-        """
-        if self._flat is None:
-            horizons = np.array([s.horizon for s in self.sequences], dtype=np.float64)
-            nonempty = np.flatnonzero([len(s) > 0 for s in self.sequences])
-            if nonempty.size:
-                lengths = np.array(
-                    [len(self.sequences[k]) for k in nonempty], dtype=np.int64
-                )
-                times = np.concatenate([self.sequences[k].times for k in nonempty])
-                labels = np.concatenate(
-                    [self.sequences[k].entities for k in nonempty]
-                ).astype(np.int64)
-            else:
-                lengths = np.zeros(0, dtype=np.int64)
-                times = np.zeros(0)
-                labels = np.zeros(0, dtype=np.int64)
-            self._flat = (horizons, nonempty, lengths, times, labels)
+        """``(horizons, nonempty, lengths, times, labels)``: ``horizons``
+        covers every sequence, the other four the non-empty ones in order."""
         return self._flat
 
     def slot_tables(self):
@@ -267,48 +290,37 @@ class Dataset:
         parameters.
         """
         if self._slots is None:
-            labels = self.flat_events()[4]
             n = np.int64(self.num_entities)
-            code = self.event_frame()[0] * n + labels
+            code = self._frame[0] * n + self.labels
             uq, slot_of = np.unique(code, return_inverse=True)
             slot_seq = uq // n
             slot_entity = uq % n
-            seq_slot_start = np.searchsorted(
-                slot_seq, np.arange(len(self.sequences) + 1)
-            ).astype(np.int64)
+            seq_slot_start = np.searchsorted(slot_seq, np.arange(len(self) + 1)).astype(np.int64)
             counts = np.bincount(slot_of, minlength=len(uq)).astype(np.int64)
             self._slots = (slot_of, slot_seq, slot_entity, seq_slot_start, counts)
         return self._slots
 
     def event_offsets(self) -> np.ndarray:
         """``(len(sequences) + 1,)``: sequence ``k`` owns flat events
-        ``offsets[k]:offsets[k + 1]``.  Built once."""
-        if self._offsets is None:
-            lengths = np.array([len(s) for s in self.sequences], dtype=np.int64)
-            self._offsets = np.concatenate([[0], np.cumsum(lengths)])
-        return self._offsets
+        ``offsets[k]:offsets[k + 1]``."""
+        return self.offsets
 
     def event_frame(self):
-        """Per-event columns that do not depend on the parameters, built once.
+        """Per-event columns that do not depend on the parameters.
 
         Returns ``(seq_of, tail, trel)`` in flat event order: each event's
         sequence position, ``horizon - t`` and ``t - t_first`` (the offset
         from its sequence's first event).
         """
-        if self._frame is None:
-            horizons, nonempty, lengths, times, _ = self.flat_events()
-            seq_of = np.repeat(nonempty, lengths)
-            first = times[self.event_offsets()[seq_of]]
-            self._frame = (seq_of, horizons[seq_of] - times, times - first)
         return self._frame
 
     @property
     def total_events(self) -> int:
-        return sum(len(s) for s in self.sequences)
+        return int(self.offsets[-1])
 
     @property
     def total_horizon(self) -> float:
-        return math.fsum(s.horizon for s in self.sequences)
+        return math.fsum(self.horizons.tolist())
 
     def never_active(self) -> np.ndarray:
         """Entities with no event in any sequence."""
@@ -317,11 +329,9 @@ class Dataset:
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
-            self.num_entities == other.num_entities
-            and len(self.sequences) == len(other.sequences)
-            and all(a == b for a, b in zip(self.sequences, other.sequences))
-        )
+        return self.num_entities == other.num_entities and all(
+            np.array_equal(getattr(self, c), getattr(other, c))
+            for c in ("offsets", "times", "labels", "horizons"))
 
 
 class _Columns:

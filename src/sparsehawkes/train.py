@@ -281,7 +281,7 @@ def train(
     state = AdamState.zeros(params.num_entities, params.dim)
     report = TrainReport()
     last_good = params.copy()
-    base_order = np.arange(len(data.sequences))
+    base_order = np.arange(len(data))
     nonempty = np.diff(data.event_offsets()) > 0
 
     for epoch in range(1, config.epochs + 1):
@@ -416,7 +416,7 @@ def train_parallel(data: Dataset, config: TrainConfig) -> tuple[ModelParams, Tra
 
     report = TrainReport()
     last_good = params.copy()
-    base_order = np.arange(len(data.sequences))
+    base_order = np.arange(len(data))
     nonempty = np.diff(data.event_offsets()) > 0
 
     for epoch in range(1, config.epochs + 1):

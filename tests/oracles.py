@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from sparsehawkes.data_io import CascadeFile, CascadeFormatError
 from sparsehawkes.model import Dataset, ModelParams, Sequence
 
 
@@ -224,3 +225,120 @@ def reference_train(data: Dataset, config, init: ModelParams):
         z_hat = z_next
         logliks.append(loglik_brute(params, data))
     return params, logliks
+
+
+def reference_read_cascade_file(path) -> CascadeFile:
+    """The cascade parser written line by line: one tuple per event, a sort
+    and a validated ``Sequence`` per sequence, errors raised as each line is
+    read.  The package's chunked columnar parser must agree with it on the
+    vocabulary, the dataset and every error message."""
+    path = str(path)
+    label_index: dict[str, int] = {}
+    vocabulary: list[str] = []
+    # per sequence id: list of (timestamp, entity, line_no), declared horizon
+    events: dict[str, list[tuple[float, int, int]]] = {}
+    horizons: dict[str, tuple[float, int]] = {}
+    order: list[str] = []
+    pending_horizon: tuple[float, int] | None = None
+
+    with open(path, encoding="utf-8-sig") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            if line.startswith("#"):
+                parts = line.split()
+                if parts[0] != "#horizon" or len(parts) != 2:
+                    raise CascadeFormatError(
+                        f"line {line_no}: unknown directive {parts[0]!r}"
+                    )
+                if pending_horizon is not None:
+                    raise CascadeFormatError(
+                        f"line {line_no}: horizon directive follows another with no "
+                        "event line between them"
+                    )
+                try:
+                    value = float(parts[1])
+                except ValueError:
+                    raise CascadeFormatError(
+                        f"line {line_no}: horizon {parts[1]!r} is not a number"
+                    ) from None
+                if not math.isfinite(value) or value <= 0:
+                    raise CascadeFormatError(
+                        f"line {line_no}: horizon must be a finite positive number"
+                    )
+                pending_horizon = (value, line_no)
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise CascadeFormatError(
+                    f"line {line_no}: expected 3 tab-separated fields, got {len(fields)}"
+                )
+            seq_id, label, stamp_text = fields
+            if not seq_id or not label:
+                raise CascadeFormatError(
+                    f"line {line_no}: empty sequence id or entity label"
+                )
+            try:
+                stamp = float(stamp_text)
+            except ValueError:
+                raise CascadeFormatError(
+                    f"line {line_no}: timestamp {stamp_text!r} is not a number"
+                ) from None
+            if not math.isfinite(stamp):
+                raise CascadeFormatError(f"line {line_no}: timestamp must be finite")
+            if stamp < 0:
+                raise CascadeFormatError(f"line {line_no}: negative timestamp")
+            if pending_horizon is not None:
+                if seq_id in horizons:
+                    raise CascadeFormatError(
+                        f"line {pending_horizon[1]}: duplicate horizon for sequence "
+                        f"{seq_id!r} (first given on line {horizons[seq_id][1]})"
+                    )
+                horizons[seq_id] = pending_horizon
+                pending_horizon = None
+            entity = label_index.get(label)
+            if entity is None:
+                entity = len(vocabulary)
+                label_index[label] = entity
+                vocabulary.append(label)
+            bucket = events.get(seq_id)
+            if bucket is None:
+                bucket = []
+                events[seq_id] = bucket
+                order.append(seq_id)
+            bucket.append((stamp, entity, line_no))
+
+    if pending_horizon is not None:
+        raise CascadeFormatError(
+            f"line {pending_horizon[1]}: horizon directive with no event line after it"
+        )
+    if not order:
+        raise CascadeFormatError(f"{path}: no sequences")
+
+    sequences = []
+    for seq_id in order:
+        rows = sorted(events[seq_id], key=lambda r: r[0])
+        for (t0, _, _), (t1, _, ln) in zip(rows, rows[1:]):
+            if t1 == t0:
+                raise CascadeFormatError(
+                    f"line {ln}: duplicate timestamp {t1!r} in sequence {seq_id!r}"
+                )
+        declared = horizons.get(seq_id)
+        horizon = declared[0] if declared is not None else rows[-1][0]
+        if horizon <= 0:
+            raise CascadeFormatError(
+                f"sequence {seq_id!r}: all timestamps are 0 and no horizon was given"
+            )
+        beyond = next((r for r in rows if r[0] > horizon), None)
+        if beyond is not None:
+            raise CascadeFormatError(
+                f"line {beyond[2]}: timestamp {beyond[0]!r} exceeds the horizon "
+                f"{horizon!r} of sequence {seq_id!r}"
+            )
+        sequences.append(
+            Sequence.from_arrays(
+                [r[0] for r in rows], [r[1] for r in rows], horizon
+            )
+        )
+    return CascadeFile(path=path, vocabulary=vocabulary, dataset=Dataset(len(vocabulary), sequences))

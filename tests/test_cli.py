@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from sparsehawkes import (
+    Dataset,
     ModelParams,
+    Sequence,
+    build_caches,
     influence_matrix,
+    lazy_log_likelihood,
     read_checkpoint_full,
     softplus,
     softplus_inv,
@@ -233,6 +237,31 @@ def test_eval_without_truth(tmp_path, sim_dir, fit_dir):
     )
     assert table["rmse_mu"] == "nan"
     assert np.isfinite(float(table["loglik"]))
+
+
+def test_eval_without_vocabulary_reads_labels_as_entity_indices(tmp_path, capsys):
+    params = ModelParams(
+        theta_mu=np.array([-1.0, -2.0, -3.0]), theta_beta=0.2,
+        theta_self=np.array([-0.5, -1.5, -2.5]),
+        theta_u=np.array([[-1.0], [0.0], [1.0]]), theta_v=np.array([[0.5], [-0.5], [-1.5]]),
+        dim=1,
+    )
+    ckpt = tmp_path / "m.ckpt"
+    write_checkpoint(ckpt, params, {})
+    data = tmp_path / "d.tsv"
+    # label 1 appears first, so the parser numbers it 0
+    data.write_text("s\t1\t0.5\ns\t0\t1.0\ns\t1\t1.5\nt\t2\t0.25\n", encoding="utf-8")
+    out = tmp_path / "ev"
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]) == 0
+    table = dict(line.split("\t") for line in (out / "recovery.tsv").read_text().splitlines()[1:])
+    want = Dataset(3, [Sequence.from_arrays([0.5, 1.0, 1.5], [1, 0, 1], 1.5),
+                       Sequence.from_arrays([0.25], [2], 0.25)])
+    assert float(table["loglik"]) == lazy_log_likelihood(params, want, build_caches(params, want)) / 4
+
+    for label in ("3", "x", "-1"):
+        data.write_text(f"s\t0\t0.5\ns\t{label}\t1.0\n", encoding="utf-8")
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]) == 1
+        assert repr(label) in capsys.readouterr().err
 
 
 def test_eval_missing_truth_file(tmp_path, sim_dir, fit_dir, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsehawkes import (
     Dataset,
@@ -7,6 +8,7 @@ from sparsehawkes import (
     build_caches,
     lazy_log_likelihood,
 )
+from sparsehawkes import data_io
 from sparsehawkes.data_io import (
     CHECKPOINT_MAGIC,
     CascadeFormatError,
@@ -20,7 +22,7 @@ from sparsehawkes.data_io import (
     write_checkpoint,
 )
 
-from oracles import random_params, random_sequence
+from oracles import random_params, random_sequence, reference_read_cascade_file
 
 
 def write_text(tmp_path, text, name="cascades.tsv"):
@@ -127,6 +129,19 @@ def test_parse_duplicate_timestamp_names_later_line(tmp_path):
         parse_cascades(path)
 
 
+def test_parse_whole_sequence_faults_in_order(tmp_path):
+    # the first faulty sequence is reported; within it a duplicate timestamp
+    # comes before an event past the horizon
+    text = "s\ta\t0.5\n#horizon 1.0\nt\ta\t2.0\nt\tb\t2.0\ns\tb\t0.0\ns\tc\t0.0\n"
+    with pytest.raises(CascadeFormatError, match="line 6: duplicate timestamp 0.0 in sequence 's'"):
+        parse_cascades(write_text(tmp_path, text))
+    with pytest.raises(CascadeFormatError, match="line 4: duplicate timestamp 2.0 in sequence 't'"):
+        parse_cascades(write_text(tmp_path, text.replace("c\t0.0", "c\t0.25")))
+    with pytest.raises(CascadeFormatError, match="line 3: timestamp 2.0 exceeds the horizon 1.0"):
+        parse_cascades(write_text(tmp_path, text.replace("c\t0.0", "c\t0.25")
+                                  .replace("b\t2.0", "b\t3.0")))
+
+
 def test_parse_duplicate_horizon_reports_both_lines(tmp_path):
     path = write_text(
         tmp_path,
@@ -148,6 +163,61 @@ def test_parse_horizon_binds_across_interleaved_sequences(tmp_path):
     # sequence order follows first appearance; the directive bound to s2
     assert data.sequences[0].horizon == 9.0
     assert data.sequences[1].horizon == 1.0
+
+
+def test_parse_skips_a_leading_bom(tmp_path):
+    cf = read_cascade_file(write_text(tmp_path, "\ufeffs0\ta\t1.0\ns0\tb\t2.0\n"))
+    assert len(cf.dataset) == 1
+    assert cf.dataset.total_events == 2
+    cf = read_cascade_file(write_text(tmp_path, "\ufeff#horizon 3.0\ns0\ta\t1.0\n"))
+    assert cf.vocabulary == ["a"]
+    assert cf.dataset.sequences[0].horizon == 3.0
+
+
+_FIELD = st.sampled_from(["s0", "s1", "s2", "a", "b", "", "#x", " "])
+_STAMP = st.one_of(
+    st.sampled_from(["0", "0.5", "1", "2.5", "-0.0", "-1", "nan", "inf", "1e999", "abc", "", " 2"]),
+    st.floats(min_value=0.0, max_value=10.0).map(repr),
+)
+_LINE = st.one_of(
+    st.tuples(_FIELD, _FIELD, _STAMP).map("\t".join),
+    st.tuples(st.sampled_from(["s0", "s1"]), st.sampled_from(["a", "b", "c"]), _STAMP).map("\t".join),
+    st.sampled_from(["0.5", "2", "9.0", "0", "-1", "nan", "inf", "abc"]).map("#horizon {}".format),
+    st.sampled_from(["", "#horizon", "#rate 3", "#", "#horizon 1 2", "#horizon\t4\t", "s0\ta"]),
+    st.lists(_STAMP, min_size=4, max_size=5).map("\t".join),
+)
+
+
+@settings(max_examples=300)
+@given(
+    lines=st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12),
+    last_newline=st.booleans(),
+    bom=st.booleans(),
+    hint=st.sampled_from([1, 8, 40, data_io.CHUNK_HINT]),
+)
+def test_parse_matches_line_by_line_reference(tmp_path_factory, lines, last_newline, bom, hint):
+    text = "\ufeff" * bom + "".join(line + end for line, end in lines)
+    if lines and not last_newline:
+        text = text[:-len(lines[-1][1])]
+    path = tmp_path_factory.mktemp("parse") / "c.tsv"
+    path.write_text(text, encoding="utf-8", newline="")
+
+    def outcome(read):
+        try:
+            cf = read(path)
+        except CascadeFormatError as exc:
+            return str(exc)
+        d = cf.dataset
+        return (cf.vocabulary, d.num_entities, d.offsets.tolist(), d.times.tobytes(),
+                d.labels.tolist(), d.horizons.tobytes())
+
+    want = outcome(reference_read_cascade_file)
+    old = data_io.CHUNK_HINT
+    data_io.CHUNK_HINT = hint
+    try:
+        assert outcome(read_cascade_file) == want
+    finally:
+        data_io.CHUNK_HINT = old
 
 
 # ---------------------------------------------------------------------------

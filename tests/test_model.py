@@ -105,6 +105,73 @@ def test_dataset_indexing():
         Dataset(0, [])
 
 
+def columns_of(data):
+    return data.offsets.copy(), data.times.copy(), data.labels.copy(), data.horizons.copy()
+
+
+def test_dataset_columns_constructor_matches_sequences():
+    rng = np.random.default_rng(21)
+    seqs = [oracles.random_sequence(rng, 6, 8) for _ in range(9)]
+    seqs.insert(3, Sequence.from_arrays([], [], 2.5))
+    listed = Dataset(6, seqs)
+    columnar = Dataset.from_columns(6, *columns_of(listed))
+    for got, want in zip(
+        (*columnar.flat_events(), *columnar.slot_tables(), *columnar.event_frame(),
+         columnar.event_offsets(), columnar.activity_count),
+        (*listed.flat_events(), *listed.slot_tables(), *listed.event_frame(),
+         listed.event_offsets(), listed.activity_count),
+    ):
+        np.testing.assert_array_equal(got, want)
+    assert columnar == listed
+    assert len(columnar) == len(listed) == 10
+    assert columnar.total_events == listed.total_events
+    assert columnar.total_horizon == listed.total_horizon
+    # the list a dataset was built from is kept; a columnar one gets views
+    assert all(a is b for a, b in zip(listed.sequences, seqs))
+    assert columnar.sequences == seqs
+    assert columnar.sequences is columnar.sequences
+
+
+def test_dataset_columns_and_views_are_read_only():
+    data = Dataset(3, [Sequence.from_arrays([0.5, 1.0], [2, 0], 2.0)])
+    view = Dataset.from_columns(3, *columns_of(data)).sequences[0]
+    for array in (view.times, view.entities, data.times, data.labels, data.offsets, data.horizons):
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def test_dataset_of_empty_sequences():
+    empty = Dataset.from_columns(
+        2, np.zeros(3, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64),
+        np.array([1.0, 2.0]),
+    )
+    assert empty == Dataset(2, [Sequence.from_arrays([], [], 1.0), Sequence.from_arrays([], [], 2.0)])
+    assert len(empty) == 2 and empty.total_events == 0 and empty.total_horizon == 3.0
+    assert [(len(s), s.horizon) for s in empty.sequences] == [(0, 1.0), (0, 2.0)]
+    assert empty.flat_events()[1].size == 0 and empty.slot_tables()[0].size == 0
+    np.testing.assert_array_equal(empty.slot_tables()[3], [0, 0, 0])
+    assert list(empty.never_active()) == [0, 1]
+
+
+@pytest.mark.parametrize("offsets,times,labels,horizons", [
+    ([0, 2], [1.0, 1.0], [0, 1], [2.0]),       # not strictly increasing
+    ([0, 2], [0.5, 2.5], [0, 1], [2.0]),       # beyond the horizon
+    ([0, 1], [-0.5], [0], [2.0]),              # negative time
+    ([0, 1], [np.nan], [0], [2.0]),            # not finite
+    ([0, 1], [0.5], [3], [2.0]),               # entity out of range
+    ([0, 1], [0.5], [-1], [2.0]),              # negative entity
+    ([0, 1], [0.5], [0], [0.0]),               # horizon not positive
+    ([0, 2], [0.5], [0], [2.0]),               # offsets past the events
+])
+def test_dataset_columns_validated(offsets, times, labels, horizons):
+    with pytest.raises(ValueError):
+        Dataset.from_columns(3, np.array(offsets, dtype=np.int64), np.array(times),
+                             np.array(labels, dtype=np.int64), np.array(horizons))
+    # a decrease across a sequence boundary is fine
+    Dataset.from_columns(3, np.array([0, 1, 2]), np.array([1.5, 0.5]), np.array([0, 1]),
+                         np.array([2.0, 2.0]))
+
+
 def test_model_params_validation():
     n, d = 3, 2
     ModelParams(np.zeros(n), 0.0, np.zeros(n), np.zeros((n, d)), np.zeros((n, d)), d)

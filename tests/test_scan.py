@@ -239,7 +239,7 @@ def assert_bit_identical(got, want):
     assert got.beta_log == want.beta_log
 
 
-@settings(max_examples=80, deadline=None, database=None)
+@settings(max_examples=80)
 @given(banded_datasets())
 def test_subset_scan_equals_slice_of_full_scan(case):
     params, data = case
