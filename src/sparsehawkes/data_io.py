@@ -295,8 +295,9 @@ def write_checkpoint(path, params: ModelParams, meta: dict,
 
     Metadata must be JSON-serializable; it is stored canonically (sorted
     keys) so identical inputs produce identical bytes.  The file is written
-    under a temporary name in the same directory and then renamed over
-    ``path``, so a write that fails midway leaves any previous file intact.
+    under a temporary name in the same directory, synced to disk and then
+    renamed over ``path``, so a write that fails midway leaves any previous
+    file intact.
     """
     n = params.num_entities
     if vocabulary is None:
@@ -321,6 +322,10 @@ def write_checkpoint(path, params: ModelParams, meta: dict,
                 zip(map(_LABEL_LENGTH.pack, map(len, encoded)), encoded))))
             fh.write(struct.pack("<Q", len(meta_blob)))
             fh.write(meta_blob)
+            # on disk before the rename, so a crash cannot leave ``path``
+            # naming a file whose blocks were never written
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -188,22 +188,29 @@ def _slot_gradients(
     # Each block is computed in place in its columns of ``rows``, and the
     # whole row block is then scaled by the activation's derivative at once.
     d = params.dim
+    ns = bs.num_seqs
+    one = ns == 1
+    q_beta = bs.q / beta
+    horizon = bs.horizons[0] if one else bs.horizons[bs.slot_seq]
     rows = np.empty((len(ent), 2 * d + 2))
-    g_self = np.subtract(bs.r_over_lam, bs.q / beta, out=rows[:, 2 * d + 1])
+    g_self = np.subtract(bs.r_over_lam, q_beta, out=rows[:, 2 * d + 1])
     g_u = np.subtract(bs.s_over_lam, bs.v_slot * g_self[:, None], out=rows[:, :d])
     g_u -= (1.0 / (beta * activity[ent]))[:, None] * caches.z_hat
     g_v = np.subtract(bs.p_rev, bs.u_slot * g_self[:, None], out=rows[:, d:2 * d])
-    g_v -= (bs.q / beta)[:, None] * u_hat
-    g_mu = np.subtract(bs.inv_lam, bs.horizons[bs.slot_seq], out=rows[:, 2 * d])
+    g_v -= q_beta[:, None] * u_hat
+    g_mu = np.subtract(bs.inv_lam, horizon, out=rows[:, 2 * d])
     g_mu -= caches.d_const[ent]
     rows *= softplus_grad(params.theta[ent])
-    ns = bs.num_seqs
     uz = bs.z @ u_hat
     uz_beta = bs.z_beta @ u_hat
-    cq = np.bincount(bs.slot_seq, weights=bs.c_slot * bs.q, minlength=ns)
-    cq_beta = np.bincount(bs.slot_seq, weights=bs.c_slot * bs.q_beta, minlength=ns)
+    if one:
+        cq = bs.c_slot @ bs.q
+        cq_beta = bs.c_slot @ bs.q_beta
+    else:
+        cq = np.bincount(bs.slot_seq, weights=bs.c_slot * bs.q, minlength=ns)
+        cq_beta = np.bincount(bs.slot_seq, weights=bs.c_slot * bs.q_beta, minlength=ns)
     g_beta = bs.beta_log + (uz + cq) / beta**2 - (uz_beta + cq_beta) / beta
-    return rows, g_beta * softplus_grad(params.theta_beta)
+    return rows, g_beta * params.beta_grad()
 
 
 def lazy_sequence_gradients(
@@ -281,5 +288,5 @@ def accumulate_lazy_gradient(
 def update_u_hat(caches: LazyCaches, entities, theta_u_old: np.ndarray, theta_u_new: np.ndarray):
     """Constant-time-per-row refresh of the receiving-embedding total after
     the rows of ``entities`` (one id with (d,) rows, or ids with (a, d)) moved."""
-    delta = softplus(theta_u_new) - softplus(theta_u_old)
-    caches.u_hat += delta.reshape(-1, len(caches.u_hat)).sum(axis=0)
+    act = softplus(np.concatenate((theta_u_old, theta_u_new))).reshape(2, -1, len(caches.u_hat))
+    caches.u_hat += (act[1] - act[0]).sum(axis=0)

@@ -417,7 +417,13 @@ class ModelParams:
         return softplus(self.theta_mu)
 
     def beta(self) -> float:
-        return float(softplus(self.theta_beta))
+        """The decay rate: :func:`softplus`'s split, on the float with ``math``."""
+        x = self.theta_beta
+        return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+    def beta_grad(self) -> float:
+        """d beta / d theta_beta: :func:`softplus_grad`'s formula on the float."""
+        return 0.5 * (1.0 + math.tanh(0.5 * self.theta_beta))
 
     def self_rates(self) -> np.ndarray:
         return softplus(self.theta_self)

@@ -7,23 +7,32 @@ scan.  Computing them in a single place keeps the two engines honest about
 operating on identical per-event quantities while they differ in how they
 charge the inactive entities.
 
-Two implementations live here.  ``sequence_stats_reference`` walks events one
-by one through :class:`~.model.SequenceScan` and is kept as the slow,
-obviously-correct formulation.  ``batch_sequence_stats`` computes the same
-sums with array prefix scans on a :class:`~.model.Dataset`'s cached flat
-layout and per-event frame, the one place a layout is built; the engines
-scan all sequences and a training step slices out its one sequence.  A scan
-gathers its slots' raw parameter rows once, activates them with one softplus
-and checks the decay rate once, for every consumer of its result.  The
-decayed sums are linear recurrences whose closed form is a prefix sum of
-``exp(beta*t_j) * value_j`` rescaled by ``exp(-beta*t_i)``; raw exponentials
-of the phase ``beta*t`` overflow once it passes ~709, so the phase axis of
-every sequence is cut into fixed-width bands.  Within a band the stored
-exponentials stay bounded and, because events are time-ordered, every
-prefix term is no larger than the rescaling factor that multiplies it,
-which keeps the summation well conditioned.
+Three implementations live here.  ``sequence_stats_reference`` walks events
+one by one through :class:`~.model.SequenceScan` and is kept as the slow,
+obviously-correct formulation the tests compare against.
+``batch_sequence_stats`` computes the same sums with array prefix scans on a
+:class:`~.model.Dataset`'s cached flat layout and per-event frame, the one
+place a layout is built; the engines scan all sequences with it, and a
+training step slices out one long sequence.  ``pairwise_sequence_stats``
+computes one sequence's gradient statistics from its (m, m) decay kernel;
+a training step uses it for short sequences, where the banded scan's fixed
+cost of building bands, carries and groupings outweighs m squared products.
+It rounds differently, so ``subset=`` scans stay bit-identical to slices of
+the full scan only because they keep the banded path.  A scan gathers its
+slots' raw parameter rows once, activates them with one softplus and checks
+the decay rate once, for every consumer of its result.
+
+In the banded scan the decayed sums are linear recurrences whose closed form
+is a prefix sum of ``exp(beta*t_j) * value_j`` rescaled by
+``exp(-beta*t_i)``; raw exponentials of the phase ``beta*t`` overflow once it
+passes ~709, so the phase axis of every sequence is cut into fixed-width
+bands.  Within a band the stored exponentials stay bounded and, because
+events are time-ordered, every prefix term is no larger than the rescaling
+factor that multiplies it, which keeps the summation well conditioned.
 Across bands only a per-band carry survives, propagated with step factors of
-``exp(-width)`` per band so the huge and tiny scales cancel in pairs.
+``exp(-width)`` per band so the huge and tiny scales cancel in pairs.  The
+kernel needs none of this: its exponents ``-beta*(t_i - t_j)`` are never
+positive.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ __all__ = [
     "BatchStats",
     "sequence_stats",
     "batch_sequence_stats",
+    "pairwise_sequence_stats",
     "sequence_stats_reference",
 ]
 
@@ -595,6 +605,92 @@ def batch_sequence_stats(
         mu_slot=mu_slot, c_slot=c_slot, u_slot=u_slot, v_slot=v_slot,
         inv_lam=inv_lam, r_over_lam=r_over_lam, s_over_lam=s_over_lam,
         p_rev=p_rev, beta_log=beta_log, z_beta=z_beta, q_beta=q_beta,
+    )
+
+
+def pairwise_sequence_stats(params: ModelParams, data: Dataset, k: int) -> BatchStats:
+    """Gradient statistics of sequence ``k`` of ``data`` from its (m, m) decay kernel.
+
+    ``K[i, j] = exp(-beta * (t_i - t_j))`` for earlier events ``j`` and 0
+    otherwise, so every exponent is at most 0 and nothing overflows: the
+    decayed sums are products with ``K``, the same-entity ones with ``K``
+    masked to equal slots, and the reverse scan one product with ``K.T``.
+    Returns what ``batch_sequence_stats(params, data, True, subset=(k, k + 1))``
+    returns, equal to rounding; cost grows with m squared, so it serves short
+    sequences (see ``_PAIRWISE_MAX`` in :mod:`.train`).
+    """
+    beta = checked_beta(params)
+    offsets = data.event_offsets()
+    slot_of, _, slot_entity, seq_slot_start, counts = data.slot_tables()
+    _, tail, trel = data.event_frame()
+    e0, e1 = int(offsets[k]), int(offsets[k + 1])
+    s0, s1 = int(seq_slot_start[k]), int(seq_slot_start[k + 1])
+    horizons = data.horizons[k:k + 1]
+    d = params.dim
+    m, a = e1 - e0, s1 - s0
+    if m == 0:
+        return _empty_batch(d, beta, 1, horizons, True)
+    tail, trel = tail[e0:e1], trel[e0:e1]
+    loc = slot_of[e0:e1] - s0
+    slot_entity = slot_entity[s0:s1]
+
+    act = softplus(params.theta[slot_entity])
+    u_slot, v_slot, mu_slot, c_slot = act[:, :d], act[:, d:2 * d], act[:, 2 * d], act[:, 2 * d + 1]
+    c_slot -= np.einsum("ij,ij->i", u_slot, v_slot)
+    ev = act[loc]
+    u_ev, v_ev, mu_ev, c_ev = ev[:, :d], ev[:, d:2 * d], ev[:, 2 * d], ev[:, 2 * d + 1]
+
+    # lag[i, j] = t_j - t_i is negative exactly for earlier events j.
+    lag = np.subtract.outer(trel, trel).T
+    kern = np.exp(np.where(lag < 0.0, lag, -np.inf) * beta)
+    kern_dbeta = kern * lag
+    s_all = kern @ v_ev
+    s_dbeta = kern_dbeta @ v_ev
+    if a == m:
+        r_all = r_dbeta = np.zeros(m)
+    else:
+        same = np.equal.outer(loc, loc)
+        r_all = (kern * same).sum(axis=1)
+        r_dbeta = (kern_dbeta * same).sum(axis=1)
+
+    lam = mu_ev + np.einsum("ij,ij->i", u_ev, s_all) + c_ev * r_all
+    good = (lam > 0.0) & np.isfinite(lam)
+    if not good.all():
+        i = int(np.argmin(good))
+        raise NumericalDivergenceError(
+            f"non-positive intensity {float(lam[i])!r} at sequence {k} event index "
+            f"{i} (t={float(data.times[e0 + i])!r})"
+        )
+    inv = 1.0 / lam
+    beta_ev = (np.einsum("ij,ij->i", u_ev, s_dbeta) + c_ev * r_dbeta) * inv
+
+    # Per-event columns summed per slot: s/lam, the reverse scan, 1/lam, r/lam
+    # and the two compensator tail weights.
+    stacked = np.empty((m, 2 * d + 4))
+    np.multiply(s_all, inv[:, None], out=stacked[:, :d])
+    np.matmul(kern.T, u_ev * inv[:, None], out=stacked[:, d:2 * d])
+    stacked[:, 2 * d] = inv
+    np.multiply(r_all, inv, out=stacked[:, 2 * d + 1])
+    tail_phase = -beta * tail
+    np.multiply(tail, np.exp(tail_phase), out=stacked[:, 2 * d + 2])
+    # Not an in-place negative: NumPy 2.4.6 miscomputes ``np.negative(c, out=c)``
+    # on a column whose rows are 8 doubles apart.
+    np.negative(np.expm1(tail_phase), out=stacked[:, 2 * d + 3])
+    if a == m:
+        sums = np.empty_like(stacked)
+        sums[loc] = stacked
+    else:
+        sums = np.equal.outer(np.arange(a), loc) @ stacked
+    z_beta, z = stacked[:, 2 * d + 2:].T @ v_ev
+    return BatchStats(
+        dim=d, num_seqs=1, gradients=True, beta=beta, horizons=horizons,
+        loglam=np.log(lam).sum(keepdims=True), z=z[None],
+        slot_seq=np.zeros(a, dtype=np.int64), slot_entity=slot_entity,
+        seq_slot_start=np.array([0, a]), counts=counts[s0:s1], q=sums[:, 2 * d + 3],
+        mu_slot=mu_slot, c_slot=c_slot, u_slot=u_slot, v_slot=v_slot,
+        inv_lam=sums[:, 2 * d], r_over_lam=sums[:, 2 * d + 1], s_over_lam=sums[:, :d],
+        p_rev=sums[:, d:2 * d], beta_log=beta_ev.sum(keepdims=True), z_beta=z_beta[None],
+        q_beta=sums[:, 2 * d + 2],
     )
 
 

@@ -1,14 +1,17 @@
 """Stochastic training: per-sequence sparse Adam steps over the lazy engine.
 
 One epoch walks the sequences once.  Each step scans one sequence on the
-dataset's cached layout, reads the one-epoch-lagged decayed emitting totals
-from the caches, the incrementally maintained receiving-embedding total, and
-only the parameters of entities active in the sequence; the lazy engine's
-gradient rows for those entities then get one Adam update of their rows of
-the ``[u | v | mu | self]`` parameter block, which also moves the global
-decay slot and refreshes the receiving total.  The parallel mode runs the
-same step lock-free from several workers over shared memory (only the decay
-slot is locked), trading bitwise reproducibility for throughput.
+dataset's cached layout: through its (m, m) decay kernel when it has at most
+``_PAIRWISE_MAX`` events, else with the banded scan.  It reads the
+one-epoch-lagged decayed emitting totals from the caches, the incrementally
+maintained receiving-embedding total, and only the parameters of entities
+active in the sequence; the lazy engine's one gradient formula turns the
+scan into rows for those entities, which get one Adam update of their rows
+of the ``[u | v | mu | self]`` parameter block, together with the global
+decay slot.  The rows Adam read and wrote then refresh the receiving total
+through one activation.  The parallel mode runs the same step lock-free from
+several workers over shared memory (only the decay slot is locked), trading
+bitwise reproducibility for throughput.
 """
 
 from __future__ import annotations
@@ -26,16 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lazy import LazyCaches, SequenceGradient, _slot_gradients, build_caches, lazy_log_likelihood, update_u_hat
+from .lazy import LazyCaches, _slot_gradients, build_caches, lazy_log_likelihood, update_u_hat
 from .model import Dataset, ModelParams, NumericalDivergenceError, softplus, softplus_inv
-from .scan import batch_sequence_stats
+from .scan import batch_sequence_stats, pairwise_sequence_stats
 
 __all__ = [
     "TrainingDivergedError",
     "TrainConfig",
     "AdamState",
     "TrainReport",
-    "adam_step",
     "init_params",
     "train",
     "train_parallel",
@@ -43,6 +45,14 @@ __all__ = [
 
 # Wait on the result queue between checks that the workers are alive.
 _POLL_SECONDS = 0.1
+
+# A step scans a sequence of at most this many events through its (m, m)
+# decay kernel, whose cost grows with m squared, and a longer one with the
+# banded scan.  Timed per call at d = 20 on a 2-core Xeon VM, the kernel won
+# at 96 events (170-260 us against 210-330 us for the banded scan, with
+# distinct or repeated entities) and lost from about 128 (210-760 us against
+# 220-580 us; at 256, 2.1 ms against 0.4-0.8 ms).
+_PAIRWISE_MAX = 96
 
 
 class TrainingDivergedError(RuntimeError):
@@ -144,18 +154,20 @@ def _adam_rows(state: AdamState, idx: np.ndarray, rows: np.ndarray, d_beta: floa
     of entities ``idx`` and on the decay.
 
     The moments are of the negated gradient (the usual minimizer convention)
-    and the step is subtracted.
+    and the step is subtracted.  Returns the parameter rows of ``idx`` as read
+    just before the write and as written: under parallel training another
+    worker may have moved them since this step's scan read them.
     """
     b1 = config.adam_beta1
     b2 = config.adam_beta2
-    if len(idx):
-        g = -rows
-        state.t[idx] = steps = state.t[idx] + 1
-        state.m[idx] = m = b1 * state.m[idx] + (1.0 - b1) * g
-        state.v[idx] = v = b2 * state.v[idx] + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**steps)[:, None]
-        v_hat = v / (1.0 - b2**steps)[:, None]
-        params.theta[idx] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    g = -rows
+    state.t[idx] = steps = state.t[idx] + 1
+    state.m[idx] = m = b1 * state.m[idx] + (1.0 - b1) * g
+    state.v[idx] = v = b2 * state.v[idx] + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1**steps)[:, None]
+    v_hat = v / (1.0 - b2**steps)[:, None]
+    old = params.theta[idx]
+    params.theta[idx] = new = old - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
 
     g = -d_beta
     with state.decay_guard():
@@ -165,19 +177,7 @@ def _adam_rows(state: AdamState, idx: np.ndarray, rows: np.ndarray, d_beta: floa
         m_hat = state.m_beta / (1.0 - b1**state.t_beta)
         v_hat = state.v_beta / (1.0 - b2**state.t_beta)
         params.theta_beta -= config.learning_rate * m_hat / (math.sqrt(v_hat) + config.adam_eps)
-
-
-def adam_step(state: AdamState, grads: SequenceGradient, config: TrainConfig, params: ModelParams):
-    """Apply one sparse ascent step in place.
-
-    Only rows of ``grads.entities`` and the global decay parameter move;
-    every other row's parameters, moments, and counters stay untouched.
-    """
-    rows = np.concatenate(
-        [grads.d_theta_u, grads.d_theta_v, grads.d_theta_mu[:, None], grads.d_theta_self[:, None]],
-        axis=1,
-    )
-    _adam_rows(state, grads.entities, rows, grads.d_theta_beta, config, params)
+    return old, new
 
 
 def init_params(data: Dataset, config: TrainConfig, rng: np.random.Generator) -> ModelParams:
@@ -248,12 +248,15 @@ def _step(params: ModelParams, data: Dataset, k: int, caches: LazyCaches, state:
     Returns the sequence's decayed emitting total under the parameters before
     the step, its share of the next epoch's ``z_hat``.
     """
-    bs = batch_sequence_stats(params, data, gradients=True, subset=(k, k + 1))
+    offsets = data.event_offsets()
+    if offsets[k + 1] - offsets[k] <= _PAIRWISE_MAX:
+        bs = pairwise_sequence_stats(params, data, k)
+    else:
+        bs = batch_sequence_stats(params, data, gradients=True, subset=(k, k + 1))
     rows, g_beta = _slot_gradients(params, bs, caches, data.activity_count)
-    idx = bs.slot_entity
-    old_u = params.theta_u[idx]
-    _adam_rows(state, idx, rows, float(g_beta[0]), config, params)
-    update_u_hat(caches, idx, old_u, params.theta_u[idx])
+    old, new = _adam_rows(state, bs.slot_entity, rows, float(g_beta[0]), config, params)
+    d = params.dim
+    update_u_hat(caches, bs.slot_entity, old[:, :d], new[:, :d])
     return bs.z[0]
 
 

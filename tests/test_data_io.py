@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -385,6 +387,27 @@ def test_checkpoint_failed_write_keeps_previous_file(tmp_path):
         write_checkpoint(path, small_params(seed=2), {"epoch": 2}, vocabulary=["a", "b", "\ud800", "d"])
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def test_checkpoint_is_synced_before_the_rename(tmp_path, monkeypatch):
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", os.stat(src).st_ino))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    path = tmp_path / "m.ckpt"
+    write_checkpoint(path, small_params(seed=1), {"epoch": 1})
+    # the file synced is the one renamed into place
+    assert [c[0] for c in calls] == ["fsync", "replace"]
+    assert calls[0][1] == calls[1][1] == os.stat(path).st_ino
 
 
 def test_checkpoint_without_vocabulary(tmp_path):

@@ -8,10 +8,12 @@ from sparsehawkes.model import (
     Dataset,
     Event,
     ModelParams,
+    NumericalDivergenceError,
     Sequence,
     SequenceScan,
     alpha,
     alpha_row,
+    checked_beta,
     compensator,
     influence_matrix,
     intensity,
@@ -55,6 +57,22 @@ def test_softplus_grad_matches_finite_difference():
     # Saturation ends of the sigmoid.
     assert softplus_grad(500.0) == pytest.approx(1.0)
     assert softplus_grad(-500.0) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [-800.0, -40.0, -1.0, 0.0, 1.0, 40.0, 710.0, 1e300])
+def test_decay_activations_on_the_float_match_the_array_forms(x):
+    params = ModelParams.from_block(np.zeros((1, 4)), x, 1)
+    for got, want in ((params.beta(), float(softplus(x))),
+                      (params.beta_grad(), float(softplus_grad(x)))):
+        assert isinstance(got, float)
+        assert abs(got - want) <= 2 * np.spacing(want)
+
+
+def test_underflowed_decay_rate_is_divergence():
+    params = ModelParams.from_block(np.zeros((1, 4)), -800.0, 1)
+    assert params.beta() == 0.0
+    with pytest.raises(NumericalDivergenceError, match="decay rate underflowed"):
+        checked_beta(params)
 
 
 def test_softplus_inv_round_trip():

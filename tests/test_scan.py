@@ -15,14 +15,17 @@ from hypothesis import given, settings, strategies as st
 from sparsehawkes.model import Dataset, NumericalDivergenceError, Sequence, softplus_inv
 from sparsehawkes.scan import (
     batch_sequence_stats,
+    pairwise_sequence_stats,
     sequence_stats,
     sequence_stats_reference,
 )
 from sparsehawkes.lazy import (
+    _slot_gradients,
     accumulate_lazy_gradient,
     build_caches,
     lazy_sequence_gradients,
 )
+from sparsehawkes.train import _PAIRWISE_MAX
 
 from oracles import random_instance, random_params, rel_close
 
@@ -261,3 +264,67 @@ def test_subset_scan_equals_slice_of_full_scan(case):
     tail = batch_sequence_stats(params, data, gradients=True, subset=(1, ns))
     for k in range(1, ns):
         assert_bit_identical(tail.stats(k - 1), full.stats(k))
+
+
+def assert_kernel_matches_banded(params, data):
+    """The (m, m) kernel against the banded one-sequence scan, for every
+    non-empty sequence, on the step's gradient rows and the fields it returns.
+
+    The tolerance is scaled by each compared block's largest magnitude: where
+    the banded scan underflows a cross-band term to exactly 0, the kernel
+    keeps one of about 1e-152."""
+    caches = build_caches(params, data)
+    offsets = data.event_offsets()
+    for k in np.flatnonzero(np.diff(offsets)).tolist():
+        got = pairwise_sequence_stats(params, data, k)
+        want = batch_sequence_stats(params, data, gradients=True, subset=(k, k + 1))
+        for name in ("slot_entity", "counts", "mu_slot", "c_slot", "u_slot", "v_slot"):
+            npt.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        pairs = [(getattr(got, name), getattr(want, name), name)
+                 for name in ("loglam", "z", "q", "inv_lam")]
+        rows, g_beta = _slot_gradients(params, got, caches, data.activity_count)
+        rows_w, g_beta_w = _slot_gradients(params, want, caches, data.activity_count)
+        pairs.append((rows, rows_w, "gradient rows"))
+        for a, b, name in pairs:
+            scale = np.abs(b).max(initial=0.0)
+            npt.assert_allclose(a, b, rtol=1e-10, atol=1e-12 * scale, err_msg=f"seq {k}: {name}")
+        # The decay term is a sum of O(1) parts that can cancel to 1e-6, so
+        # its block is its parts.
+        beta, u_hat = want.beta, caches.u_hat
+        parts = [want.beta_log[0], want.z[0] @ u_hat / beta**2, want.c_slot @ want.q / beta**2,
+                 want.z_beta[0] @ u_hat / beta, want.c_slot @ want.q_beta / beta]
+        npt.assert_allclose(g_beta, g_beta_w, rtol=1e-10,
+                            atol=1e-12 * np.abs(parts).max() * params.beta_grad(),
+                            err_msg=f"seq {k}: decay term")
+
+
+@settings(max_examples=80)
+@given(banded_datasets())
+def test_kernel_scan_matches_banded_scan(case):
+    assert_kernel_matches_banded(*case)
+
+
+@pytest.mark.parametrize("m", [_PAIRWISE_MAX, _PAIRWISE_MAX + 1])
+def test_kernel_scan_matches_banded_scan_at_the_step_crossover(m):
+    rng = np.random.default_rng(m)
+    params = random_params(rng, 12, 3)
+    params.theta_beta = float(softplus_inv(1.0))
+    # a gap of nearly one band and repeated entities ride along
+    times = np.cumsum(rng.exponential(0.5, m))
+    times[m // 2:] += 349.0
+    seqs = [Sequence.from_arrays(times, rng.integers(0, 12, m), times[-1] + 1.0),
+            Sequence.from_arrays(times, rng.permutation(m) % 12, times[-1] + 7.0)]
+    assert_kernel_matches_banded(params, Dataset(12, seqs))
+
+
+def test_kernel_scan_names_the_diverging_event():
+    rng = np.random.default_rng(13)
+    params = random_params(rng, 3, 2)
+    # entity 1's background rate and receiving embedding underflow to exactly
+    # zero, and its first event has no earlier event of its own to lift it
+    params.theta_mu[1] = -800.0
+    params.theta_u[1] = -800.0
+    data = Dataset(3, [Sequence.from_arrays([0.5], [0], 2.0),
+                       Sequence.from_arrays([0.2, 0.7, 1.1], [2, 1, 1], 2.0)])
+    with pytest.raises(NumericalDivergenceError, match=r"sequence 1 event index 1 \(t=0\.7\)"):
+        pairwise_sequence_stats(params, data, 1)

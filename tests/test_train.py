@@ -23,11 +23,11 @@ from sparsehawkes.data_io import read_checkpoint
 from sparsehawkes.lazy import accumulate_lazy_gradient
 from sparsehawkes.model import NumericalDivergenceError, softplus_inv
 from sparsehawkes.train import (
+    _PAIRWISE_MAX,
     AdamState,
-    SequenceGradient,
     TrainConfig,
     TrainingDivergedError,
-    adam_step,
+    _adam_rows,
     init_params,
     train,
     train_parallel,
@@ -46,15 +46,15 @@ def small_params(n=5, d=2, seed=0):
 
 
 def make_grad(entities, n, d, fill=0.0, beta=0.0):
-    a = len(entities)
-    return SequenceGradient(
-        entities=np.asarray(entities, dtype=np.int64),
-        d_theta_mu=np.full(a, fill),
-        d_theta_self=np.full(a, fill),
-        d_theta_u=np.full((a, d), fill),
-        d_theta_v=np.full((a, d), fill),
-        d_theta_beta=beta,
-    )
+    """Arguments ``(idx, rows, d_beta)`` of one Adam step on rows ``[u | v | mu | self]``."""
+    return np.asarray(entities, dtype=np.int64), np.full((len(entities), 2 * d + 2), fill), beta
+
+
+def as_rows(grads):
+    """A :class:`~sparsehawkes.lazy.SequenceGradient` as ``make_grad``'s triple."""
+    rows = np.concatenate([grads.d_theta_u, grads.d_theta_v, grads.d_theta_mu[:, None],
+                           grads.d_theta_self[:, None]], axis=1)
+    return grads.entities, rows, grads.d_theta_beta
 
 
 def test_config_validation():
@@ -77,7 +77,7 @@ def test_adam_zero_gradient_is_a_noop():
     params = small_params()
     before = params.copy()
     state = AdamState.zeros(5, 2)
-    adam_step(state, make_grad([1, 3], 5, 2, fill=0.0), TrainConfig(), params)
+    _adam_rows(state, *make_grad([1, 3], 5, 2, fill=0.0), TrainConfig(), params)
     np.testing.assert_array_equal(params.theta_mu, before.theta_mu)
     np.testing.assert_array_equal(params.theta_self, before.theta_self)
     np.testing.assert_array_equal(params.theta_u, before.theta_u)
@@ -93,10 +93,10 @@ def test_adam_constant_gradient_approaches_bounded_step():
     state = AdamState.zeros(3, 2)
     g = make_grad([0, 1, 2], 3, 2, fill=0.7, beta=-1.3)
     for _ in range(1000):
-        adam_step(state, g, config, params)
+        _adam_rows(state, *g, config, params)
     mu_before = params.theta_mu.copy()
     beta_before = params.theta_beta
-    adam_step(state, g, config, params)
+    _adam_rows(state, *g, config, params)
     mu_move = params.theta_mu - mu_before
     beta_move = params.theta_beta - beta_before
     np.testing.assert_allclose(mu_move, 0.01, rtol=0.01)
@@ -108,7 +108,7 @@ def test_adam_untouched_rows_completely_frozen():
     before = params.copy()
     state = AdamState.zeros(6, 3)
     rest = [0, 2, 4, 5]
-    adam_step(state, make_grad([1, 3], 6, 3, fill=0.5, beta=0.2), TrainConfig(), params)
+    _adam_rows(state, *make_grad([1, 3], 6, 3, fill=0.5, beta=0.2), TrainConfig(), params)
     np.testing.assert_array_equal(params.theta_mu[rest], before.theta_mu[rest])
     np.testing.assert_array_equal(params.theta_self[rest], before.theta_self[rest])
     np.testing.assert_array_equal(params.theta_u[rest], before.theta_u[rest])
@@ -212,7 +212,7 @@ def test_one_step_touches_only_active_entities():
         state = AdamState.zeros(n, d)
         grads = lazy_sequence_gradients(params, seq, caches, data, check_caches=False)
         old = params.theta_u[grads.entities].copy()
-        adam_step(state, grads, config, params)
+        _adam_rows(state, *as_rows(grads), config, params)
         for k, x in enumerate(grads.entities):
             update_u_hat(caches, int(x), old[k], params.theta_u[x])
         return params, caches
@@ -227,7 +227,7 @@ def test_one_step_touches_only_active_entities():
     state = AdamState.zeros(n, d)
     grads = lazy_sequence_gradients(poisoned, seq, caches, data, check_caches=False)
     old = poisoned.theta_u[grads.entities].copy()
-    adam_step(state, grads, config, poisoned)
+    _adam_rows(state, *as_rows(grads), config, poisoned)
     for k, x in enumerate(grads.entities):
         update_u_hat(caches, int(x), old[k], poisoned.theta_u[x])
 
@@ -401,6 +401,23 @@ def test_train_reproduces_reference_trajectory():
     assert oracles.rel_close(oracles.pack(params), oracles.pack(want), rtol=1e-10)
     assert oracles.rel_close(report.epoch_loglik, want_ll, rtol=1e-12)
     assert report.decay_steps == 3 * sum(1 for s in data.sequences if len(s))
+
+
+def test_step_sends_only_long_sequences_to_the_banded_scan(monkeypatch):
+    banded = []
+    real = train_module.batch_sequence_stats
+
+    def spy(params, seqs, gradients=False, subset=None):
+        banded.append(subset)
+        return real(params, seqs, gradients, subset)
+
+    monkeypatch.setattr(train_module, "batch_sequence_stats", spy)
+    rng = np.random.default_rng(20)
+    seqs = [Sequence.from_arrays(np.sort(rng.uniform(0.0, 50.0, m)), rng.integers(0, 6, m), 50.0)
+            for m in (1, 5, _PAIRWISE_MAX, _PAIRWISE_MAX + 1, 0, 250)]
+    _, report = train(Dataset(6, seqs), TrainConfig(epochs=2, dim=2, log_every=100))
+    assert banded == [(3, 4), (5, 6)] * 2
+    assert np.isfinite(report.epoch_loglik).all()
 
 
 def test_init_params_counts_events_across_empty_sequences():
