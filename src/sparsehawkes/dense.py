@@ -3,8 +3,9 @@
 This engine charges every entity's compensator in every sequence directly,
 so its cost scales with the product of entity count and sequence count.
 It exists as the trustworthy slow path: the sparse engine must reproduce its
-values to tight tolerance, and it in turn is validated against brute-force
-history sums and finite differences in the test suite.
+values to tight tolerance, and it in turn is checked against the brute-force
+history sums (``loglik_brute``) and finite differences (``fd_gradient``) of
+the test suite's ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -52,14 +53,6 @@ class GradientBuffer:
         ])
 
 
-def _sequence_digest(seq) -> bytes:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.float64(seq.horizon).tobytes())
-    h.update(seq.times.tobytes())
-    h.update(seq.entities.tobytes())
-    return h.digest()
-
-
 def _canonical_order(data: Dataset) -> list[int]:
     """Content-determined traversal order.
 
@@ -67,7 +60,16 @@ def _canonical_order(data: Dataset) -> list[int]:
     content (not list position) makes the final floating-point sums identical
     under any permutation of the dataset.
     """
-    return sorted(range(len(data.sequences)), key=lambda k: _sequence_digest(data.sequences[k]))
+    bounds = data.offsets.tolist()
+
+    def digest(k: int) -> bytes:
+        h = hashlib.blake2b(digest_size=16)
+        h.update(data.horizons[k].tobytes())
+        h.update(data.times[bounds[k]:bounds[k + 1]].tobytes())
+        h.update(data.labels[bounds[k]:bounds[k + 1]].tobytes())
+        return h.digest()
+
+    return sorted(range(len(data)), key=digest)
 
 
 def dense_log_likelihood(params: ModelParams, data: Dataset) -> float:
@@ -76,11 +78,13 @@ def dense_log_likelihood(params: ModelParams, data: Dataset) -> float:
     mu_total = float(params.mu().sum())
     beta = checked_beta(params)
     batch = batch_sequence_stats(params, data)
+    start = batch.seq_slot_start
+    loglam, horizons = batch.loglam.tolist(), batch.horizons.tolist()
     terms = []
-    for k, seq in enumerate(data.sequences):
-        st = batch.stats(k)
-        comp = (u_full @ st.z).sum() + st.c_act @ st.q
-        terms.append(st.loglam - seq.horizon * mu_total - comp / beta)
+    for k in range(len(data)):
+        sl = slice(start[k], start[k + 1])
+        comp = (u_full @ batch.z[k]).sum() + batch.c_slot[sl] @ batch.q[sl]
+        terms.append(loglam[k] - horizons[k] * mu_total - comp / beta)
     total = math.fsum(terms)
     if not math.isfinite(total):
         raise NumericalDivergenceError(f"log-likelihood is not finite: {total!r}")

@@ -22,16 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import GradientBuffer
-from .model import Dataset, ModelParams, NumericalDivergenceError, Sequence, softplus, softplus_grad
+from .model import Dataset, ModelParams, NumericalDivergenceError, softplus, softplus_grad
 from .scan import BatchStats, batch_sequence_stats
 
 __all__ = [
     "StaleCacheError",
     "LazyCaches",
-    "SequenceGradient",
     "build_caches",
     "lazy_log_likelihood",
-    "lazy_sequence_gradients",
     "accumulate_lazy_gradient",
     "update_u_hat",
 ]
@@ -70,18 +68,6 @@ class LazyCaches:
                 "caches were built from different parameter values; rebuild them "
                 "or pass check_caches=False if the drift is intentional"
             )
-
-
-@dataclass
-class SequenceGradient:
-    """Gradient contribution of a single sequence, touching only its entities."""
-
-    entities: np.ndarray        # (a,) sorted entity ids
-    d_theta_mu: np.ndarray      # (a,)
-    d_theta_self: np.ndarray    # (a,)
-    d_theta_u: np.ndarray       # (a, d)
-    d_theta_v: np.ndarray       # (a, d)
-    d_theta_beta: float
 
 
 def build_caches(params: ModelParams, data: Dataset) -> LazyCaches:
@@ -211,36 +197,6 @@ def _slot_gradients(
         cq_beta = np.bincount(bs.slot_seq, weights=bs.c_slot * bs.q_beta, minlength=ns)
     g_beta = bs.beta_log + (uz + cq) / beta**2 - (uz_beta + cq_beta) / beta
     return rows, g_beta * params.beta_grad()
-
-
-def lazy_sequence_gradients(
-    params: ModelParams,
-    seq: Sequence,
-    caches: LazyCaches,
-    data: Dataset,
-    check_caches: bool = False,
-) -> SequenceGradient:
-    """Gradient contribution of one sequence, sparse over its active entities.
-
-    The returned block rows line up with ``entities``.  Summed over all
-    sequences (plus the closed-form corrections for never-active entities,
-    see :func:`accumulate_lazy_gradient`) this reproduces the dense gradient.
-    The cached ``z_hat`` is consumed in per-active-sequence shares, so during
-    training it may deliberately lag the parameters by one epoch.
-    """
-    if check_caches:
-        caches.check(params)
-    bs = batch_sequence_stats(params, [seq], gradients=True)
-    rows, g_beta = _slot_gradients(params, bs, caches, data.activity_count)
-    d = params.dim
-    return SequenceGradient(
-        entities=bs.slot_entity,
-        d_theta_mu=rows[:, 2 * d],
-        d_theta_self=rows[:, 2 * d + 1],
-        d_theta_u=rows[:, :d],
-        d_theta_v=rows[:, d:2 * d],
-        d_theta_beta=float(g_beta[0]),
-    )
 
 
 def accumulate_lazy_gradient(

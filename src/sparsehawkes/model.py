@@ -29,12 +29,7 @@ __all__ = [
     "Sequence",
     "Dataset",
     "ModelParams",
-    "alpha",
-    "alpha_row",
     "influence_matrix",
-    "intensity",
-    "compensator",
-    "SequenceScan",
 ]
 
 
@@ -204,7 +199,7 @@ class Dataset:
     """
 
     __slots__ = ("num_entities", "offsets", "times", "labels", "horizons", "activity_count",
-                 "_sequences", "_index", "_flat", "_slots", "_frame")
+                 "_sequences", "_flat", "_slots", "_frame")
 
     def __init__(self, num_entities: int, sequences: SequenceType[Sequence]):
         sequences = list(sequences)
@@ -249,7 +244,7 @@ class Dataset:
         nonempty = np.flatnonzero(lengths)
         self._flat = (horizons, nonempty, lengths[nonempty], times, labels)
         self._frame = (seq_of, tail, times - times[offsets[seq_of]])
-        self._index = self._slots = None
+        self._slots = None
         self.activity_count = np.bincount(self.slot_tables()[2], minlength=num_entities)
 
     @property
@@ -261,16 +256,6 @@ class Dataset:
             self._sequences = [Sequence._view(self.times[a:b], self.labels[a:b], h) for a, b, h
                                in zip(bounds, bounds[1:], self.horizons.tolist())]
         return self._sequences
-
-    @property
-    def active_index(self) -> list[list[int]]:
-        """Positions of the sequences with an event of each entity, built on first use."""
-        if self._index is None:
-            _, slot_seq, slot_entity, _, _ = self.slot_tables()
-            self._index = [[] for _ in range(self.num_entities)]
-            for k, x in zip(slot_seq.tolist(), slot_entity.tolist()):
-                self._index[x].append(k)
-        return self._index
 
     def __len__(self) -> int:
         return len(self.horizons)
@@ -438,26 +423,6 @@ class ModelParams:
         return ModelParams.from_block(self.theta.copy(), self.theta_beta, self.dim)
 
 
-def alpha(params: ModelParams, x: int, y: int) -> float:
-    """Influence of an event by entity y on the rate of entity x."""
-    if x == y:
-        return float(softplus(params.theta_self[x]))
-    u = softplus(params.theta_u[x])
-    v = softplus(params.theta_v[y])
-    return float(u @ v)
-
-
-def alpha_row(params: ModelParams, x: int, ys: np.ndarray) -> np.ndarray:
-    """Vector of influences alpha[x, y] for an array of source entities y."""
-    ys = np.asarray(ys, dtype=np.int64)
-    u = softplus(params.theta_u[x])
-    out = softplus(params.theta_v[ys]) @ u
-    diag = ys == x
-    if np.any(diag):
-        out[diag] = softplus(params.theta_self[x])
-    return out
-
-
 def influence_matrix(params: ModelParams) -> np.ndarray:
     """Materialize the full (n, n) influence matrix.
 
@@ -471,118 +436,3 @@ def influence_matrix(params: ModelParams) -> np.ndarray:
     mat = u @ v.T
     np.fill_diagonal(mat, params.self_rates())
     return mat
-
-
-def intensity(params: ModelParams, seq: Sequence, x: int, t: float) -> float:
-    """Conditional rate of entity x at time t given the history before t.
-
-    Direct summation over prior events; the definitional form, linear in the
-    sequence length.
-    """
-    mask = seq.times < t
-    if not np.any(mask):
-        return float(softplus(params.theta_mu[x]))
-    beta = params.beta()
-    decays = np.exp(-beta * (t - seq.times[mask]))
-    excitation = alpha_row(params, x, seq.entities[mask]) @ decays
-    return float(softplus(params.theta_mu[x]) + excitation)
-
-
-def compensator(params: ModelParams, seq: Sequence, x: int) -> float:
-    """Integral of the rate of entity x over [0, horizon], in closed form."""
-    mu_x = float(softplus(params.theta_mu[x]))
-    if len(seq) == 0:
-        return mu_x * seq.horizon
-    beta = params.beta()
-    w = -np.expm1(-beta * (seq.horizon - seq.times))
-    return mu_x * seq.horizon + float(alpha_row(params, x, seq.entities) @ w) / beta
-
-
-class SequenceScan:
-    """Recursive decay state for one left-to-right pass over a sequence.
-
-    Carries the shared embedding-space excitation (``decay_vector``, the sum
-    of emitting embeddings of past events, decayed to the current time) and a
-    per-active-entity scalar (``self_decay``) counting decayed past events of
-    that same entity.  Together they reconstruct every event intensity in
-    constant work per event instead of a quadratic history sum.
-
-    With ``track_beta=True`` the state also carries the derivative of both
-    quantities with respect to the decay parameter.
-    """
-
-    __slots__ = (
-        "beta",
-        "decay_vector",
-        "self_decay",
-        "last_time",
-        "track_beta",
-        "decay_vector_dbeta",
-        "_self_last",
-        "_self_dbeta",
-        "_theta_v",
-        "_v_rows",
-    )
-
-    def __init__(self, params: ModelParams, track_beta: bool = False):
-        self.beta = params.beta()
-        # Emitting embeddings are gathered one entity at a time on first use,
-        # so constructing and running a scan never touches entities outside
-        # the sequence.
-        self._theta_v = params.theta_v
-        self._v_rows: dict[int, np.ndarray] = {}
-        self.decay_vector = np.zeros(params.dim)
-        self.self_decay: dict[int, float] = {}
-        self.last_time = 0.0
-        self.track_beta = bool(track_beta)
-        self.decay_vector_dbeta = np.zeros(params.dim) if track_beta else None
-        self._self_last: dict[int, float] = {}
-        self._self_dbeta: dict[int, float] = {}
-
-    def _v_row(self, entity: int) -> np.ndarray:
-        row = self._v_rows.get(entity)
-        if row is None:
-            row = softplus(self._theta_v[entity])
-            self._v_rows[entity] = row
-        return row
-
-    def advance(self, time: float, entity: int):
-        """Move the scan to ``time``, consume the event there, and return the
-        pre-event state.
-
-        Returns ``(decay_vector, self_decay)`` evaluated just before the
-        event, or a 4-tuple with their beta-derivatives appended when
-        ``track_beta`` is on.  The returned vector is a live view; callers
-        that keep it must copy.
-        """
-        if time < self.last_time:
-            raise ValueError("scan times must be non-decreasing")
-        entity = int(entity)
-        dt = time - self.last_time
-        decay = math.exp(-self.beta * dt)
-        if self.track_beta:
-            # d/dbeta of e^{-beta dt} S pulls down a -dt factor on the decayed part.
-            self.decay_vector_dbeta *= decay
-            self.decay_vector_dbeta -= dt * decay * self.decay_vector
-        self.decay_vector *= decay
-        self.last_time = time
-
-        r_last = self._self_last.get(entity, 0.0)
-        r_dt = time - r_last
-        r_decay = math.exp(-self.beta * r_dt)
-        r = self.self_decay.get(entity, 0.0)
-        r_at = r * r_decay
-        if self.track_beta:
-            rp = self._self_dbeta.get(entity, 0.0)
-            rp_at = r_decay * (rp - r_dt * r)
-            self._self_dbeta[entity] = rp_at
-        self.self_decay[entity] = r_at + 1.0
-        self._self_last[entity] = time
-
-        out_vec = self.decay_vector
-        self.decay_vector = self.decay_vector + self._v_row(entity)
-        if self.track_beta:
-            out = (out_vec, r_at, self.decay_vector_dbeta, rp_at)
-            self.decay_vector_dbeta = self.decay_vector_dbeta.copy()
-            return out
-        return out_vec, r_at

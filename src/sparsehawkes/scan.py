@@ -7,20 +7,19 @@ scan.  Computing them in a single place keeps the two engines honest about
 operating on identical per-event quantities while they differ in how they
 charge the inactive entities.
 
-Three implementations live here.  ``sequence_stats_reference`` walks events
-one by one through :class:`~.model.SequenceScan` and is kept as the slow,
-obviously-correct formulation the tests compare against.
-``batch_sequence_stats`` computes the same sums with array prefix scans on a
-:class:`~.model.Dataset`'s cached flat layout and per-event frame, the one
-place a layout is built; the engines scan all sequences with it, and a
-training step slices out one long sequence.  ``pairwise_sequence_stats``
-computes one sequence's gradient statistics from its (m, m) decay kernel;
-a training step uses it for short sequences, where the banded scan's fixed
-cost of building bands, carries and groupings outweighs m squared products.
-It rounds differently, so ``subset=`` scans stay bit-identical to slices of
-the full scan only because they keep the banded path.  A scan gathers its
-slots' raw parameter rows once, activates them with one softplus and checks
-the decay rate once, for every consumer of its result.
+Two implementations live here.  ``batch_sequence_stats`` computes the sums
+with array prefix scans on a :class:`~.model.Dataset`'s cached flat layout
+and per-event frame, the one place a layout is built; the engines scan all
+sequences with it, and a training step slices out one long sequence with
+``subset=``.  ``pairwise_sequence_stats`` computes one sequence's gradient
+statistics from its (m, m) decay kernel; a training step uses it for short
+sequences, where the banded scan's fixed cost of building bands, carries and
+groupings outweighs m squared products.  It rounds differently, so
+``subset=`` scans stay bit-identical to slices of the full scan only because
+they keep the banded path.  A scan gathers its slots' raw parameter rows
+once, activates them with one softplus and checks the decay rate once, for
+every consumer of its result.  The tests check the banded scan against the
+event-by-event (Ozaki 1979) recursion kept in ``tests/oracles.py``.
 
 In the banded scan the decayed sums are linear recurrences whose closed form
 is a prefix sum of ``exp(beta*t_j) * value_j`` rescaled by
@@ -42,24 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Dataset,
-    ModelParams,
-    NumericalDivergenceError,
-    Sequence,
-    SequenceScan,
-    checked_beta,
-    softplus,
-)
+from .model import Dataset, ModelParams, NumericalDivergenceError, checked_beta, softplus
 
-__all__ = [
-    "SequenceStats",
-    "BatchStats",
-    "sequence_stats",
-    "batch_sequence_stats",
-    "pairwise_sequence_stats",
-    "sequence_stats_reference",
-]
+__all__ = ["BatchStats", "batch_sequence_stats", "pairwise_sequence_stats"]
 
 # Width of one phase band.  exp(350) ~ 1e152: two such factors still fit in a
 # double, so products of one stored exponential with one carry never overflow.
@@ -69,149 +53,6 @@ _BAND_WIDTH = 350.0
 # ones get an individual pass.  Keeps the padded scratch array small while
 # bounding the per-band Python overhead to the rare long bands.
 _PAD_CAP = 16
-
-
-@dataclass
-class SequenceStats:
-    """Per-sequence sums, all indexed by local position in ``active``.
-
-    ``z`` is the decay-weighted sum of emitting embeddings over the events,
-    the quantity that carries a sequence's compensator mass; ``q`` is its
-    per-entity scalar analogue for the diagonal correction.  The ``*_beta``
-    fields hold derivatives of the same sums with respect to the decay
-    parameter and are only filled when gradients were requested, as are the
-    per-entity log-domain accumulators.
-    """
-
-    active: np.ndarray          # (a,) sorted distinct entities
-    mu_act: np.ndarray          # (a,) background rates of active entities
-    u_act: np.ndarray           # (a, d) receiving embeddings
-    v_act: np.ndarray           # (a, d) emitting embeddings
-    c_act: np.ndarray           # (a,) diagonal correction s_x - u_x.v_x
-    counts: np.ndarray          # (a,) events per active entity
-    loglam: float               # sum of log-intensities at the events
-    z: np.ndarray               # (d,)
-    q: np.ndarray               # (a,)
-    inv_lam: np.ndarray | None = None      # (a,) sum of 1/lambda at own events
-    r_over_lam: np.ndarray | None = None   # (a,) sum of R/lambda
-    s_over_lam: np.ndarray | None = None   # (a, d) sum of S/lambda
-    p_rev: np.ndarray | None = None        # (a, d) reverse-scan totals
-    beta_log: float = 0.0                  # d/dbeta of the log-intensity sum
-    z_beta: np.ndarray | None = None       # (d,) d/dbeta companion of z*beta form
-    q_beta: np.ndarray | None = None       # (a,)
-
-
-def _empty_stats(d: int, gradients: bool) -> SequenceStats:
-    empty = np.empty(0, dtype=np.int64)
-    zeros_a = np.zeros(0)
-    return SequenceStats(
-        active=empty,
-        mu_act=zeros_a,
-        u_act=np.zeros((0, d)),
-        v_act=np.zeros((0, d)),
-        c_act=zeros_a,
-        counts=empty.copy(),
-        loglam=0.0,
-        z=np.zeros(d),
-        q=zeros_a,
-        inv_lam=zeros_a if gradients else None,
-        r_over_lam=zeros_a.copy() if gradients else None,
-        s_over_lam=np.zeros((0, d)) if gradients else None,
-        p_rev=np.zeros((0, d)) if gradients else None,
-        beta_log=0.0,
-        z_beta=np.zeros(d) if gradients else None,
-        q_beta=zeros_a.copy() if gradients else None,
-    )
-
-
-def sequence_stats_reference(
-    params: ModelParams, seq: Sequence, gradients: bool = False
-) -> SequenceStats:
-    """Event-by-event scan of one sequence under fixed parameters.
-
-    Linear in events times embedding dimension, touching only entities that
-    appear in the sequence.  This is the original stepwise formulation; the
-    engines use the array implementation, which the test suite checks against
-    this one.
-    """
-    n = len(seq)
-    d = params.dim
-    if n == 0:
-        return _empty_stats(d, gradients)
-
-    active, loc = np.unique(seq.entities, return_inverse=True)
-    a = len(active)
-    mu_act = softplus(params.theta_mu[active])
-    u_act = softplus(params.theta_u[active])
-    v_act = softplus(params.theta_v[active])
-    s_act = softplus(params.theta_self[active])
-    c_act = s_act - np.einsum("ij,ij->i", u_act, v_act)
-    beta = params.beta()
-    counts = np.bincount(loc, minlength=a).astype(np.int64)
-
-    tail = seq.horizon - seq.times
-    w = -np.expm1(-beta * tail)
-    v_events = v_act[loc]
-    z = w @ v_events
-    q = np.bincount(loc, weights=w, minlength=a)
-
-    times = seq.times
-    entities = seq.entities
-    scan = SequenceScan(params, track_beta=gradients)
-    loglams = []
-    if gradients:
-        lam_arr = np.empty(n)
-        inv_lam = np.zeros(a)
-        r_over_lam = np.zeros(a)
-        s_over_lam = np.zeros((a, d))
-        beta_terms = []
-    for i in range(n):
-        li = loc[i]
-        if gradients:
-            s_vec, r, s_dbeta, r_dbeta = scan.advance(times[i], entities[i])
-        else:
-            s_vec, r = scan.advance(times[i], entities[i])
-        lam = mu_act[li] + u_act[li] @ s_vec + c_act[li] * r
-        if not (lam > 0.0) or not math.isfinite(lam):
-            raise NumericalDivergenceError(
-                f"non-positive intensity {lam!r} at event index {i} (t={times[i]!r})"
-            )
-        loglams.append(math.log(lam))
-        if gradients:
-            lam_arr[i] = lam
-            inv_lam[li] += 1.0 / lam
-            r_over_lam[li] += r / lam
-            s_over_lam[li] += s_vec / lam
-            beta_terms.append((u_act[li] @ s_dbeta + c_act[li] * r_dbeta) / lam)
-
-    loglam = math.fsum(loglams)
-    if not gradients:
-        return SequenceStats(
-            active=active, mu_act=mu_act, u_act=u_act, v_act=v_act, c_act=c_act,
-            counts=counts, loglam=loglam, z=z, q=q,
-        )
-
-    # Reverse scan: for each event j, the decayed sum over later events i of
-    # u_{y_i}/lambda_i, which is the coefficient v_{y_j} receives from all
-    # log-intensity terms it feeds into.
-    p_rev = np.zeros((a, d))
-    p = np.zeros(d)
-    for j in range(n - 1, -1, -1):
-        if j < n - 1:
-            decay = math.exp(-beta * (times[j + 1] - times[j]))
-            p = decay * (p + u_act[loc[j + 1]] / lam_arr[j + 1])
-        p_rev[loc[j]] += p
-
-    e_tail = tail * np.exp(-beta * tail)
-    z_beta = e_tail @ v_events
-    q_beta = np.bincount(loc, weights=e_tail, minlength=a)
-
-    return SequenceStats(
-        active=active, mu_act=mu_act, u_act=u_act, v_act=v_act, c_act=c_act,
-        counts=counts, loglam=loglam, z=z, q=q,
-        inv_lam=inv_lam, r_over_lam=r_over_lam, s_over_lam=s_over_lam,
-        p_rev=p_rev, beta_log=math.fsum(beta_terms), z_beta=z_beta, q_beta=q_beta,
-    )
 
 
 def _banded_excl_scan(x, band_first, band_len, band_of, pos, reverse=False):
@@ -312,15 +153,13 @@ class BatchStats:
     """Scan results for a whole dataset, laid out as flat slot tables.
 
     A slot is one (sequence, active entity) pair; slots are sorted by
-    sequence then entity, so ``seq_slot_start`` exposes each sequence's
-    block and :meth:`stats` can slice out a :class:`SequenceStats` view.
-    Per-sequence arrays are indexed by position in the original sequence
-    list, with zero rows for empty sequences.
+    sequence then entity, and sequence ``k`` owns slots
+    ``seq_slot_start[k]:seq_slot_start[k + 1]``.  Per-sequence arrays are
+    indexed by dataset position (from ``start`` for a ``subset=`` scan), with
+    zero rows for empty sequences.  Gradient fields are None unless requested.
     """
 
-    dim: int
     num_seqs: int
-    gradients: bool
     beta: float                 # decay rate, checked once per scan
     horizons: np.ndarray        # (ns,)
     loglam: np.ndarray          # (ns,)
@@ -347,38 +186,11 @@ class BatchStats:
         """Number of active entities per sequence."""
         return np.diff(self.seq_slot_start)
 
-    def stats(self, k: int) -> SequenceStats:
-        """Slice sequence ``k``'s statistics out of the slot tables."""
-        o0 = int(self.seq_slot_start[k])
-        o1 = int(self.seq_slot_start[k + 1])
-        sl = slice(o0, o1)
-        g = self.gradients
-        return SequenceStats(
-            active=self.slot_entity[sl],
-            mu_act=self.mu_slot[sl],
-            u_act=self.u_slot[sl],
-            v_act=self.v_slot[sl],
-            c_act=self.c_slot[sl],
-            counts=self.counts[sl],
-            loglam=float(self.loglam[k]),
-            z=self.z[k],
-            q=self.q[sl],
-            inv_lam=self.inv_lam[sl] if g else None,
-            r_over_lam=self.r_over_lam[sl] if g else None,
-            s_over_lam=self.s_over_lam[sl] if g else None,
-            p_rev=self.p_rev[sl] if g else None,
-            beta_log=float(self.beta_log[k]) if g else 0.0,
-            z_beta=self.z_beta[k] if g else None,
-            q_beta=self.q_beta[sl] if g else None,
-        )
-
 
 def _empty_batch(d: int, beta: float, ns: int, horizons: np.ndarray, gradients: bool) -> BatchStats:
     no_slots = np.empty(0, dtype=np.int64)
     return BatchStats(
-        dim=d,
         num_seqs=ns,
-        gradients=gradients,
         beta=beta,
         horizons=horizons,
         loglam=np.zeros(ns),
@@ -402,20 +214,17 @@ def _empty_batch(d: int, beta: float, ns: int, horizons: np.ndarray, gradients: 
     )
 
 
-def batch_sequence_stats(
-    params: ModelParams, seqs, gradients: bool = False, subset: tuple[int, int] | None = None
-) -> BatchStats:
-    """Scan every sequence in one shot using banded prefix sums.
+def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = False,
+                         subset: tuple[int, int] | None = None) -> BatchStats:
+    """Scan every sequence of ``data`` in one shot using banded prefix sums.
 
-    ``seqs`` is a :class:`~.model.Dataset`, whose cached layout is reused, or
-    a list of sequences, which is wrapped in one.  ``subset=(start, stop)``
-    scans only those dataset positions, sliced out of the cached layout, with
+    The dataset's cached layout is reused.  ``subset=(start, stop)`` scans
+    only those dataset positions, sliced out of the cached layout, with
     results indexed from ``start`` and bit-identical to a full scan's.
-    Produces the same per-sequence quantities as the reference scan, with
-    work dominated by a fixed number of array passes over the concatenated
-    events instead of per-event interpreter steps.
+    Produces the quantities of the event-by-event recursion, with work
+    dominated by a fixed number of array passes over the concatenated events
+    instead of per-event interpreter steps.
     """
-    data = seqs if isinstance(seqs, Dataset) else Dataset(params.num_entities, seqs)
     beta = checked_beta(params)
     horizons, _, _, t, lab = data.flat_events()
     seq_ev, tail, trel = data.event_frame()
@@ -549,7 +358,7 @@ def batch_sequence_stats(
 
     if not gradients:
         return BatchStats(
-            dim=d, num_seqs=ns, gradients=False, beta=beta, horizons=horizons,
+            num_seqs=ns, beta=beta, horizons=horizons,
             loglam=loglam, z=z,
             slot_seq=slot_seq, slot_entity=slot_entity,
             seq_slot_start=seq_slot_start, counts=counts, q=q,
@@ -598,7 +407,7 @@ def batch_sequence_stats(
     q_beta = sums[:, 2 * d + 2]
 
     return BatchStats(
-        dim=d, num_seqs=ns, gradients=True, beta=beta, horizons=horizons,
+        num_seqs=ns, beta=beta, horizons=horizons,
         loglam=loglam, z=z,
         slot_seq=slot_seq, slot_entity=slot_entity,
         seq_slot_start=seq_slot_start, counts=counts, q=q,
@@ -683,7 +492,7 @@ def pairwise_sequence_stats(params: ModelParams, data: Dataset, k: int) -> Batch
         sums = np.equal.outer(np.arange(a), loc) @ stacked
     z_beta, z = stacked[:, 2 * d + 2:].T @ v_ev
     return BatchStats(
-        dim=d, num_seqs=1, gradients=True, beta=beta, horizons=horizons,
+        num_seqs=1, beta=beta, horizons=horizons,
         loglam=np.log(lam).sum(keepdims=True), z=z[None],
         slot_seq=np.zeros(a, dtype=np.int64), slot_entity=slot_entity,
         seq_slot_start=np.array([0, a]), counts=counts[s0:s1], q=sums[:, 2 * d + 3],
@@ -692,12 +501,3 @@ def pairwise_sequence_stats(params: ModelParams, data: Dataset, k: int) -> Batch
         p_rev=sums[:, d:2 * d], beta_log=beta_ev.sum(keepdims=True), z_beta=z_beta[None],
         q_beta=sums[:, 2 * d + 2],
     )
-
-
-def sequence_stats(params: ModelParams, seq: Sequence, gradients: bool = False) -> SequenceStats:
-    """Scan one sequence under fixed parameters.
-
-    Work is linear in the number of events times the embedding dimension and
-    touches only entities that appear in the sequence.
-    """
-    return batch_sequence_stats(params, [seq], gradients=gradients).stats(0)

@@ -260,6 +260,23 @@ def _step(params: ModelParams, data: Dataset, k: int, caches: LazyCaches, state:
     return bs.z[0]
 
 
+def _start(data: Dataset, config: TrainConfig, init: ModelParams | None):
+    """The start-up :func:`train` and :func:`train_parallel` share: the seeded
+    generator, a copy of ``init`` (else :func:`init_params`), its caches, an
+    empty report, the last good snapshot and the mask of non-empty sequences."""
+    rng = np.random.default_rng(config.seed)
+    if init is None:
+        params = init_params(data, config, rng)
+    else:
+        if init.num_entities != data.num_entities:
+            raise ValueError(
+                f"init covers {init.num_entities} entities, data has {data.num_entities}"
+            )
+        params = init.copy()
+    nonempty = np.diff(data.event_offsets()) > 0
+    return rng, params, build_caches(params, data), TrainReport(), params.copy(), nonempty
+
+
 def train(
     data: Dataset,
     config: TrainConfig,
@@ -271,21 +288,9 @@ def train(
     seeded shuffle.  Reported likelihoods are exact, computed against rebuilt
     caches after each epoch.
     """
-    rng = np.random.default_rng(config.seed)
-    if init is None:
-        params = init_params(data, config, rng)
-    else:
-        if init.num_entities != data.num_entities:
-            raise ValueError(
-                f"init covers {init.num_entities} entities, data has {data.num_entities}"
-            )
-        params = init.copy()
-    caches = build_caches(params, data)
+    rng, params, caches, report, last_good, nonempty = _start(data, config, init)
     state = AdamState.zeros(params.num_entities, params.dim)
-    report = TrainReport()
-    last_good = params.copy()
     base_order = np.arange(len(data))
-    nonempty = np.diff(data.event_offsets()) > 0
 
     for epoch in range(1, config.epochs + 1):
         start = time.perf_counter()
@@ -383,7 +388,8 @@ def _collect(queue, workers, epoch: int) -> dict:
     return results
 
 
-def train_parallel(data: Dataset, config: TrainConfig) -> tuple[ModelParams, TrainReport]:
+def train_parallel(data: Dataset, config: TrainConfig,
+                   init: ModelParams | None = None) -> tuple[ModelParams, TrainReport]:
     """Lock-free parallel training over forked workers and shared memory.
 
     Sequences are split into one static shard per worker; each epoch forks
@@ -393,14 +399,13 @@ def train_parallel(data: Dataset, config: TrainConfig) -> tuple[ModelParams, Tra
     the receiving-total drift, rebuilds it, and reports the exact likelihood.
     Results match sequential training statistically, not bitwise.  A worker
     that dies raises an error naming it and the epoch; the others are reaped.
+    ``init`` warm-starts it as it does :func:`train`.
     """
     if config.threads < 2:
         raise ValueError("train_parallel needs threads >= 2; use train for one")
     ctx = multiprocessing.get_context("fork")
-    rng = np.random.default_rng(config.seed)
-    seed_params = init_params(data, config, rng)
-    n = data.num_entities
-    d = config.dim
+    rng, seed_params, caches, report, last_good, nonempty = _start(data, config, init)
+    n, d = seed_params.num_entities, seed_params.dim
 
     params = ModelParams.from_block(_shared_array((n, 2 * d + 2)), seed_params.theta_beta, d)
     params.theta[:] = seed_params.theta
@@ -412,15 +417,10 @@ def train_parallel(data: Dataset, config: TrainConfig) -> tuple[ModelParams, Tra
     state = AdamState(
         _shared_array((n, 2 * d + 2)), _shared_array((n, 2 * d + 2)), _shared_array((n,), np.int64)
     )
-    caches = build_caches(params, data)
     shared_u_hat = _shared_array((d,))
     shared_u_hat[:] = caches.u_hat
     caches.u_hat = shared_u_hat
-
-    report = TrainReport()
-    last_good = params.copy()
     base_order = np.arange(len(data))
-    nonempty = np.diff(data.event_offsets()) > 0
 
     for epoch in range(1, config.epochs + 1):
         start = time.perf_counter()

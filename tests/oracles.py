@@ -1,16 +1,31 @@
 """Independent slow-path oracles used across the test suite.
 
-Everything here is written against the math directly, scalar loops and all,
-sharing no code with the package's evaluation paths.  Quadratic cost is the
-point: these are only run on small instances.
+The brute-force oracles (``alpha_brute``, ``intensity_brute``,
+``compensator_brute``, ``loglik_brute``, ``fd_gradient``) are written against
+the math directly, scalar loops and all, sharing no code with the package's
+evaluation paths.  Quadratic cost is the point: these are only run on small
+instances.
+
+The rest are earlier formulations of package code, kept here because tests
+compare the package against them:
+
+- ``SequenceScan`` and ``sequence_stats_reference``: the event-by-event
+  (Ozaki 1979) recursion that the banded scan vectorises, returning one
+  sequence's statistics as a ``SequenceStats``; ``stats_at`` slices the same
+  fields out of a scan's ``BatchStats``.  They reuse the package's
+  ``softplus`` and ``ModelParams.beta``.
+- ``reference_train``: the first per-sequence training step, run on that
+  scan.
+- ``reference_read_cascade_file``: the line-by-line cascade parser.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from sparsehawkes.data_io import CascadeFile, CascadeFormatError
-from sparsehawkes.model import Dataset, ModelParams, Sequence
+from sparsehawkes.model import Dataset, ModelParams, NumericalDivergenceError, Sequence, softplus
 
 
 def sp(x: float) -> float:
@@ -140,6 +155,269 @@ def rel_close(a, b, rtol: float, atol: float = 0.0) -> bool:
     return bool(np.all(np.abs(a - b) <= atol + rtol * np.maximum(np.abs(a), np.abs(b))))
 
 
+# ---------------------------------------------------------------------------
+# the event-by-event recursion
+
+
+class SequenceScan:
+    """Recursive decay state for one left-to-right pass over a sequence.
+
+    Carries the shared embedding-space excitation (``decay_vector``, the sum
+    of emitting embeddings of past events, decayed to the current time) and a
+    per-active-entity scalar (``self_decay``) counting decayed past events of
+    that same entity.  Together they reconstruct every event intensity in
+    constant work per event instead of a quadratic history sum.
+
+    With ``track_beta=True`` the state also carries the derivative of both
+    quantities with respect to the decay parameter.
+    """
+
+    __slots__ = (
+        "beta",
+        "decay_vector",
+        "self_decay",
+        "last_time",
+        "track_beta",
+        "decay_vector_dbeta",
+        "_self_last",
+        "_self_dbeta",
+        "_theta_v",
+        "_v_rows",
+    )
+
+    def __init__(self, params: ModelParams, track_beta: bool = False):
+        self.beta = params.beta()
+        # Emitting embeddings are gathered one entity at a time on first use,
+        # so constructing and running a scan never touches entities outside
+        # the sequence.
+        self._theta_v = params.theta_v
+        self._v_rows: dict[int, np.ndarray] = {}
+        self.decay_vector = np.zeros(params.dim)
+        self.self_decay: dict[int, float] = {}
+        self.last_time = 0.0
+        self.track_beta = bool(track_beta)
+        self.decay_vector_dbeta = np.zeros(params.dim) if track_beta else None
+        self._self_last: dict[int, float] = {}
+        self._self_dbeta: dict[int, float] = {}
+
+    def _v_row(self, entity: int) -> np.ndarray:
+        row = self._v_rows.get(entity)
+        if row is None:
+            row = softplus(self._theta_v[entity])
+            self._v_rows[entity] = row
+        return row
+
+    def advance(self, time: float, entity: int):
+        """Move the scan to ``time``, consume the event there, and return the
+        pre-event state.
+
+        Returns ``(decay_vector, self_decay)`` evaluated just before the
+        event, or a 4-tuple with their beta-derivatives appended when
+        ``track_beta`` is on.  The returned vector is a live view; callers
+        that keep it must copy.
+        """
+        if time < self.last_time:
+            raise ValueError("scan times must be non-decreasing")
+        entity = int(entity)
+        dt = time - self.last_time
+        decay = math.exp(-self.beta * dt)
+        if self.track_beta:
+            # d/dbeta of e^{-beta dt} S pulls down a -dt factor on the decayed part.
+            self.decay_vector_dbeta *= decay
+            self.decay_vector_dbeta -= dt * decay * self.decay_vector
+        self.decay_vector *= decay
+        self.last_time = time
+
+        r_last = self._self_last.get(entity, 0.0)
+        r_dt = time - r_last
+        r_decay = math.exp(-self.beta * r_dt)
+        r = self.self_decay.get(entity, 0.0)
+        r_at = r * r_decay
+        if self.track_beta:
+            rp = self._self_dbeta.get(entity, 0.0)
+            rp_at = r_decay * (rp - r_dt * r)
+            self._self_dbeta[entity] = rp_at
+        self.self_decay[entity] = r_at + 1.0
+        self._self_last[entity] = time
+
+        out_vec = self.decay_vector
+        self.decay_vector = self.decay_vector + self._v_row(entity)
+        if self.track_beta:
+            out = (out_vec, r_at, self.decay_vector_dbeta, rp_at)
+            self.decay_vector_dbeta = self.decay_vector_dbeta.copy()
+            return out
+        return out_vec, r_at
+
+
+@dataclass
+class SequenceStats:
+    """Per-sequence sums, all indexed by local position in ``active``.
+
+    ``z`` is the decay-weighted sum of emitting embeddings over the events,
+    the quantity that carries a sequence's compensator mass; ``q`` is its
+    per-entity scalar analogue for the diagonal correction.  The ``*_beta``
+    fields hold derivatives of the same sums with respect to the decay
+    parameter and are only filled when gradients were requested, as are the
+    per-entity log-domain accumulators.
+    """
+
+    active: np.ndarray          # (a,) sorted distinct entities
+    mu_act: np.ndarray          # (a,) background rates of active entities
+    u_act: np.ndarray           # (a, d) receiving embeddings
+    v_act: np.ndarray           # (a, d) emitting embeddings
+    c_act: np.ndarray           # (a,) diagonal correction s_x - u_x.v_x
+    counts: np.ndarray          # (a,) events per active entity
+    loglam: float               # sum of log-intensities at the events
+    z: np.ndarray               # (d,)
+    q: np.ndarray               # (a,)
+    inv_lam: np.ndarray | None = None      # (a,) sum of 1/lambda at own events
+    r_over_lam: np.ndarray | None = None   # (a,) sum of R/lambda
+    s_over_lam: np.ndarray | None = None   # (a, d) sum of S/lambda
+    p_rev: np.ndarray | None = None        # (a, d) reverse-scan totals
+    beta_log: float = 0.0                  # d/dbeta of the log-intensity sum
+    z_beta: np.ndarray | None = None       # (d,) d/dbeta companion of z*beta form
+    q_beta: np.ndarray | None = None       # (a,)
+
+
+def _empty_stats(d: int, gradients: bool) -> SequenceStats:
+    empty = np.empty(0, dtype=np.int64)
+    zeros_a = np.zeros(0)
+    return SequenceStats(
+        active=empty,
+        mu_act=zeros_a,
+        u_act=np.zeros((0, d)),
+        v_act=np.zeros((0, d)),
+        c_act=zeros_a,
+        counts=empty.copy(),
+        loglam=0.0,
+        z=np.zeros(d),
+        q=zeros_a,
+        inv_lam=zeros_a if gradients else None,
+        r_over_lam=zeros_a.copy() if gradients else None,
+        s_over_lam=np.zeros((0, d)) if gradients else None,
+        p_rev=np.zeros((0, d)) if gradients else None,
+        beta_log=0.0,
+        z_beta=np.zeros(d) if gradients else None,
+        q_beta=zeros_a.copy() if gradients else None,
+    )
+
+
+def sequence_stats_reference(
+    params: ModelParams, seq: Sequence, gradients: bool = False
+) -> SequenceStats:
+    """Event-by-event scan of one sequence under fixed parameters.
+
+    Linear in events times embedding dimension, touching only entities that
+    appear in the sequence.  This is the original stepwise formulation; the
+    package's engines use the banded array scan, which the tests check against
+    this one.
+    """
+    n = len(seq)
+    d = params.dim
+    if n == 0:
+        return _empty_stats(d, gradients)
+
+    active, loc = np.unique(seq.entities, return_inverse=True)
+    a = len(active)
+    mu_act = softplus(params.theta_mu[active])
+    u_act = softplus(params.theta_u[active])
+    v_act = softplus(params.theta_v[active])
+    s_act = softplus(params.theta_self[active])
+    c_act = s_act - np.einsum("ij,ij->i", u_act, v_act)
+    beta = params.beta()
+    counts = np.bincount(loc, minlength=a).astype(np.int64)
+
+    tail = seq.horizon - seq.times
+    w = -np.expm1(-beta * tail)
+    v_events = v_act[loc]
+    z = w @ v_events
+    q = np.bincount(loc, weights=w, minlength=a)
+
+    times = seq.times
+    entities = seq.entities
+    scan = SequenceScan(params, track_beta=gradients)
+    loglams = []
+    if gradients:
+        lam_arr = np.empty(n)
+        inv_lam = np.zeros(a)
+        r_over_lam = np.zeros(a)
+        s_over_lam = np.zeros((a, d))
+        beta_terms = []
+    for i in range(n):
+        li = loc[i]
+        if gradients:
+            s_vec, r, s_dbeta, r_dbeta = scan.advance(times[i], entities[i])
+        else:
+            s_vec, r = scan.advance(times[i], entities[i])
+        lam = mu_act[li] + u_act[li] @ s_vec + c_act[li] * r
+        if not (lam > 0.0) or not math.isfinite(lam):
+            raise NumericalDivergenceError(
+                f"non-positive intensity {lam!r} at event index {i} (t={times[i]!r})"
+            )
+        loglams.append(math.log(lam))
+        if gradients:
+            lam_arr[i] = lam
+            inv_lam[li] += 1.0 / lam
+            r_over_lam[li] += r / lam
+            s_over_lam[li] += s_vec / lam
+            beta_terms.append((u_act[li] @ s_dbeta + c_act[li] * r_dbeta) / lam)
+
+    loglam = math.fsum(loglams)
+    if not gradients:
+        return SequenceStats(
+            active=active, mu_act=mu_act, u_act=u_act, v_act=v_act, c_act=c_act,
+            counts=counts, loglam=loglam, z=z, q=q,
+        )
+
+    # Reverse scan: for each event j, the decayed sum over later events i of
+    # u_{y_i}/lambda_i, which is the coefficient v_{y_j} receives from all
+    # log-intensity terms it feeds into.
+    p_rev = np.zeros((a, d))
+    p = np.zeros(d)
+    for j in range(n - 1, -1, -1):
+        if j < n - 1:
+            decay = math.exp(-beta * (times[j + 1] - times[j]))
+            p = decay * (p + u_act[loc[j + 1]] / lam_arr[j + 1])
+        p_rev[loc[j]] += p
+
+    e_tail = tail * np.exp(-beta * tail)
+    z_beta = e_tail @ v_events
+    q_beta = np.bincount(loc, weights=e_tail, minlength=a)
+
+    return SequenceStats(
+        active=active, mu_act=mu_act, u_act=u_act, v_act=v_act, c_act=c_act,
+        counts=counts, loglam=loglam, z=z, q=q,
+        inv_lam=inv_lam, r_over_lam=r_over_lam, s_over_lam=s_over_lam,
+        p_rev=p_rev, beta_log=math.fsum(beta_terms), z_beta=z_beta, q_beta=q_beta,
+    )
+
+
+def stats_at(batch, k: int) -> SequenceStats:
+    """Sequence ``k``'s statistics sliced out of a ``BatchStats``'s slot tables."""
+    o0 = int(batch.seq_slot_start[k])
+    o1 = int(batch.seq_slot_start[k + 1])
+    sl = slice(o0, o1)
+    g = batch.inv_lam is not None
+    return SequenceStats(
+        active=batch.slot_entity[sl],
+        mu_act=batch.mu_slot[sl],
+        u_act=batch.u_slot[sl],
+        v_act=batch.v_slot[sl],
+        c_act=batch.c_slot[sl],
+        counts=batch.counts[sl],
+        loglam=float(batch.loglam[k]),
+        z=batch.z[k],
+        q=batch.q[sl],
+        inv_lam=batch.inv_lam[sl] if g else None,
+        r_over_lam=batch.r_over_lam[sl] if g else None,
+        s_over_lam=batch.s_over_lam[sl] if g else None,
+        p_rev=batch.p_rev[sl] if g else None,
+        beta_log=float(batch.beta_log[k]) if g else 0.0,
+        z_beta=batch.z_beta[k] if g else None,
+        q_beta=batch.q_beta[sl] if g else None,
+    )
+
+
 def reference_train(data: Dataset, config, init: ModelParams):
     """Sequential training as first written: the old per-sequence step.
 
@@ -148,21 +426,18 @@ def reference_train(data: Dataset, config, init: ModelParams):
     the sequence-local emitting total the package's form cancels), Adam
     applied block by block, the receiving total refreshed row by row, and
     each sequence's decayed emitting total summed into the next epoch's.
-    Unlike the rest of this module it reuses the package's stepwise
-    reference scan and activations; what it pins down is the step around
-    them.  Returns the final parameters and the brute-force log-likelihood
-    after each epoch.
+    It runs on :func:`sequence_stats_reference` above and reuses the
+    package's activations (``softplus``, ``softplus_grad``); what it pins
+    down is the step around them.  Returns the final parameters and the
+    brute-force log-likelihood after each epoch.
     """
-    from sparsehawkes.model import softplus, softplus_grad
-    from sparsehawkes.scan import sequence_stats_reference
+    from sparsehawkes.model import softplus_grad
 
     params = init.copy()
     n, d = params.num_entities, params.dim
     activity = data.activity_count
-    horizons = np.array([s.horizon for s in data.sequences])
     absent = np.array([
-        sum(h for k, h in enumerate(horizons) if k not in data.active_index[x])
-        for x in range(n)
+        sum(s.horizon for s in data.sequences if x not in s.entities) for x in range(n)
     ])
     g_mu_const = np.where(activity > 0, absent / np.maximum(activity, 1), 0.0)
 

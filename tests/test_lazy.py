@@ -5,12 +5,13 @@ from sparsehawkes.model import Dataset, ModelParams, Sequence, softplus
 from sparsehawkes.dense import dense_gradient, dense_log_likelihood
 from sparsehawkes.lazy import (
     StaleCacheError,
+    _slot_gradients,
     accumulate_lazy_gradient,
     build_caches,
     lazy_log_likelihood,
-    lazy_sequence_gradients,
     update_u_hat,
 )
+from sparsehawkes.scan import batch_sequence_stats
 
 import oracles
 
@@ -37,7 +38,7 @@ def test_cache_identities():
     caches = build_caches(params, data)
     horizons = np.array([s.horizon for s in data.sequences])
     for x in range(data.num_entities):
-        here = data.active_index[x]
+        here = [k for k, seq in enumerate(data.sequences) if x in seq.entities]
         absent = sum(h for k, h in enumerate(horizons) if k not in here)
         if here:
             # The per-entity share times the activity count recovers the
@@ -139,25 +140,33 @@ def test_stale_cache_detection():
     lazy_log_likelihood(moved, data, caches, check_caches=False)
 
 
+def sequence_gradient(params, data, caches, k):
+    """Sequence ``k``'s gradient rows as a training step computes them:
+    ``(entities, rows, decay term)``."""
+    bs = batch_sequence_stats(params, data, True, subset=(k, k + 1))
+    rows, g_beta = _slot_gradients(params, bs, caches, data.activity_count)
+    return bs.slot_entity, rows, g_beta[0]
+
+
 def test_sequence_gradient_touches_only_active_entities():
     rng = np.random.default_rng(71)
     params, data = oracles.random_instance(rng, max_entities=10)
     caches = build_caches(params, data)
-    for seq in data.sequences:
-        g = lazy_sequence_gradients(params, seq, caches, data)
-        np.testing.assert_array_equal(g.entities, seq.active_entities)
+    for k, seq in enumerate(data.sequences):
+        entities, rows, _ = sequence_gradient(params, data, caches, k)
+        np.testing.assert_array_equal(entities, seq.active_entities)
+        assert rows.shape == (len(entities), 2 * params.dim + 2)
 
 
 def test_sequence_gradient_touch_count_ignores_universe_size():
     rng = np.random.default_rng(73)
     params, data = oracles.random_instance(rng, max_entities=6)
     caches = build_caches(params, data)
-    touched = [len(lazy_sequence_gradients(params, s, caches, data).entities)
-               for s in data.sequences]
+    touched = [len(sequence_gradient(params, data, caches, k)[0]) for k in range(len(data))]
     grown, grown_data = pad_with_silent_entities(params, data, extra=100)
     grown_caches = build_caches(grown, grown_data)
-    touched_grown = [len(lazy_sequence_gradients(grown, s, grown_caches, grown_data).entities)
-                     for s in grown_data.sequences]
+    touched_grown = [len(sequence_gradient(grown, grown_data, grown_caches, k)[0])
+                     for k in range(len(grown_data))]
     assert touched == touched_grown
 
 
@@ -188,9 +197,9 @@ def test_empty_sequence_contributes_nothing():
     seq = Sequence([], horizon=5.0)
     data = Dataset(4, [seq])
     caches = build_caches(params, data)
-    g = lazy_sequence_gradients(params, seq, caches, data)
-    assert len(g.entities) == 0
-    assert g.d_theta_beta == 0.0
+    entities, rows, g_beta = sequence_gradient(params, data, caches, 0)
+    assert len(entities) == 0 and rows.shape == (0, 2 * params.dim + 2)
+    assert g_beta == 0.0
 
 
 def test_update_u_hat_tracks_rebuild():

@@ -1,11 +1,14 @@
 """Array scan against the stepwise reference, field by field.
 
 The engines consume the vectorized batch scan, so its agreement with the
-event-by-event formulation is what ties them back to the hand-checkable
-recursions.  Comparisons run the full gradient surface on random instances,
-on phase spans wide enough to exercise the band carries, and on the
-degenerate shapes (single event, single entity, empty sequences).
+event-by-event formulation (``sequence_stats_reference`` in ``oracles``) is
+what ties them back to the hand-checkable recursions.  Comparisons run the
+full gradient surface on random instances, on phase spans wide enough to
+exercise the band carries, and on the degenerate shapes (single event,
+single entity, empty sequences).
 """
+
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -13,24 +16,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsehawkes.model import Dataset, NumericalDivergenceError, Sequence, softplus_inv
-from sparsehawkes.scan import (
-    batch_sequence_stats,
-    pairwise_sequence_stats,
-    sequence_stats,
-    sequence_stats_reference,
-)
-from sparsehawkes.lazy import (
-    _slot_gradients,
-    accumulate_lazy_gradient,
-    build_caches,
-    lazy_sequence_gradients,
-)
+from sparsehawkes.scan import batch_sequence_stats, pairwise_sequence_stats
+from sparsehawkes.lazy import _slot_gradients, accumulate_lazy_gradient, build_caches
 from sparsehawkes.train import _PAIRWISE_MAX
 
-from oracles import random_instance, random_params, rel_close
+from oracles import random_instance, random_params, rel_close, sequence_stats_reference, stats_at
 
 
-def assert_stats_match(st, rf, rtol=1e-9, context=""):
+def assert_stats_match(st, rf, rtol=1e-9, context="", grad_rtol=None):
+    """``rtol`` bounds the log-intensity sum and, unless ``grad_rtol`` is
+    given, the gradient fields too."""
+    grad_rtol = rtol if grad_rtol is None else grad_rtol
     npt.assert_array_equal(st.active, rf.active, err_msg=context)
     npt.assert_array_equal(st.counts, rf.counts, err_msg=context)
     for name in ("mu_act", "u_act", "v_act", "c_act"):
@@ -46,10 +42,10 @@ def assert_stats_match(st, rf, rtol=1e-9, context=""):
         return
     for name in ("inv_lam", "r_over_lam", "s_over_lam", "p_rev", "z_beta", "q_beta"):
         npt.assert_allclose(
-            getattr(st, name), getattr(rf, name), rtol=rtol, atol=1e-12,
+            getattr(st, name), getattr(rf, name), rtol=grad_rtol, atol=1e-12,
             err_msg=f"{context}:{name}",
         )
-    assert abs(st.beta_log - rf.beta_log) <= rtol * max(1.0, abs(rf.beta_log)) + 1e-10
+    assert abs(st.beta_log - rf.beta_log) <= grad_rtol * max(1.0, abs(rf.beta_log)) + 1e-10
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -58,19 +54,10 @@ def test_batch_matches_reference_on_random_instances(seed, gradients):
     rng = np.random.default_rng(900 + seed)
     for _ in range(12):
         params, data = random_instance(rng)
-        bs = batch_sequence_stats(params, data.sequences, gradients=gradients)
+        bs = batch_sequence_stats(params, data, gradients=gradients)
         for k, seq in enumerate(data.sequences):
             rf = sequence_stats_reference(params, seq, gradients=gradients)
-            assert_stats_match(bs.stats(k), rf, context=f"seed{seed},seq{k}")
-
-
-def test_wrapper_matches_reference():
-    rng = np.random.default_rng(41)
-    params, data = random_instance(rng)
-    for seq in data.sequences:
-        st = sequence_stats(params, seq, gradients=True)
-        rf = sequence_stats_reference(params, seq, gradients=True)
-        assert_stats_match(st, rf)
+            assert_stats_match(stats_at(bs, k), rf, context=f"seed{seed},seq{k}")
 
 
 def test_wide_phase_span_crosses_many_bands():
@@ -84,7 +71,7 @@ def test_wide_phase_span_crosses_many_bands():
     times += np.arange(500) * 1e-9
     ents = rng.integers(0, 4, size=500).astype(np.int64)
     seq = Sequence.from_arrays(times, ents, 1500.0)
-    st = batch_sequence_stats(params, [seq], gradients=True).stats(0)
+    st = stats_at(batch_sequence_stats(params, Dataset(4, [seq]), gradients=True), 0)
     rf = sequence_stats_reference(params, seq, gradients=True)
     assert_stats_match(st, rf, rtol=1e-8)
 
@@ -96,7 +83,7 @@ def test_single_entity_long_run_uses_long_band_path():
     times = np.sort(rng.uniform(0.0, 900.0, size=300))
     times += np.arange(300) * 1e-9
     seq = Sequence.from_arrays(times, np.zeros(300, dtype=np.int64), 1000.0)
-    st = batch_sequence_stats(params, [seq], gradients=True).stats(0)
+    st = stats_at(batch_sequence_stats(params, Dataset(2, [seq]), gradients=True), 0)
     rf = sequence_stats_reference(params, seq, gradients=True)
     assert_stats_match(st, rf, rtol=1e-8)
 
@@ -111,19 +98,19 @@ def test_degenerate_shapes_in_one_batch():
         Sequence.from_arrays([], [], 1.5),
         Sequence.from_arrays([0.2, 0.9, 1.4, 1.9], [0, 2, 0, 1], 2.5),
     ]
-    bs = batch_sequence_stats(params, seqs, gradients=True)
+    bs = batch_sequence_stats(params, Dataset(3, seqs), gradients=True)
     for k, seq in enumerate(seqs):
         rf = sequence_stats_reference(params, seq, gradients=True)
-        assert_stats_match(bs.stats(k), rf, context=f"seq{k}")
+        assert_stats_match(stats_at(bs, k), rf, context=f"seq{k}")
 
 
 def test_all_empty_batch():
     rng = np.random.default_rng(8)
     params = random_params(rng, 3, 2)
     seqs = [Sequence.from_arrays([], [], 4.0), Sequence.from_arrays([], [], 1.0)]
-    bs = batch_sequence_stats(params, seqs, gradients=True)
+    bs = batch_sequence_stats(params, Dataset(3, seqs), gradients=True)
     assert bs.active_counts.tolist() == [0, 0]
-    st = bs.stats(1)
+    st = stats_at(bs, 1)
     assert st.loglam == 0.0
     assert len(st.active) == 0
 
@@ -134,10 +121,10 @@ def test_batch_results_do_not_depend_on_batch_composition():
     # invariance rests on this.
     rng = np.random.default_rng(9)
     params, data = random_instance(rng)
-    full = batch_sequence_stats(params, data.sequences, gradients=True)
+    full = batch_sequence_stats(params, data, gradients=True)
     for k, seq in enumerate(data.sequences):
-        alone = batch_sequence_stats(params, [seq], gradients=True).stats(0)
-        st = full.stats(k)
+        alone = stats_at(batch_sequence_stats(params, Dataset(data.num_entities, [seq]), True), 0)
+        st = stats_at(full, k)
         for name in (
             "mu_act", "u_act", "v_act", "c_act", "z", "q",
             "inv_lam", "r_over_lam", "s_over_lam", "p_rev", "z_beta", "q_beta",
@@ -153,7 +140,7 @@ def test_underflowed_background_rate_raises():
     params.theta_mu[:] = -800.0  # softplus underflows to exactly zero
     seq = Sequence.from_arrays([0.5], [0], 2.0)
     with pytest.raises(NumericalDivergenceError, match="non-positive intensity"):
-        batch_sequence_stats(params, [seq])
+        batch_sequence_stats(params, Dataset(2, [seq]))
     with pytest.raises(NumericalDivergenceError, match="non-positive intensity"):
         sequence_stats_reference(params, seq)
 
@@ -166,7 +153,7 @@ def test_overflowing_excitation_raises():
     seq = Sequence.from_arrays([0.5, 0.6], [0, 0], 2.0)
     with np.errstate(all="ignore"):
         with pytest.raises(NumericalDivergenceError):
-            batch_sequence_stats(params, [seq], gradients=True)
+            batch_sequence_stats(params, Dataset(2, [seq]), gradients=True)
         with pytest.raises(NumericalDivergenceError):
             sequence_stats_reference(params, seq, gradients=True)
 
@@ -182,13 +169,16 @@ def test_batched_accumulation_matches_per_sequence_sum():
         want_u = np.zeros((params.num_entities, params.dim))
         want_v = np.zeros((params.num_entities, params.dim))
         beta_sum = 0.0
-        for seq in data.sequences:
-            g = lazy_sequence_gradients(params, seq, caches, data)
-            want_mu[g.entities] += g.d_theta_mu
-            want_self[g.entities] += g.d_theta_self
-            want_u[g.entities] += g.d_theta_u
-            want_v[g.entities] += g.d_theta_v
-            beta_sum += g.d_theta_beta
+        d = params.dim
+        for k in range(len(data)):
+            bs = batch_sequence_stats(params, data, True, subset=(k, k + 1))
+            rows, g_beta = _slot_gradients(params, bs, caches, data.activity_count)
+            ent = bs.slot_entity
+            want_u[ent] += rows[:, :d]
+            want_v[ent] += rows[:, d:2 * d]
+            want_mu[ent] += rows[:, 2 * d]
+            want_self[ent] += rows[:, 2 * d + 1]
+            beta_sum += g_beta[0]
         never = caches.never_active
         if len(never):
             from sparsehawkes.model import softplus_grad, checked_beta
@@ -209,24 +199,47 @@ def test_batched_accumulation_matches_per_sequence_sum():
 _WIDTH = 350.0  # phase width of one scan band
 
 
+def phases_from(start, steps):
+    """Event phases after ``start``: each step is a gap in phase units, or
+    "edge-"/"edge+" for a hair before or after the next band edge, counted
+    from the first event as the scan counts them."""
+    phases = []
+    for step in steps:
+        last = phases[-1] if phases else start
+        if not isinstance(step, str):
+            phases.append(last + step)
+            continue
+        origin = phases[0] if phases else start
+        edge = (math.floor((last - origin) / _WIDTH) + 1) * _WIDTH
+        hair = -1e-6 if step == "edge-" else 1e-6
+        if origin + edge + hair <= last:
+            edge += _WIDTH
+        phases.append(origin + edge + hair)
+    return np.array(phases)
+
+
 @st.composite
 def banded_datasets(draw):
     """Small datasets whose phases cross band edges, sit far from zero, and
-    repeat entities across bands."""
+    repeat entities across bands, including events a hair either side of a
+    band edge; a non-empty sequence may end exactly at its horizon."""
     n = draw(st.integers(1, 4))
     d = draw(st.integers(1, 3))
     params = random_params(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, d)
     beta = draw(st.sampled_from([0.03, 1.0, 6.0]))
     params.theta_beta = float(softplus_inv(beta))
-    # gaps in phase units: tiny, a hair either side of one band, several bands
-    gap = st.sampled_from([1e-3, 0.7, _WIDTH - 1e-6, _WIDTH + 1e-6, 3.2 * _WIDTH])
+    # gaps in phase units: tiny, a hair either side of one band, several
+    # bands; or a hair either side of the next band edge
+    step = st.sampled_from([1e-3, 0.7, _WIDTH - 1e-6, _WIDTH + 1e-6, 3.2 * _WIDTH,
+                            "edge-", "edge+"])
     seqs = []
     for _ in range(draw(st.integers(1, 5))):
         m = draw(st.integers(0, 10))
         start = draw(st.sampled_from([0.0, 0.4, 1e6]))
-        phases = start + np.cumsum(draw(st.lists(gap, min_size=m, max_size=m)))
+        phases = phases_from(start, draw(st.lists(step, min_size=m, max_size=m)))
         times = phases / beta
-        horizon = (phases[-1] if m else start) / beta + draw(st.sampled_from([0.5, 900.0]))
+        pad = draw(st.sampled_from([0.0, 0.5, 900.0] if m else [0.5, 900.0]))
+        horizon = (phases[-1] if m else start) / beta + pad
         ents = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
         seqs.append(Sequence.from_arrays(times, ents, horizon))
     return params, Dataset(n, seqs)
@@ -260,10 +273,28 @@ def test_subset_scan_equals_slice_of_full_scan(case):
     for k in range(ns):
         one = batch_sequence_stats(params, data, gradients=True, subset=(k, k + 1))
         assert one.num_seqs == 1
-        assert_bit_identical(one.stats(0), full.stats(k))
+        assert_bit_identical(stats_at(one, 0), stats_at(full, k))
     tail = batch_sequence_stats(params, data, gradients=True, subset=(1, ns))
     for k in range(1, ns):
-        assert_bit_identical(tail.stats(k - 1), full.stats(k))
+        assert_bit_identical(stats_at(tail, k - 1), stats_at(full, k))
+
+
+@settings(max_examples=80)
+@given(banded_datasets())
+def test_banded_scan_matches_stepwise_reference_at_band_edges(case):
+    # the frozen engine tolerances: 1e-8 on the log-intensity sums, 1e-6 on
+    # the gradient fields, for full scans and for subset= scans
+    params, data = case
+    ns = len(data)
+    scans = [(0, batch_sequence_stats(params, data, gradients=True)),
+             (1, batch_sequence_stats(params, data, gradients=True, subset=(1, ns)))]
+    scans += [(k, batch_sequence_stats(params, data, gradients=True, subset=(k, k + 1)))
+              for k in range(ns)]
+    for start, bs in scans:
+        for k in range(start, start + bs.num_seqs):
+            rf = sequence_stats_reference(params, data.sequences[k], gradients=True)
+            assert_stats_match(stats_at(bs, k - start), rf, rtol=1e-8, grad_rtol=1e-6,
+                               context=f"scan from {start}, seq {k}")
 
 
 def assert_kernel_matches_banded(params, data):

@@ -13,14 +13,14 @@ from sparsehawkes import (
     Sequence,
     build_caches,
     lazy_log_likelihood,
-    lazy_sequence_gradients,
     softplus,
     synthetic_dataset,
     thinning_sample,
     update_u_hat,
 )
 from sparsehawkes.data_io import read_checkpoint
-from sparsehawkes.lazy import accumulate_lazy_gradient
+from sparsehawkes.lazy import _slot_gradients, accumulate_lazy_gradient
+from sparsehawkes.scan import batch_sequence_stats
 from sparsehawkes.model import NumericalDivergenceError, softplus_inv
 from sparsehawkes.train import (
     _PAIRWISE_MAX,
@@ -50,11 +50,11 @@ def make_grad(entities, n, d, fill=0.0, beta=0.0):
     return np.asarray(entities, dtype=np.int64), np.full((len(entities), 2 * d + 2), fill), beta
 
 
-def as_rows(grads):
-    """A :class:`~sparsehawkes.lazy.SequenceGradient` as ``make_grad``'s triple."""
-    rows = np.concatenate([grads.d_theta_u, grads.d_theta_v, grads.d_theta_mu[:, None],
-                           grads.d_theta_self[:, None]], axis=1)
-    return grads.entities, rows, grads.d_theta_beta
+def first_sequence_grad(params, data, caches):
+    """Sequence 0's gradient as ``make_grad``'s triple, computed as a training step does."""
+    bs = batch_sequence_stats(params, data, True, subset=(0, 1))
+    rows, g_beta = _slot_gradients(params, bs, caches, data.activity_count)
+    return bs.slot_entity, rows, float(g_beta[0])
 
 
 def test_config_validation():
@@ -210,10 +210,10 @@ def test_one_step_touches_only_active_entities():
         caches = build_caches(params, data)
         config = TrainConfig(learning_rate=0.05, dim=d)
         state = AdamState.zeros(n, d)
-        grads = lazy_sequence_gradients(params, seq, caches, data, check_caches=False)
-        old = params.theta_u[grads.entities].copy()
-        _adam_rows(state, *as_rows(grads), config, params)
-        for k, x in enumerate(grads.entities):
+        grads = first_sequence_grad(params, data, caches)
+        old = params.theta_u[grads[0]].copy()
+        _adam_rows(state, *grads, config, params)
+        for k, x in enumerate(grads[0]):
             update_u_hat(caches, int(x), old[k], params.theta_u[x])
         return params, caches
 
@@ -225,10 +225,10 @@ def test_one_step_touches_only_active_entities():
         block[inactive] = np.nan
     config = TrainConfig(learning_rate=0.05, dim=d)
     state = AdamState.zeros(n, d)
-    grads = lazy_sequence_gradients(poisoned, seq, caches, data, check_caches=False)
-    old = poisoned.theta_u[grads.entities].copy()
-    _adam_rows(state, *as_rows(grads), config, poisoned)
-    for k, x in enumerate(grads.entities):
+    grads = first_sequence_grad(poisoned, data, caches)
+    old = poisoned.theta_u[grads[0]].copy()
+    _adam_rows(state, *grads, config, poisoned)
+    for k, x in enumerate(grads[0]):
         update_u_hat(caches, int(x), old[k], poisoned.theta_u[x])
 
     np.testing.assert_array_equal(poisoned.theta_mu[active], clean.theta_mu[active])
@@ -357,6 +357,22 @@ def test_parallel_needs_two_workers():
     data = poisson_dataset(rate=0.5, horizon=10.0, n_seqs=2, seed=14)
     with pytest.raises(ValueError):
         train_parallel(data, TrainConfig(threads=1, dim=1))
+
+
+def test_parallel_warm_starts_from_init_like_train():
+    data, _ = synthetic_dataset(
+        nodes=10, sequences=15, beta=1.0, mu_rate=0.05, horizon=30.0, seed=5
+    )
+    init = init_params(data, TrainConfig(dim=3), np.random.default_rng(0))
+    frozen = TrainConfig(epochs=1, learning_rate=0.0, threads=2, log_every=100)
+    params, report = train_parallel(data, frozen, init=init)
+    np.testing.assert_array_equal(params.theta, init.theta)
+    assert params.theta_beta == init.theta_beta and params.dim == init.dim
+    assert report.decay_steps == sum(1 for s in data.sequences if len(s))
+    wrong = ModelParams.from_block(init.theta[:-1].copy(), init.theta_beta, 3)
+    for runner, config in ((train, TrainConfig(epochs=1, log_every=100)), (train_parallel, frozen)):
+        with pytest.raises(ValueError, match="init covers 9 entities, data has 10"):
+            runner(data, config, init=wrong)
 
 
 def test_parallel_quality_matches_sequential():
