@@ -388,8 +388,7 @@ def _collect(queue, workers, epoch: int) -> dict:
     return results
 
 
-def train_parallel(data: Dataset, config: TrainConfig,
-                   init: ModelParams | None = None) -> tuple[ModelParams, TrainReport]:
+def train_parallel(data: Dataset, config: TrainConfig) -> tuple[ModelParams, TrainReport]:
     """Lock-free parallel training over forked workers and shared memory.
 
     Sequences are split into one static shard per worker; each epoch forks
@@ -399,12 +398,11 @@ def train_parallel(data: Dataset, config: TrainConfig,
     the receiving-total drift, rebuilds it, and reports the exact likelihood.
     Results match sequential training statistically, not bitwise.  A worker
     that dies raises an error naming it and the epoch; the others are reaped.
-    ``init`` warm-starts it as it does :func:`train`.
     """
     if config.threads < 2:
         raise ValueError("train_parallel needs threads >= 2; use train for one")
     ctx = multiprocessing.get_context("fork")
-    rng, seed_params, caches, report, last_good, nonempty = _start(data, config, init)
+    rng, seed_params, caches, report, last_good, nonempty = _start(data, config, None)
     n, d = seed_params.num_entities, seed_params.dim
 
     params = ModelParams.from_block(_shared_array((n, 2 * d + 2)), seed_params.theta_beta, d)

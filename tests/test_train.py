@@ -359,22 +359,6 @@ def test_parallel_needs_two_workers():
         train_parallel(data, TrainConfig(threads=1, dim=1))
 
 
-def test_parallel_warm_starts_from_init_like_train():
-    data, _ = synthetic_dataset(
-        nodes=10, sequences=15, beta=1.0, mu_rate=0.05, horizon=30.0, seed=5
-    )
-    init = init_params(data, TrainConfig(dim=3), np.random.default_rng(0))
-    frozen = TrainConfig(epochs=1, learning_rate=0.0, threads=2, log_every=100)
-    params, report = train_parallel(data, frozen, init=init)
-    np.testing.assert_array_equal(params.theta, init.theta)
-    assert params.theta_beta == init.theta_beta and params.dim == init.dim
-    assert report.decay_steps == sum(1 for s in data.sequences if len(s))
-    wrong = ModelParams.from_block(init.theta[:-1].copy(), init.theta_beta, 3)
-    for runner, config in ((train, TrainConfig(epochs=1, log_every=100)), (train_parallel, frozen)):
-        with pytest.raises(ValueError, match="init covers 9 entities, data has 10"):
-            runner(data, config, init=wrong)
-
-
 def test_parallel_quality_matches_sequential():
     data, _ = synthetic_dataset(
         nodes=20, sequences=150, beta=1.0, mu_rate=0.05, horizon=40.0, seed=15
