@@ -1,122 +1,23 @@
-"""Multivariate Hawkes process modeling for large entity sets with sparse sequences."""
+"""Multivariate Hawkes process modeling for large entity sets with sparse sequences.
 
-from .model import (
-    Dataset,
-    Event,
-    ModelParams,
-    NumericalDivergenceError,
-    Sequence,
-    influence_matrix,
-    softplus,
-    softplus_grad,
-    softplus_inv,
-)
-from .dense import GradientBuffer, dense_gradient, dense_log_likelihood
-from .lazy import (
-    LazyCaches,
-    StaleCacheError,
-    accumulate_lazy_gradient,
-    build_caches,
-    lazy_log_likelihood,
-    update_u_hat,
-)
-from .simulate import (
-    GroundTruth,
-    InfluenceMatrix,
-    UnstableConfigurationError,
-    low_rank_approximation,
-    rescale_for_stability,
-    sample_scale_free_graph,
-    spectral_radius_estimate,
-    synthetic_dataset,
-    thinning_sample,
-    time_rescaling_residuals,
-)
-from .train import (
-    AdamState,
-    TrainConfig,
-    TrainReport,
-    TrainingDivergedError,
-    init_params,
-    train,
-    train_parallel,
-)
-from .data_io import (
-    CascadeFile,
-    CascadeFormatError,
-    Checkpoint,
-    CheckpointFormatError,
-    DatasetStats,
-    dataset_stats,
-    parse_cascades,
-    read_cascade_file,
-    read_checkpoint,
-    read_checkpoint_full,
-    write_cascades,
-    write_checkpoint,
-)
-from .evaluate import (
-    BenchmarkResult,
-    RecoveryReport,
-    holdout_loglik,
-    rmse_params,
-    runtime_benchmark,
-)
+The package exports each submodule's ``__all__``; helpers outside those lists
+stay importable from their modules.
+"""
+
+from . import data_io, dense, evaluate, lazy, model, simulate, train
 
 __version__ = "0.1.0"
 
+# Taken before the star imports, which rebind ``train`` to the function.
 __all__ = [
-    "Dataset",
-    "Event",
-    "ModelParams",
-    "NumericalDivergenceError",
-    "Sequence",
-    "influence_matrix",
-    "softplus",
-    "softplus_grad",
-    "softplus_inv",
-    "GradientBuffer",
-    "dense_gradient",
-    "dense_log_likelihood",
-    "LazyCaches",
-    "StaleCacheError",
-    "accumulate_lazy_gradient",
-    "build_caches",
-    "lazy_log_likelihood",
-    "update_u_hat",
-    "GroundTruth",
-    "InfluenceMatrix",
-    "UnstableConfigurationError",
-    "low_rank_approximation",
-    "rescale_for_stability",
-    "sample_scale_free_graph",
-    "spectral_radius_estimate",
-    "synthetic_dataset",
-    "thinning_sample",
-    "time_rescaling_residuals",
-    "AdamState",
-    "TrainConfig",
-    "TrainReport",
-    "TrainingDivergedError",
-    "init_params",
-    "train",
-    "train_parallel",
-    "CascadeFile",
-    "CascadeFormatError",
-    "Checkpoint",
-    "CheckpointFormatError",
-    "DatasetStats",
-    "dataset_stats",
-    "parse_cascades",
-    "read_cascade_file",
-    "read_checkpoint",
-    "read_checkpoint_full",
-    "write_cascades",
-    "write_checkpoint",
-    "BenchmarkResult",
-    "RecoveryReport",
-    "holdout_loglik",
-    "rmse_params",
-    "runtime_benchmark",
-    "__version__",
+    *model.__all__, *dense.__all__, *lazy.__all__, *simulate.__all__, *train.__all__,
+    *data_io.__all__, *evaluate.__all__, "__version__",
 ]
+
+from .model import *  # noqa: E402,F403
+from .dense import *  # noqa: E402,F403
+from .lazy import *  # noqa: E402,F403
+from .simulate import *  # noqa: E402,F403
+from .train import *  # noqa: E402,F403
+from .data_io import *  # noqa: E402,F403
+from .evaluate import *  # noqa: E402,F403

@@ -28,12 +28,12 @@ from .data_io import (
 )
 from .evaluate import (
     RecoveryReport,
+    holdout_loglik,
     rmse_params,
     runtime_benchmark,
     write_benchmark_tsv,
     write_recovery_tsv,
 )
-from .lazy import build_caches, lazy_log_likelihood
 from .model import Dataset, NumericalDivergenceError, influence_matrix
 from .simulate import UnstableConfigurationError, synthetic_dataset
 from .train import TrainConfig, TrainingDivergedError, train, train_parallel
@@ -256,12 +256,7 @@ def cmd_eval(args) -> int:
     params = checkpoint.params
     cascade = read_cascade_file(args.data)
     data = remap_to_checkpoint(cascade, checkpoint.vocabulary, params.num_entities)
-    if data.total_events == 0:
-        raise CliError("evaluation data has zero events")
-    caches = build_caches(params, data)
-    loglik = lazy_log_likelihood(params, data, caches) / data.total_events
-    if not np.isfinite(loglik):
-        raise CliError(f"held-out log-likelihood is not finite ({loglik})")
+    loglik = holdout_loglik(params, data)
 
     if args.truth is not None:
         truth = load_truth(args.truth, checkpoint.vocabulary, params.num_entities)

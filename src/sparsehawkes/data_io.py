@@ -31,15 +31,11 @@ __all__ = [
     "CascadeFile",
     "DatasetStats",
     "Checkpoint",
-    "parse_cascades",
     "read_cascade_file",
     "write_cascades",
     "dataset_stats",
     "write_checkpoint",
-    "read_checkpoint",
     "read_checkpoint_full",
-    "CHECKPOINT_MAGIC",
-    "CHECKPOINT_VERSION",
 ]
 
 
@@ -199,11 +195,6 @@ def read_cascade_file(path) -> CascadeFile:
     return parse.finish(str(path))
 
 
-def parse_cascades(path) -> Dataset:
-    """Parse a cascade file, dropping the label vocabulary."""
-    return read_cascade_file(path).dataset
-
-
 def write_cascades(path, data: Dataset, vocabulary: list[str] | None = None,
                    sequence_ids: list[str] | None = None):
     """Serialize a dataset in the cascade text format.
@@ -262,7 +253,7 @@ def dataset_stats(data: Dataset) -> DatasetStats:
     if len(data) == 0:
         raise ValueError("dataset has no sequences")
     active_counts = np.diff(data.slot_tables()[3])
-    event_counts = np.diff(data.event_offsets())
+    event_counts = np.diff(data.offsets)
     fractions = np.sort(active_counts / data.num_entities)[::-1]
     return DatasetStats(
         num_entities=data.num_entities,
@@ -394,8 +385,3 @@ def read_checkpoint_full(path) -> Checkpoint:
         raise CheckpointFormatError("metadata is not valid JSON") from None
     params = ModelParams.from_block(theta, theta_beta, d)
     return Checkpoint(params=params, meta=meta, vocabulary=vocabulary, version=int(version))
-
-
-def read_checkpoint(path) -> tuple[ModelParams, dict]:
-    cp = read_checkpoint_full(path)
-    return cp.params, cp.meta

@@ -22,9 +22,6 @@ __all__ = [
     "rmse_params",
     "holdout_loglik",
     "runtime_benchmark",
-    "write_recovery_tsv",
-    "write_benchmark_tsv",
-    "write_series_tsv",
 ]
 
 
@@ -107,23 +104,6 @@ class BenchmarkResult:
     median_seconds: float
     spread_seconds: float
     times: list[float]
-    entity_touches: int
-    threads: int = 1
-
-
-def _touch_count(engine: str, data: Dataset) -> int:
-    """Entity touches one gradient pass performs, from the scan structure.
-
-    The dense pass updates every entity's excitation state at every event
-    and closes out every entity per sequence.  The lazy pass touches each
-    event once, each per-sequence active entity once, and every entity one
-    time while refreshing the shared caches.
-    """
-    n = data.num_entities
-    events = data.total_events
-    if engine == "dense":
-        return n * (events + len(data))
-    return events + len(data.slot_tables()[1]) + n
 
 
 def runtime_benchmark(engine: str, data: Dataset, repetitions: int = 5,
@@ -168,8 +148,6 @@ def runtime_benchmark(engine: str, data: Dataset, repetitions: int = 5,
         median_seconds=float(np.median(arr)),
         spread_seconds=float(np.percentile(arr, 75) - np.percentile(arr, 25)),
         times=times,
-        entity_touches=_touch_count(engine, data),
-        threads=1,
     )
 
 
@@ -188,16 +166,6 @@ def write_recovery_tsv(path, report: RecoveryReport):
 def write_benchmark_tsv(path, results):
     """One row per benchmark result."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("engine\trepetitions\tmedian_seconds\tspread_seconds\t"
-                 "entity_touches\tthreads\n")
+        fh.write("engine\trepetitions\tmedian_seconds\tspread_seconds\n")
         for r in results:
-            fh.write(f"{r.engine}\t{r.repetitions}\t{r.median_seconds!r}\t"
-                     f"{r.spread_seconds!r}\t{r.entity_touches}\t{r.threads}\n")
-
-
-def write_series_tsv(path, x_name: str, y_name: str, pairs):
-    """Plot-ready two-column data (epoch vs loglik, size vs time, ...)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{x_name}\t{y_name}\n")
-        for x, y in pairs:
-            fh.write(f"{x}\t{y!r}\n" if isinstance(y, float) else f"{x}\t{y}\n")
+            fh.write(f"{r.engine}\t{r.repetitions}\t{r.median_seconds!r}\t{r.spread_seconds!r}\n")

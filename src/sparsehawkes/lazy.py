@@ -31,7 +31,6 @@ __all__ = [
     "build_caches",
     "lazy_log_likelihood",
     "accumulate_lazy_gradient",
-    "update_u_hat",
 ]
 
 
@@ -127,7 +126,6 @@ def lazy_log_likelihood(
     bs = batch_sequence_stats(params, data)
     beta = bs.beta
     ns = bs.num_seqs
-    n_active = bs.active_counts
     # Per-slot pieces of the active-entity compensator, reduced per sequence.
     z_rows = bs.z[bs.slot_seq]
     own_slot = bs.mu_slot * bs.horizons[bs.slot_seq] + (
@@ -146,7 +144,7 @@ def lazy_log_likelihood(
         minlength=ns,
     )
     seq_vals = bs.loglam - own_seq - (uhat_z - u_dot_z) / beta - absent_seq
-    terms = seq_vals[n_active > 0].tolist()
+    terms = seq_vals[np.diff(bs.seq_slot_start) > 0].tolist()
     never = caches.never_active
     if len(never):
         terms.append(-caches.total_horizon * float(softplus(params.theta_mu[never]).sum()))

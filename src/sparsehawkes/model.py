@@ -22,9 +22,6 @@ import numpy as np
 
 __all__ = [
     "NumericalDivergenceError",
-    "softplus",
-    "softplus_grad",
-    "softplus_inv",
     "Event",
     "Sequence",
     "Dataset",
@@ -104,7 +101,7 @@ class Sequence:
     over strictly earlier history only.
     """
 
-    __slots__ = ("times", "entities", "horizon", "_active")
+    __slots__ = ("times", "entities", "horizon")
 
     def __init__(self, events: Iterable[Event], horizon: float):
         events = list(events)
@@ -127,7 +124,7 @@ class Sequence:
     def _view(cls, times, entities, horizon: float) -> "Sequence":
         """A sequence over arrays a :class:`Dataset` has validated, not copied."""
         obj = cls.__new__(cls)
-        obj.times, obj.entities, obj.horizon, obj._active = times, entities, horizon, None
+        obj.times, obj.entities, obj.horizon = times, entities, horizon
         return obj
 
     def _init_from_arrays(self, times, entities, horizon):
@@ -156,22 +153,9 @@ class Sequence:
         self.times = times
         self.entities = entities
         self.horizon = horizon
-        self._active = None
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @property
-    def events(self) -> list[Event]:
-        return [Event(int(x), float(t)) for x, t in zip(self.entities, self.times)]
-
-    @property
-    def active_entities(self) -> np.ndarray:
-        """Sorted distinct entities with at least one event here."""
-        if self._active is None:
-            self._active = np.unique(self.entities)
-            self._active.setflags(write=False)
-        return self._active
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -284,11 +268,6 @@ class Dataset:
             counts = np.bincount(slot_of, minlength=len(uq)).astype(np.int64)
             self._slots = (slot_of, slot_seq, slot_entity, seq_slot_start, counts)
         return self._slots
-
-    def event_offsets(self) -> np.ndarray:
-        """``(len(sequences) + 1,)``: sequence ``k`` owns flat events
-        ``offsets[k]:offsets[k + 1]``."""
-        return self.offsets
 
     def event_frame(self):
         """Per-event columns that do not depend on the parameters.

@@ -13,25 +13,27 @@ and per-event frame, the one place a layout is built; the engines scan all
 sequences with it, and a training step slices out one long sequence with
 ``subset=``.  ``pairwise_sequence_stats`` computes one sequence's gradient
 statistics from its (m, m) decay kernel; a training step uses it for short
-sequences, where the banded scan's fixed cost of building bands, carries and
-groupings outweighs m squared products.  It rounds differently, so
-``subset=`` scans stay bit-identical to slices of the full scan only because
-they keep the banded path.  A scan gathers its slots' raw parameter rows
-once, activates them with one softplus and checks the decay rate once, for
-every consumer of its result.  The tests check the banded scan against the
-event-by-event (Ozaki 1979) recursion kept in ``tests/oracles.py``.
+sequences, where the banded scan's fixed cost of building bands and carries
+outweighs m squared products.  It rounds differently, so ``subset=`` scans
+stay bit-identical to slices of the full scan only because they keep the
+banded path.  A scan gathers and activates its slots' raw parameter rows
+once and checks the decay rate once; both paths share one intensity check
+and handle an empty range like any other.  The tests check the banded scan
+against the event-by-event (Ozaki 1979) recursion in ``tests/oracles.py``.
 
 In the banded scan the decayed sums are linear recurrences whose closed form
 is a prefix sum of ``exp(beta*t_j) * value_j`` rescaled by
 ``exp(-beta*t_i)``; raw exponentials of the phase ``beta*t`` overflow once it
-passes ~709, so the phase axis of every sequence is cut into fixed-width
-bands.  Within a band the stored exponentials stay bounded and, because
-events are time-ordered, every prefix term is no larger than the rescaling
-factor that multiplies it, which keeps the summation well conditioned.
-Across bands only a per-band carry survives, propagated with step factors of
-``exp(-width)`` per band so the huge and tiny scales cancel in pairs.  The
-kernel needs none of this: its exponents ``-beta*(t_i - t_j)`` are never
-positive.
+passes ~709, so the phase axis is cut into fixed-width bands.  Within a band
+the stored exponentials stay bounded and, because events are time-ordered,
+every prefix term is no larger than the rescaling factor that multiplies it,
+which keeps the summation well conditioned.  Across bands only a per-band
+carry survives, propagated with step factors of ``exp(-width)`` per band so
+the huge and tiny scales cancel in pairs.  One forward routine (``_forward``
+on a ``_bands`` layout) runs this along chains of time-ordered events: each
+sequence for the emitting sums, each slot holding two or more events for the
+same-entity sums; the reverse scan reuses the sequences' bands.  The kernel
+needs none of this: its exponents ``-beta*(t_i - t_j)`` are never positive.
 """
 
 from __future__ import annotations
@@ -148,6 +150,48 @@ def _chain_carries(first_flags, g, totals, reverse=False):
     return carr
 
 
+def _bands(first, g):
+    """Band layout of rows grouped into chains: a band starts wherever
+    ``first`` marks a chain start or the phase strip ``g`` changes.
+
+    Returns ``(band_first, band_len, band_of, pos, chain_first, band_g)``:
+    each band's first row and length, each row's band and position in it,
+    the bands that start a chain, and each band's strip.
+    """
+    new_band = first.copy()
+    new_band[1:] |= g[1:] != g[:-1]
+    band_of = new_band.cumsum() - 1
+    band_first = new_band.nonzero()[0]
+    pos = np.arange(len(g)) - band_first[band_of]
+    return band_first, np.bincount(band_of), band_of, pos, first[band_first], g[band_first]
+
+
+def _forward(x, bands, e_dn):
+    """Decayed sums of ``x`` over the earlier rows of each row's chain: the
+    banded exclusive scan, the carries across bands, then the ``e_dn``
+    rescale."""
+    band_first, band_len, band_of, pos, chain_first, band_g = bands
+    out, totals = _banded_excl_scan(x, band_first, band_len, band_of, pos)
+    carries = _chain_carries(chain_first, band_g, totals)
+    if carries is not None:
+        out += carries[band_of]
+    out *= e_dn[:, None]
+    return out
+
+
+def _check_intensity(lam, data, e0):
+    """Refuse a non-positive or non-finite intensity; ``lam`` holds the flat
+    events of ``data`` from ``e0`` on, and the error names the first bad one."""
+    good = (lam > 0.0) & np.isfinite(lam)
+    if not good.all():
+        i = e0 + int(np.argmin(good))
+        k = int(data.event_frame()[0][i])
+        raise NumericalDivergenceError(
+            f"non-positive intensity {float(lam[i - e0])!r} at sequence {k} event index "
+            f"{i - data.offsets[k]} (t={float(data.times[i])!r})"
+        )
+
+
 @dataclass
 class BatchStats:
     """Scan results for a whole dataset, laid out as flat slot tables.
@@ -181,38 +225,6 @@ class BatchStats:
     z_beta: np.ndarray | None = None       # (ns, d)
     q_beta: np.ndarray | None = None       # (S,)
 
-    @property
-    def active_counts(self) -> np.ndarray:
-        """Number of active entities per sequence."""
-        return np.diff(self.seq_slot_start)
-
-
-def _empty_batch(d: int, beta: float, ns: int, horizons: np.ndarray, gradients: bool) -> BatchStats:
-    no_slots = np.empty(0, dtype=np.int64)
-    return BatchStats(
-        num_seqs=ns,
-        beta=beta,
-        horizons=horizons,
-        loglam=np.zeros(ns),
-        z=np.zeros((ns, d)),
-        slot_seq=no_slots,
-        slot_entity=no_slots.copy(),
-        seq_slot_start=np.zeros(ns + 1, dtype=np.int64),
-        counts=no_slots.copy(),
-        q=np.zeros(0),
-        mu_slot=np.zeros(0),
-        c_slot=np.zeros(0),
-        u_slot=np.zeros((0, d)),
-        v_slot=np.zeros((0, d)),
-        inv_lam=np.zeros(0) if gradients else None,
-        r_over_lam=np.zeros(0) if gradients else None,
-        s_over_lam=np.zeros((0, d)) if gradients else None,
-        p_rev=np.zeros((0, d)) if gradients else None,
-        beta_log=np.zeros(ns) if gradients else None,
-        z_beta=np.zeros((ns, d)) if gradients else None,
-        q_beta=np.zeros(0) if gradients else None,
-    )
-
 
 def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = False,
                          subset: tuple[int, int] | None = None) -> BatchStats:
@@ -226,18 +238,17 @@ def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = F
     instead of per-event interpreter steps.
     """
     beta = checked_beta(params)
-    horizons, _, _, t, lab = data.flat_events()
-    seq_ev, tail, trel = data.event_frame()
+    _, tail, trel = data.event_frame()
     slot_of, slot_seq, slot_entity, seq_slot_start, counts = data.slot_tables()
-    offsets = data.event_offsets()
-    k0, k1 = (0, len(horizons)) if subset is None else subset
+    offsets = data.offsets
+    k0, k1 = (0, len(data)) if subset is None else subset
     e0, e1 = offsets[k0], offsets[k1]
     s0, s1 = seq_slot_start[k0], seq_slot_start[k1]
     bounds = offsets[k0:k1 + 1] - e0
     nonempty = (bounds[1:] != bounds[:-1]).nonzero()[0]
     starts = bounds[nonempty]
-    horizons = horizons[k0:k1]
-    t, lab, seq_ev, tail, trel = t[e0:e1], lab[e0:e1], seq_ev[e0:e1], tail[e0:e1], trel[e0:e1]
+    horizons = data.horizons[k0:k1]
+    tail, trel = tail[e0:e1], trel[e0:e1]
     slot_of = slot_of[e0:e1] - s0
     slot_seq = slot_seq[s0:s1] - k0
     slot_entity = slot_entity[s0:s1]
@@ -245,9 +256,7 @@ def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = F
     counts = counts[s0:s1]
     ns = len(horizons)
     d = params.dim
-    m = len(t)
-    if m == 0:
-        return _empty_batch(d, beta, ns, horizons, gradients)
+    m = len(trel)
 
     # One gather and one activation of the raw rows [u | v | mu | self];
     # the last column then becomes the diagonal correction s - u.v.
@@ -261,28 +270,19 @@ def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = F
     wtail = -np.expm1(-beta * tail)
     z = np.zeros((ns, d))
     z[nonempty] = np.add.reduceat(wtail[:, None] * v_ev, starts, axis=0)
-    q = np.bincount(slot_of, weights=wtail, minlength=len(slot_seq))
+    # (bincount gives int64 zeros for an empty range, weights or not)
+    q = np.bincount(slot_of, weights=wtail, minlength=len(slot_seq)).astype(float, copy=False)
 
-    # Phase bands: per-sequence elapsed phase cut into fixed-width strips.
+    # Phase bands: per-sequence elapsed phase cut into fixed-width strips,
+    # with each sequence one chain.
     phase = beta * trel
     g_ev = np.floor(phase / _BAND_WIDTH).astype(np.int64)
     psi = phase - g_ev * _BAND_WIDTH
     e_up = np.exp(psi)
     e_dn = np.exp(-psi)
-
     ev_first = np.zeros(m, dtype=bool)
     ev_first[starts] = True
-    new_band = ev_first.copy()
-    new_band[1:] |= g_ev[1:] != g_ev[:-1]
-    band_of = new_band.cumsum() - 1
-    band_first = new_band.nonzero()[0]
-    band_len = np.bincount(band_of)
-    band_g = g_ev[band_first]
-    band_chain_first = np.empty(len(band_first), dtype=bool)
-    band_chain_first[0] = True
-    band_rows = seq_ev[band_first]
-    band_chain_first[1:] = band_rows[1:] != band_rows[:-1]
-    pos = np.arange(m) - band_first[band_of]
+    bands = _bands(ev_first, g_ev)
 
     # Forward scan of the emitting embeddings (and their time-weighted
     # companions when gradients are on, stacked to share the passes).
@@ -292,67 +292,27 @@ def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = F
     np.multiply(e_up[:, None], v_ev, out=full[:, :d])
     if gradients:
         np.multiply(full[:, :d], trel[:, None], out=full[:, d:])
-    full, band_tot = _banded_excl_scan(full, band_first, band_len, band_of, pos)
-    carries = _chain_carries(band_chain_first, band_g, band_tot)
-    if carries is not None:
-        full += carries[band_of]
-    full *= e_dn[:, None]
+    full = _forward(full, bands, e_dn)
     s_all, s_dbeta = full[:, :d], full[:, d:]
     if gradients:
         s_dbeta -= trel[:, None] * s_all
 
-    # Same-entity scalar scan: regroup events by (band, entity) so each
-    # group is contiguous, then scan and route carries along (sequence,
-    # entity) chains.  Events whose (sequence, entity) slot holds a single
-    # event neither receive nor feed this scan, so only the repeated slots
-    # are touched; on sparse data that skips most of the work.
-    r_cols = np.zeros((m, 2 if gradients else 1))
-    idx_m = (counts[slot_of] >= 2).nonzero()[0]
-    mm = idx_m.size
-    if mm:
-        band_m = band_of[idx_m]
-        lab_m = lab[idx_m]
-        order2 = idx_m[np.lexsort((lab_m, band_m))]
-        band2 = band_of[order2]
-        lab2 = lab[order2]
-        new_grp = np.empty(mm, dtype=bool)
-        new_grp[0] = True
-        new_grp[1:] = (band2[1:] != band2[:-1]) | (lab2[1:] != lab2[:-1])
-        grp_of2 = new_grp.cumsum() - 1
-        grp_first = new_grp.nonzero()[0]
-        grp_len = np.diff(np.concatenate([grp_first, [mm]]))
-        pos2 = np.arange(mm) - grp_first[grp_of2]
-        e_grp = e_up[order2][:, None]
-        if gradients:
-            e_grp = np.concatenate([e_grp, (e_up * trel)[order2][:, None]], axis=1)
-        pref2, grp_tot = _banded_excl_scan(e_grp, grp_first, grp_len, grp_of2, pos2)
-        grp_seq = seq_ev[order2[grp_first]]
-        grp_lab = lab2[grp_first]
-        grp_g = g_ev[order2[grp_first]]
-        order_g = np.lexsort((grp_g, grp_lab, grp_seq))
-        seq_p = grp_seq[order_g]
-        lab_p = grp_lab[order_g]
-        chain_first_p = np.empty(len(order_g), dtype=bool)
-        chain_first_p[0] = True
-        chain_first_p[1:] = (seq_p[1:] != seq_p[:-1]) | (lab_p[1:] != lab_p[:-1])
-        carry_p = _chain_carries(chain_first_p, grp_g[order_g], grp_tot[order_g])
-        if carry_p is not None:
-            grp_carry = np.empty_like(grp_tot)
-            grp_carry[order_g] = carry_p
-            pref2 += grp_carry[grp_of2]
-        r_cols[order2] = e_dn[order2][:, None] * pref2
+    # Same-entity sums: the same forward scan, with each slot's events (in
+    # time order) one chain.  A slot holding a single event neither feeds
+    # nor receives these sums, so only repeated slots are scanned; on sparse
+    # data that skips most of the work.
+    rep = (counts[slot_of] >= 2).nonzero()[0]
+    rep = rep[np.argsort(slot_of[rep], kind="stable")]
+    x = e_up[rep, None]
+    if gradients:
+        x = np.concatenate([x, (e_up * trel)[rep, None]], axis=1)
+    r_cols = np.zeros((m, x.shape[1]))
+    r_cols[rep] = _forward(x, _bands(np.diff(slot_of[rep], prepend=-1) != 0, g_ev[rep]), e_dn[rep])
     r_all = r_cols[:, 0]
     r_dbeta = -trel * r_all + r_cols[:, 1] if gradients else None
 
     lam = mu_ev + np.einsum("ij,ij->i", u_ev, s_all) + c_ev * r_all
-    good = (lam > 0.0) & np.isfinite(lam)
-    if not good.all():
-        i = int(np.argmin(good))
-        k = int(seq_ev[i])
-        raise NumericalDivergenceError(
-            f"non-positive intensity {float(lam[i])!r} at sequence {k} event index "
-            f"{e0 + i - offsets[k]} (t={float(t[i])!r})"
-        )
+    _check_intensity(lam, data, e0)
     loglam = np.zeros(ns)
     loglam[nonempty] = np.add.reduceat(np.log(lam), starts)
 
@@ -375,12 +335,13 @@ def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = F
     z_beta = np.zeros((ns, d))
     z_beta[nonempty] = np.add.reduceat(e_tail[:, None] * v_ev, starts, axis=0)
 
-    # Reverse scan: decayed sums over later events of u/lambda, delivered to
-    # each event's emitting side.
+    # Reverse scan on the forward scan's bands: decayed sums over later events
+    # of u/lambda, delivered to each event's emitting side.
+    band_first, band_len, band_of, pos, chain_first, band_g = bands
     rev = u_ev * inv[:, None]
     rev *= e_dn[:, None]
     rev, band_tot_rev = _banded_excl_scan(rev, band_first, band_len, band_of, pos, reverse=True)
-    rev_carry = _chain_carries(band_chain_first, band_g, band_tot_rev, reverse=True)
+    rev_carry = _chain_carries(chain_first, band_g, band_tot_rev, reverse=True)
 
     # Per-slot sums of all per-event gradient quantities in one grouped pass:
     # stable sort by slot keeps each slot's events contiguous and in order, so
@@ -394,26 +355,20 @@ def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = F
     stacked[:, 2 * d] = inv
     np.multiply(r_all, inv, out=stacked[:, 2 * d + 1])
     stacked[:, 2 * d + 2] = e_tail
-    if mm:
+    if rep.size:
         order_slot = np.argsort(slot_of, kind="stable")
         sums = np.add.reduceat(stacked[order_slot], counts.cumsum() - counts, axis=0)
     else:
         sums = np.empty_like(stacked)
         sums[slot_of] = stacked
-    s_over_lam = sums[:, :d]
-    p_rev = sums[:, d:2 * d]
-    inv_lam = sums[:, 2 * d]
-    r_over_lam = sums[:, 2 * d + 1]
-    q_beta = sums[:, 2 * d + 2]
-
     return BatchStats(
         num_seqs=ns, beta=beta, horizons=horizons,
         loglam=loglam, z=z,
         slot_seq=slot_seq, slot_entity=slot_entity,
         seq_slot_start=seq_slot_start, counts=counts, q=q,
         mu_slot=mu_slot, c_slot=c_slot, u_slot=u_slot, v_slot=v_slot,
-        inv_lam=inv_lam, r_over_lam=r_over_lam, s_over_lam=s_over_lam,
-        p_rev=p_rev, beta_log=beta_log, z_beta=z_beta, q_beta=q_beta,
+        inv_lam=sums[:, 2 * d], r_over_lam=sums[:, 2 * d + 1], s_over_lam=sums[:, :d],
+        p_rev=sums[:, d:2 * d], beta_log=beta_log, z_beta=z_beta, q_beta=sums[:, 2 * d + 2],
     )
 
 
@@ -429,7 +384,7 @@ def pairwise_sequence_stats(params: ModelParams, data: Dataset, k: int) -> Batch
     sequences (see ``_PAIRWISE_MAX`` in :mod:`.train`).
     """
     beta = checked_beta(params)
-    offsets = data.event_offsets()
+    offsets = data.offsets
     slot_of, _, slot_entity, seq_slot_start, counts = data.slot_tables()
     _, tail, trel = data.event_frame()
     e0, e1 = int(offsets[k]), int(offsets[k + 1])
@@ -437,8 +392,6 @@ def pairwise_sequence_stats(params: ModelParams, data: Dataset, k: int) -> Batch
     horizons = data.horizons[k:k + 1]
     d = params.dim
     m, a = e1 - e0, s1 - s0
-    if m == 0:
-        return _empty_batch(d, beta, 1, horizons, True)
     tail, trel = tail[e0:e1], trel[e0:e1]
     loc = slot_of[e0:e1] - s0
     slot_entity = slot_entity[s0:s1]
@@ -463,13 +416,7 @@ def pairwise_sequence_stats(params: ModelParams, data: Dataset, k: int) -> Batch
         r_dbeta = (kern_dbeta * same).sum(axis=1)
 
     lam = mu_ev + np.einsum("ij,ij->i", u_ev, s_all) + c_ev * r_all
-    good = (lam > 0.0) & np.isfinite(lam)
-    if not good.all():
-        i = int(np.argmin(good))
-        raise NumericalDivergenceError(
-            f"non-positive intensity {float(lam[i])!r} at sequence {k} event index "
-            f"{i} (t={float(data.times[e0 + i])!r})"
-        )
+    _check_intensity(lam, data, e0)
     inv = 1.0 / lam
     beta_ev = (np.einsum("ij,ij->i", u_ev, s_dbeta) + c_ev * r_dbeta) * inv
 

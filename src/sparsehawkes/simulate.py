@@ -19,12 +19,7 @@ from .model import Dataset, ModelParams, Sequence, softplus
 
 __all__ = [
     "UnstableConfigurationError",
-    "InfluenceMatrix",
     "GroundTruth",
-    "spectral_radius_estimate",
-    "sample_scale_free_graph",
-    "low_rank_approximation",
-    "rescale_for_stability",
     "thinning_sample",
     "synthetic_dataset",
     "time_rescaling_residuals",

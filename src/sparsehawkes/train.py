@@ -36,9 +36,7 @@ from .scan import batch_sequence_stats, pairwise_sequence_stats
 __all__ = [
     "TrainingDivergedError",
     "TrainConfig",
-    "AdamState",
     "TrainReport",
-    "init_params",
     "train",
     "train_parallel",
 ]
@@ -248,7 +246,7 @@ def _step(params: ModelParams, data: Dataset, k: int, caches: LazyCaches, state:
     Returns the sequence's decayed emitting total under the parameters before
     the step, its share of the next epoch's ``z_hat``.
     """
-    offsets = data.event_offsets()
+    offsets = data.offsets
     if offsets[k + 1] - offsets[k] <= _PAIRWISE_MAX:
         bs = pairwise_sequence_stats(params, data, k)
     else:
@@ -273,7 +271,7 @@ def _start(data: Dataset, config: TrainConfig, init: ModelParams | None):
                 f"init covers {init.num_entities} entities, data has {data.num_entities}"
             )
         params = init.copy()
-    nonempty = np.diff(data.event_offsets()) > 0
+    nonempty = np.diff(data.offsets) > 0
     return rng, params, build_caches(params, data), TrainReport(), params.copy(), nonempty
 
 

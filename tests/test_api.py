@@ -1,6 +1,7 @@
-"""The package's public surface: every exported name resolves, the
-stepwise reference stack and the single-sequence wrappers stay out of it,
-and nothing under ``src/`` reaches into the test suite."""
+"""The package's public surface: every exported name resolves, the package
+exports its submodules' lists and nothing else, the stepwise reference stack,
+the single-sequence wrappers and the aliases stay out of it, and nothing
+under ``src/`` reaches into the test suite."""
 
 import ast
 import importlib
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import sparsehawkes
-from sparsehawkes.model import Dataset
+from sparsehawkes.evaluate import BenchmarkResult
+from sparsehawkes.model import Dataset, Sequence
 from sparsehawkes.scan import BatchStats
 
 # ``__main__`` runs the command line when imported.
@@ -19,12 +21,19 @@ SUBMODULES = sorted(
     if info.name != "__main__"
 )
 
+# The package re-exports these submodules' ``__all__``; the scan machinery
+# and the command line stay behind their modules.
+EXPORTING = [name for name in SUBMODULES if name not in ("sparsehawkes.cli", "sparsehawkes.scan")]
+
 # The event-by-event reference lives in tests/oracles.py; per-sequence
 # questions are asked with batch_sequence_stats(..., subset=(k, k + 1)).
+# The aliases went for their direct forms: read_cascade_file(p).dataset and
+# read_checkpoint_full.
 REMOVED = (
     "SequenceScan", "sequence_stats_reference", "SequenceStats", "sequence_stats",
     "alpha", "alpha_row", "intensity", "compensator",
     "lazy_sequence_gradients", "SequenceGradient",
+    "parse_cascades", "read_checkpoint", "write_series_tsv",
 )
 
 
@@ -39,6 +48,13 @@ def test_every_exported_name_resolves(module_name):
     assert set(exported) <= set(namespace)
 
 
+def test_package_exports_each_submodule_list_once():
+    names = [name for module in EXPORTING for name in importlib.import_module(module).__all__]
+    assert len(names) == len(set(names))
+    assert sorted(sparsehawkes.__all__) == sorted(names + ["__version__"])
+    assert len(sparsehawkes.__all__) <= 40
+
+
 @pytest.mark.parametrize("module_name", ["sparsehawkes"] + SUBMODULES)
 def test_removed_names_are_gone(module_name):
     module = importlib.import_module(module_name)
@@ -49,6 +65,12 @@ def test_removed_members_are_gone():
     assert not hasattr(BatchStats, "stats")
     assert "gradients" not in BatchStats.__dataclass_fields__
     assert not hasattr(Dataset, "active_index")
+    assert not hasattr(Dataset, "event_offsets")
+    assert not hasattr(BatchStats, "active_counts")
+    assert not hasattr(Sequence, "events")
+    assert not hasattr(Sequence, "active_entities")
+    assert "_active" not in Sequence.__slots__
+    assert set(BenchmarkResult.__dataclass_fields__).isdisjoint({"entity_touches", "threads"})
 
 
 def test_package_never_imports_from_tests():

@@ -11,10 +11,9 @@ from sparsehawkes import (
     influence_matrix,
     lazy_log_likelihood,
     read_checkpoint_full,
-    softplus,
-    softplus_inv,
     write_checkpoint,
 )
+from sparsehawkes.model import softplus, softplus_inv
 from sparsehawkes.cli import main
 
 

@@ -16,9 +16,7 @@ from sparsehawkes.data_io import (
     CascadeFormatError,
     CheckpointFormatError,
     dataset_stats,
-    parse_cascades,
     read_cascade_file,
-    read_checkpoint,
     read_checkpoint_full,
     write_cascades,
     write_checkpoint,
@@ -62,14 +60,14 @@ def test_parse_two_sequences(tmp_path):
 
 def test_parse_sorts_events_within_sequence(tmp_path):
     path = write_text(tmp_path, "s\ta\t3.0\ns\tb\t1.0\ns\ta\t2.0\n")
-    data = parse_cascades(path)
+    data = read_cascade_file(path).dataset
     np.testing.assert_array_equal(data.sequences[0].times, [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(data.sequences[0].entities, [1, 0, 0])
 
 
 def test_parse_blank_lines_and_crlf(tmp_path):
     path = write_text(tmp_path, "\ns\ta\t1.0\r\n\n#horizon 2.0\r\ns\tb\t1.5\n\n")
-    data = parse_cascades(path)
+    data = read_cascade_file(path).dataset
     assert data.sequences[0].horizon == 2.0
     assert len(data.sequences[0]) == 2
 
@@ -77,14 +75,14 @@ def test_parse_blank_lines_and_crlf(tmp_path):
 def test_parse_universe_is_observed_vocabulary(tmp_path):
     # labels that never occur have no carrier in the text format
     path = write_text(tmp_path, "s\tx\t1.0\ns\ty\t2.0\n")
-    data = parse_cascades(path)
+    data = read_cascade_file(path).dataset
     assert data.num_entities == 2
 
 
 def test_parse_empty_file_rejected(tmp_path):
     path = write_text(tmp_path, "")
     with pytest.raises(CascadeFormatError, match="no sequences"):
-        parse_cascades(path)
+        read_cascade_file(path)
 
 
 @pytest.mark.parametrize(
@@ -115,20 +113,20 @@ def test_parse_empty_file_rejected(tmp_path):
 def test_parse_rejects_malformed(tmp_path, text, needle):
     path = write_text(tmp_path, text)
     with pytest.raises(CascadeFormatError, match=needle):
-        parse_cascades(path)
+        read_cascade_file(path)
 
 
 def test_parse_error_names_the_offending_line(tmp_path):
     path = write_text(tmp_path, "s\ta\t1.0\ns\tb\t2.0\ns\tc\tbad\n")
     with pytest.raises(CascadeFormatError, match="line 3"):
-        parse_cascades(path)
+        read_cascade_file(path)
 
 
 def test_parse_duplicate_timestamp_names_later_line(tmp_path):
     # events arrive unsorted; the later file line carries the clash
     path = write_text(tmp_path, "s\ta\t2.0\ns\tb\t1.0\ns\tc\t2.0\n")
     with pytest.raises(CascadeFormatError, match="line 3"):
-        parse_cascades(path)
+        read_cascade_file(path)
 
 
 def test_parse_whole_sequence_faults_in_order(tmp_path):
@@ -136,12 +134,12 @@ def test_parse_whole_sequence_faults_in_order(tmp_path):
     # comes before an event past the horizon
     text = "s\ta\t0.5\n#horizon 1.0\nt\ta\t2.0\nt\tb\t2.0\ns\tb\t0.0\ns\tc\t0.0\n"
     with pytest.raises(CascadeFormatError, match="line 6: duplicate timestamp 0.0 in sequence 's'"):
-        parse_cascades(write_text(tmp_path, text))
+        read_cascade_file(write_text(tmp_path, text))
     with pytest.raises(CascadeFormatError, match="line 4: duplicate timestamp 2.0 in sequence 't'"):
-        parse_cascades(write_text(tmp_path, text.replace("c\t0.0", "c\t0.25")))
+        read_cascade_file(write_text(tmp_path, text.replace("c\t0.0", "c\t0.25")))
     with pytest.raises(CascadeFormatError, match="line 3: timestamp 2.0 exceeds the horizon 1.0"):
-        parse_cascades(write_text(tmp_path, text.replace("c\t0.0", "c\t0.25")
-                                  .replace("b\t2.0", "b\t3.0")))
+        read_cascade_file(write_text(tmp_path, text.replace("c\t0.0", "c\t0.25")
+                                     .replace("b\t2.0", "b\t3.0")))
 
 
 def test_parse_duplicate_horizon_reports_both_lines(tmp_path):
@@ -150,7 +148,7 @@ def test_parse_duplicate_horizon_reports_both_lines(tmp_path):
         "#horizon 5.0\ns\ta\t0.5\n#horizon 6.0\ns\tb\t0.7\n",
     )
     with pytest.raises(CascadeFormatError, match="line 3.*line 1"):
-        parse_cascades(path)
+        read_cascade_file(path)
 
 
 def test_parse_horizon_binds_across_interleaved_sequences(tmp_path):
@@ -161,7 +159,7 @@ def test_parse_horizon_binds_across_interleaved_sequences(tmp_path):
         "s1\ta\t1.0\n"
         "s2\tb\t3.0\n",
     )
-    data = parse_cascades(path)
+    data = read_cascade_file(path).dataset
     # sequence order follows first appearance; the directive bound to s2
     assert data.sequences[0].horizon == 9.0
     assert data.sequences[1].horizon == 1.0
@@ -444,7 +442,8 @@ def test_checkpoint_preserves_likelihood_exactly(tmp_path):
 
     path = tmp_path / "big.ckpt"
     write_checkpoint(path, params, {"loglik": before})
-    loaded, meta = read_checkpoint(path)
+    cp = read_checkpoint_full(path)
+    loaded, meta = cp.params, cp.meta
     after = lazy_log_likelihood(loaded, data, build_caches(loaded, data))
     assert after == before
     assert meta["loglik"] == before

@@ -12,15 +12,14 @@ from sparsehawkes import (
     influence_matrix,
     rmse_params,
     runtime_benchmark,
-    softplus_inv,
 )
 from sparsehawkes.evaluate import (
     BenchmarkResult,
     RecoveryReport,
     write_benchmark_tsv,
     write_recovery_tsv,
-    write_series_tsv,
 )
+from sparsehawkes.model import softplus_inv
 
 from oracles import alpha_brute, random_params, random_sequence, sp
 
@@ -195,25 +194,7 @@ def test_benchmark_record_shape():
     assert len(result.times) == 3
     assert result.median_seconds == np.median(result.times)
     assert result.spread_seconds >= 0.0
-    assert result.threads == 1
     assert all(t > 0 for t in result.times)
-
-
-def test_benchmark_touch_counts_follow_complexity_law():
-    rng = np.random.default_rng(10)
-    base = sparse_benchmark_data(rng, 100, 20, 5)
-    padded = Dataset(200, base.sequences)  # never-active entities only
-
-    dense_base = runtime_benchmark("dense", base, repetitions=1)
-    dense_padded = runtime_benchmark("dense", padded, repetitions=1)
-    lazy_base = runtime_benchmark("lazy", base, repetitions=1)
-    lazy_padded = runtime_benchmark("lazy", padded, repetitions=1)
-
-    # dense work is proportional to the universe, lazy only gains the
-    # one-touch-per-entity cache term
-    assert dense_padded.entity_touches == 2 * dense_base.entity_touches
-    assert lazy_padded.entity_touches == lazy_base.entity_touches + 100
-    assert lazy_base.entity_touches < dense_base.entity_touches
 
 
 def test_benchmark_lazy_beats_dense_on_sparse_data():
@@ -255,8 +236,8 @@ def test_recovery_tsv_round_trip(tmp_path):
 
 def test_benchmark_tsv(tmp_path):
     results = [
-        BenchmarkResult("dense", 3, 0.5, 0.01, [0.5, 0.49, 0.51], 1000, 1),
-        BenchmarkResult("lazy", 3, 0.05, 0.002, [0.05, 0.048, 0.052], 120, 1),
+        BenchmarkResult("dense", 3, 0.5, 0.01, [0.5, 0.49, 0.51]),
+        BenchmarkResult("lazy", 3, 0.05, 0.002, [0.05, 0.048, 0.052]),
     ]
     path = tmp_path / "bench.tsv"
     write_benchmark_tsv(path, results)
@@ -264,16 +245,6 @@ def test_benchmark_tsv(tmp_path):
     assert len(lines) == 3
     assert lines[0].split("\t") == [
         "engine", "repetitions", "median_seconds", "spread_seconds",
-        "entity_touches", "threads",
     ]
     assert lines[1].split("\t")[0] == "dense"
     assert float(lines[2].split("\t")[2]) == 0.05
-
-
-def test_series_tsv(tmp_path):
-    path = tmp_path / "series.tsv"
-    write_series_tsv(path, "epoch", "loglik", [(1, -10.5), (2, -9.25)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "epoch\tloglik"
-    assert lines[1] == "1\t-10.5"
-    assert lines[2] == "2\t-9.25"

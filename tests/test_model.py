@@ -95,7 +95,7 @@ def test_sequence_validation():
 
 def test_sequence_active_entities_and_equality():
     s = Sequence([Event(3, 0.5), Event(1, 1.0), Event(3, 2.0)], horizon=4.0)
-    assert list(s.active_entities) == [1, 3]
+    assert np.unique(s.entities).tolist() == [1, 3]
     assert len(s) == 3
     assert s == Sequence.from_arrays([0.5, 1.0, 2.0], [3, 1, 3], 4.0)
     assert s != Sequence.from_arrays([0.5, 1.0, 2.0], [3, 1, 3], 4.5)
@@ -128,9 +128,9 @@ def test_dataset_columns_constructor_matches_sequences():
     columnar = Dataset.from_columns(6, *columns_of(listed))
     for got, want in zip(
         (*columnar.flat_events(), *columnar.slot_tables(), *columnar.event_frame(),
-         columnar.event_offsets(), columnar.activity_count),
+         columnar.offsets, columnar.activity_count),
         (*listed.flat_events(), *listed.slot_tables(), *listed.event_frame(),
-         listed.event_offsets(), listed.activity_count),
+         listed.offsets, listed.activity_count),
     ):
         np.testing.assert_array_equal(got, want)
     assert columnar == listed

@@ -109,10 +109,50 @@ def test_all_empty_batch():
     params = random_params(rng, 3, 2)
     seqs = [Sequence.from_arrays([], [], 4.0), Sequence.from_arrays([], [], 1.0)]
     bs = batch_sequence_stats(params, Dataset(3, seqs), gradients=True)
-    assert bs.active_counts.tolist() == [0, 0]
+    assert np.diff(bs.seq_slot_start).tolist() == [0, 0]
     st = stats_at(bs, 1)
     assert st.loglam == 0.0
     assert len(st.active) == 0
+
+
+def assert_empty_layout(bs, ns, d, gradients):
+    """No slots, and one zero row per sequence, in the dtypes of a non-empty scan."""
+    ints = ("slot_seq", "slot_entity", "counts")
+    floats = {"q": (0,), "mu_slot": (0,), "c_slot": (0,), "u_slot": (0, d), "v_slot": (0, d),
+              "loglam": (ns,), "z": (ns, d)}
+    grads = {"inv_lam": (0,), "r_over_lam": (0,), "s_over_lam": (0, d), "p_rev": (0, d),
+             "beta_log": (ns,), "z_beta": (ns, d), "q_beta": (0,)}
+    if gradients:
+        floats |= grads
+    else:
+        assert all(getattr(bs, name) is None for name in grads)
+    assert bs.num_seqs == ns
+    for name in ints:
+        assert getattr(bs, name).shape == (0,) and getattr(bs, name).dtype == np.int64, name
+    npt.assert_array_equal(bs.seq_slot_start, np.zeros(ns + 1))
+    assert bs.seq_slot_start.dtype == np.int64
+    for name, shape in floats.items():
+        assert getattr(bs, name).shape == shape and getattr(bs, name).dtype == np.float64, name
+
+
+def test_empty_ranges_take_the_general_path():
+    # the scan of a dataset with no events, with and without gradients, and
+    # the kernel and the subset= scan of an empty sequence beside a full one
+    rng = np.random.default_rng(14)
+    params = random_params(rng, 3, 2)
+    empty = [Sequence.from_arrays([], [], 4.0), Sequence.from_arrays([], [], 1.0)]
+    for gradients in (False, True):
+        bs = batch_sequence_stats(params, Dataset(3, empty), gradients=gradients)
+        assert_empty_layout(bs, 2, 2, gradients)
+        for k, seq in enumerate(empty):
+            rf = sequence_stats_reference(params, seq, gradients=gradients)
+            assert_stats_match(stats_at(bs, k), rf, context=f"gradients={gradients}, seq {k}")
+    data = Dataset(3, [Sequence.from_arrays([0.5, 0.9], [0, 0], 2.0), empty[0]])
+    rf = sequence_stats_reference(params, empty[0], gradients=True)
+    for bs in (pairwise_sequence_stats(params, data, 1),
+               batch_sequence_stats(params, data, gradients=True, subset=(1, 2))):
+        assert_empty_layout(bs, 1, 2, True)
+        assert_stats_match(stats_at(bs, 0), rf)
 
 
 def test_batch_results_do_not_depend_on_batch_composition():
@@ -261,7 +301,7 @@ def test_subset_scan_equals_slice_of_full_scan(case):
     params, data = case
     # the scans slice the dataset's per-event frame
     seq_of, tail, trel = data.event_frame()
-    offsets = data.event_offsets()
+    offsets = data.offsets
     assert len(seq_of) == data.total_events
     for k, seq in enumerate(data.sequences):
         sl = slice(offsets[k], offsets[k + 1])
@@ -305,7 +345,7 @@ def assert_kernel_matches_banded(params, data):
     the banded scan underflows a cross-band term to exactly 0, the kernel
     keeps one of about 1e-152."""
     caches = build_caches(params, data)
-    offsets = data.event_offsets()
+    offsets = data.offsets
     for k in np.flatnonzero(np.diff(offsets)).tolist():
         got = pairwise_sequence_stats(params, data, k)
         want = batch_sequence_stats(params, data, gradients=True, subset=(k, k + 1))

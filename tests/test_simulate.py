@@ -221,7 +221,7 @@ def test_synthetic_dataset_is_sparse_at_reference_settings():
     data, _ = synthetic_dataset(
         nodes=50, sequences=1000, beta=1.0, mu_rate=0.0001, horizon=100.0, seed=13
     )
-    fractions = [len(s.active_entities) / 50 for s in data.sequences if len(s) > 0]
+    fractions = [len(np.unique(s.entities)) / 50 for s in data.sequences if len(s) > 0]
     assert len(fractions) > 0
     assert np.median(fractions) < 0.25
 

@@ -13,15 +13,13 @@ from sparsehawkes import (
     Sequence,
     build_caches,
     lazy_log_likelihood,
-    softplus,
     synthetic_dataset,
     thinning_sample,
-    update_u_hat,
 )
-from sparsehawkes.data_io import read_checkpoint
-from sparsehawkes.lazy import _slot_gradients, accumulate_lazy_gradient
+from sparsehawkes.data_io import read_checkpoint_full
+from sparsehawkes.lazy import _slot_gradients, accumulate_lazy_gradient, update_u_hat
 from sparsehawkes.scan import batch_sequence_stats
-from sparsehawkes.model import NumericalDivergenceError, softplus_inv
+from sparsehawkes.model import NumericalDivergenceError, softplus, softplus_inv
 from sparsehawkes.train import (
     _PAIRWISE_MAX,
     AdamState,
@@ -333,7 +331,8 @@ def test_checkpoints_written_every_log_every(tmp_path):
         "epoch0002.ckpt",
         "epoch0004.ckpt",
     ]
-    loaded, meta = read_checkpoint(report.snapshot_paths[-1])
+    cp = read_checkpoint_full(report.snapshot_paths[-1])
+    loaded, meta = cp.params, cp.meta
     np.testing.assert_array_equal(loaded.theta_mu, params.theta_mu)
     assert meta["epoch"] == 4
     assert meta["seed"] == config.seed
