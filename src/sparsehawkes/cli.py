@@ -84,10 +84,13 @@ def resolve_threads(value: int | None) -> int:
     return threads
 
 
-def write_manifest(out_dir: str, subcommand: str, flags: dict):
+def write_manifest(out_dir: str, args: argparse.Namespace, **resolved):
+    """The subcommand's flags as parsed, with ``resolved`` overriding the
+    values the subcommand works out itself."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
     payload = {
-        "subcommand": subcommand,
-        "flags": flags,
+        "subcommand": args.subcommand,
+        "flags": {**flags, **resolved},
         "format_versions": {
             "cascade": CASCADE_FORMAT_VERSION,
             "checkpoint": CHECKPOINT_VERSION,
@@ -143,16 +146,7 @@ def cmd_simulate(args) -> int:
         beta=np.float64(truth.beta),
         alpha=truth.alpha,
     )
-    write_manifest(out, "simulate", {
-        "nodes": args.nodes,
-        "sequences": args.sequences,
-        "beta": args.beta,
-        "mu": args.mu,
-        "horizon": args.horizon,
-        "rank": "full" if args.rank is None else args.rank,
-        "seed": args.seed,
-        "out": args.out,
-    })
+    write_manifest(out, args, rank=args.rank or "full")
     print(f"wrote {len(data)} sequences, {data.total_events} events "
           f"over {data.num_entities} entities to {out}")
     return 0
@@ -190,17 +184,7 @@ def cmd_train(args) -> int:
         fh.write("epoch\tloglik\tseconds\n")
         for i, (ll, secs) in enumerate(zip(report.epoch_loglik, report.epoch_seconds), start=1):
             fh.write(f"{i}\t{ll!r}\t{secs:.6f}\n")
-    write_manifest(out, "train", {
-        "data": args.data,
-        "dim": args.dim,
-        "epochs": args.epochs,
-        "learning_rate": args.learning_rate,
-        "threads": threads,
-        "seed": args.seed,
-        "shuffle": args.shuffle,
-        "log_every": args.log_every,
-        "out": args.out,
-    })
+    write_manifest(out, args, threads=threads)
     print(f"final loglik {report.epoch_loglik[-1]:.6f}; checkpoint in {out}")
     return 0
 
@@ -270,12 +254,7 @@ def cmd_eval(args) -> int:
 
     out = ensure_out(args.out)
     write_recovery_tsv(os.path.join(out, "recovery.tsv"), report)
-    write_manifest(out, "eval", {
-        "checkpoint": args.checkpoint,
-        "data": args.data,
-        "truth": args.truth,
-        "out": args.out,
-    })
+    write_manifest(out, args)
     print(f"per-event loglik {loglik:.6f}; report in {out}")
     return 0
 
@@ -290,13 +269,7 @@ def cmd_bench(args) -> int:
     ]
     out = ensure_out(args.out)
     write_benchmark_tsv(os.path.join(out, "bench.tsv"), results)
-    write_manifest(out, "bench", {
-        "data": args.data,
-        "engine": args.engine,
-        "repetitions": args.repetitions,
-        "seed": args.seed,
-        "out": args.out,
-    })
+    write_manifest(out, args)
     for r in results:
         print(f"{r.engine}: median {r.median_seconds:.6f}s over "
               f"{r.repetitions} repetitions")
@@ -332,13 +305,7 @@ def cmd_inspect(args) -> int:
                 row = "\t".join(repr(float(v)) for v in alpha[x])
                 fh.write(f"{labels[x]}\t{row}\n")
 
-    write_manifest(out, "inspect", {
-        "checkpoint": args.checkpoint,
-        "top": args.top,
-        "export_alpha": args.export_alpha,
-        "max_dense": args.max_dense,
-        "out": args.out,
-    })
+    write_manifest(out, args)
     print(f"factor summary in {out}")
     return 0
 

@@ -1,11 +1,13 @@
 """Sparse evaluation engine: cost scales with active entities, not the universe.
 
 Most entities never appear in a given sequence, yet each one owes compensator
-mass there.  That mass only enters through two global sums: the total
-receiving embedding and the decay-weighted emitting totals across sequences.
-Precomputing those (plus a per-entity share of the horizons where an entity
-is absent) removes every per-inactive-entity term from the likelihood and
-gradient, which is what makes training on huge entity universes feasible.
+mass there.  That mass only enters through two global sums, the total
+receiving embedding and the decay-weighted emitting totals across sequences,
+kept in :class:`LazyCaches`, and through per-entity data-only terms (each
+entity's share of the horizons where it is absent, and the entities active
+nowhere) that the :class:`~.model.Dataset` computes once.  Together they
+remove every per-inactive-entity term from the likelihood and gradient,
+which is what makes training on huge entity universes feasible.
 
 One gradient formula (``_slot_gradients``) serves every caller: the full
 pass scatters its per-slot rows by entity and adds the never-active terms;
@@ -40,24 +42,17 @@ class StaleCacheError(RuntimeError):
 
 @dataclass
 class LazyCaches:
-    """Precomputed aggregates the sparse engine leans on.
+    """The two parameter sums the sparse engine leans on.
 
     u_hat : (d,) sum of receiving embeddings over all entities
     z_hat : (d,) decay-weighted emitting totals summed over all sequences
-    d_const : (n,) per-entity inactive-horizon share, zero for entities with
-        no events anywhere; the likelihood and the background-rate gradient
-        both consume it
-    total_horizon : summed observation windows
-    never_active : entity ids absent from every sequence; their compensator
-        mass cannot ride on the per-active terms and is added globally
     built_from : defensive copy of the parameters the caches were built from
+
+    The data-only terms live on the :class:`~.model.Dataset`.
     """
 
     u_hat: np.ndarray
     z_hat: np.ndarray
-    d_const: np.ndarray
-    total_horizon: float
-    never_active: np.ndarray
     built_from: ModelParams
 
     def check(self, params: ModelParams):
@@ -71,41 +66,15 @@ class LazyCaches:
 
 def build_caches(params: ModelParams, data: Dataset) -> LazyCaches:
     """One full pass over parameters and data; linear in both."""
-    beta = params.beta()
-    u_hat = params.factors_u().sum(axis=0)
-    z_hat = np.zeros(params.dim)
-    active_horizon = np.zeros(data.num_entities)
-    all_horizons, nonempty, _, _, _ = data.flat_events()
-    if nonempty.size:
-        n = data.num_entities
-        w = -np.expm1(-beta * data.event_frame()[1])
-        # Emitting embeddings are activated once per (sequence, entity) slot,
-        # against the slot's summed tail weights; each slot also contributes
-        # its sequence's horizon to the entity's active-time total.
-        slot_of, slot_seq, slot_entity, _, _ = data.slot_tables()
-        z_hat = np.bincount(slot_of, weights=w, minlength=len(slot_entity)) @ softplus(
-            params.theta_v[slot_entity]
-        )
-        active_horizon = np.bincount(
-            slot_entity, weights=all_horizons[slot_seq], minlength=n
-        )
-    total_horizon = data.total_horizon
-    activity = data.activity_count
-    d_const = np.zeros(data.num_entities)
-    np.divide(
-        total_horizon - active_horizon,
-        activity,
-        out=d_const,
-        where=activity > 0,
+    # Emitting embeddings are activated once per (sequence, entity) slot,
+    # against the slot's summed tail weights.
+    w = -np.expm1(-params.beta() * data.event_frame()[1])
+    slot_of, _, slot_entity, _, _, _ = data.slot_tables()
+    z_hat = np.bincount(slot_of, weights=w, minlength=len(slot_entity)) @ softplus(
+        params.theta_v[slot_entity]
     )
-    return LazyCaches(
-        u_hat=u_hat,
-        z_hat=z_hat,
-        d_const=d_const,
-        total_horizon=float(total_horizon),
-        never_active=data.never_active(),
-        built_from=params.copy(),
-    )
+    return LazyCaches(u_hat=params.factors_u().sum(axis=0), z_hat=z_hat,
+                      built_from=params.copy())
 
 
 def lazy_log_likelihood(
@@ -140,14 +109,14 @@ def lazy_log_likelihood(
     uhat_z = bs.z @ u_hat
     absent_seq = np.bincount(
         bs.slot_seq,
-        weights=bs.mu_slot * caches.d_const[bs.slot_entity],
+        weights=bs.mu_slot * data.absent_share[bs.slot_entity],
         minlength=ns,
     )
     seq_vals = bs.loglam - own_seq - (uhat_z - u_dot_z) / beta - absent_seq
     terms = seq_vals[np.diff(bs.seq_slot_start) > 0].tolist()
-    never = caches.never_active
+    never = data.never_active()
     if len(never):
-        terms.append(-caches.total_horizon * float(softplus(params.theta_mu[never]).sum()))
+        terms.append(-data.total_horizon * float(softplus(params.theta_mu[never]).sum()))
     total = math.fsum(terms)
     if not math.isfinite(total):
         raise NumericalDivergenceError(f"log-likelihood is not finite: {total!r}")
@@ -155,12 +124,12 @@ def lazy_log_likelihood(
 
 
 def _slot_gradients(
-    params: ModelParams, bs: BatchStats, caches: LazyCaches, activity: np.ndarray
+    params: ModelParams, bs: BatchStats, caches: LazyCaches, data: Dataset
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw-parameter gradient rows ``[u | v | mu | self]`` per slot of ``bs``,
     and the (ns,) decay terms per sequence, without never-active corrections.
 
-    ``activity`` is the dataset-wide count of sequences per entity.
+    ``bs`` is a scan of ``data``; the rows read its activity counts and absent shares.
     """
     beta = bs.beta
     u_hat = caches.u_hat
@@ -179,11 +148,11 @@ def _slot_gradients(
     rows = np.empty((len(ent), 2 * d + 2))
     g_self = np.subtract(bs.r_over_lam, q_beta, out=rows[:, 2 * d + 1])
     g_u = np.subtract(bs.s_over_lam, bs.v_slot * g_self[:, None], out=rows[:, :d])
-    g_u -= (1.0 / (beta * activity[ent]))[:, None] * caches.z_hat
+    g_u -= (1.0 / (beta * data.activity_count[ent]))[:, None] * caches.z_hat
     g_v = np.subtract(bs.p_rev, bs.u_slot * g_self[:, None], out=rows[:, d:2 * d])
     g_v -= q_beta[:, None] * u_hat
     g_mu = np.subtract(bs.inv_lam, horizon, out=rows[:, 2 * d])
-    g_mu -= caches.d_const[ent]
+    g_mu -= data.absent_share[ent]
     rows *= softplus_grad(params.theta[ent])
     uz = bs.z @ u_hat
     uz_beta = bs.z_beta @ u_hat
@@ -212,7 +181,7 @@ def accumulate_lazy_gradient(
     if check_caches:
         caches.check(params)
     bs = batch_sequence_stats(params, data, gradients=True)
-    rows, g_beta = _slot_gradients(params, bs, caches, data.activity_count)
+    rows, g_beta = _slot_gradients(params, bs, caches, data)
     d = params.dim
     buf = GradientBuffer.zeros(params.num_entities, d)
     ent = bs.slot_entity
@@ -229,9 +198,9 @@ def accumulate_lazy_gradient(
         buf.d_theta_mu[uniq] += sums[:, 2 * d]
         buf.d_theta_self[uniq] += sums[:, 2 * d + 1]
 
-    never = caches.never_active
+    never = data.never_active()
     if len(never):
-        buf.d_theta_mu[never] = -caches.total_horizon * softplus_grad(params.theta_mu[never])
+        buf.d_theta_mu[never] = -data.total_horizon * softplus_grad(params.theta_mu[never])
         buf.d_theta_u[never] = (
             -(caches.z_hat[None, :] / bs.beta) * softplus_grad(params.theta_u[never])
         )

@@ -8,8 +8,8 @@ parameters live in an unconstrained space and are mapped through softplus,
 so positivity never has to be enforced by projection.  The per-entity ones
 form one ``(n, 2d + 2)`` row block ``[u | v | mu | self]``, the layout of the
 gradient rows and the Adam moments.  A :class:`Dataset` owns flat event
-columns, its sequences are read-only views of them, and it caches the slot
-tables and per-event frame derived from them, which no parameter affects.
+columns, its sequences are read-only views of them, and it computes once the
+slot tables, per-event frame and per-entity terms, which no parameter affects.
 """
 
 from __future__ import annotations
@@ -176,14 +176,15 @@ class Dataset:
 
     Sequence ``k`` owns events ``offsets[k]:offsets[k + 1]`` of ``times`` and
     ``labels`` and is observed on ``[0, horizons[k]]``.  The engines read the
-    columns and the layouts cached from them; :attr:`sequences` are views.
-    ``activity_count[x]`` counts the sequences containing at least one event
-    of entity x; it is what makes per-entity bookkeeping cheap even when most
-    entities never appear.
+    columns and the layouts computed from them at construction; :attr:`sequences`
+    are views.  ``activity_count[x]`` counts the sequences with an event of
+    entity x, and ``absent_share[x]`` is x's share of the horizons it is absent
+    from (their sum over ``activity_count[x]``), 0 where x never appears; they
+    make per-entity bookkeeping cheap even when most entities never appear.
     """
 
-    __slots__ = ("num_entities", "offsets", "times", "labels", "horizons", "activity_count",
-                 "_sequences", "_flat", "_slots", "_frame")
+    __slots__ = ("num_entities", "offsets", "times", "labels", "horizons", "total_horizon",
+                 "activity_count", "absent_share", "_sequences", "_slots", "_frame")
 
     def __init__(self, num_entities: int, sequences: SequenceType[Sequence]):
         sequences = list(sequences)
@@ -225,11 +226,29 @@ class Dataset:
             column.setflags(write=False)
         self.num_entities, self._sequences = num_entities, sequences
         self.offsets, self.times, self.labels, self.horizons = offsets, times, labels, horizons
-        nonempty = np.flatnonzero(lengths)
-        self._flat = (horizons, nonempty, lengths[nonempty], times, labels)
         self._frame = (seq_of, tail, times - times[offsets[seq_of]])
-        self._slots = None
-        self.activity_count = np.bincount(self.slot_tables()[2], minlength=num_entities)
+
+        # Slots: one stable sort of the (sequence, entity) codes groups each
+        # slot's events in time order, sequence-major.
+        n = np.int64(num_entities)
+        code = seq_of * n + labels
+        by_slot = np.argsort(code, kind="stable")
+        sorted_code = code[by_slot]
+        new_slot = np.diff(sorted_code, prepend=-1) != 0
+        slot_of = np.empty(len(code), dtype=np.int64)
+        slot_of[by_slot] = new_slot.cumsum() - 1
+        uq = sorted_code[new_slot]
+        slot_seq, slot_entity = uq // n, uq % n
+        seq_slot_start = np.searchsorted(slot_seq, np.arange(len(horizons) + 1)).astype(np.int64)
+        counts = np.bincount(slot_of, minlength=len(uq)).astype(np.int64)
+        self._slots = (slot_of, slot_seq, slot_entity, seq_slot_start, counts, by_slot)
+
+        self.total_horizon = math.fsum(horizons.tolist())
+        activity = self.activity_count = np.bincount(slot_entity, minlength=num_entities)
+        active_horizon = np.bincount(slot_entity, weights=horizons[slot_seq], minlength=num_entities)
+        self.absent_share = np.zeros(num_entities)
+        np.divide(self.total_horizon - active_horizon, activity, out=self.absent_share,
+                  where=activity > 0)
 
     @property
     def sequences(self) -> list[Sequence]:
@@ -246,27 +265,22 @@ class Dataset:
 
     def flat_events(self):
         """``(horizons, nonempty, lengths, times, labels)``: ``horizons``
-        covers every sequence, the other four the non-empty ones in order."""
-        return self._flat
+        covers every sequence, the other four the non-empty ones in order.
+        Only the benchmark's set-up (``perfbench/run.py``) calls it."""
+        lengths = np.diff(self.offsets)
+        nonempty = np.flatnonzero(lengths)
+        return self.horizons, nonempty, lengths[nonempty], self.times, self.labels
 
     def slot_tables(self):
-        """Per-(sequence, entity) slot index over all events, built once.
+        """Per-(sequence, entity) slot index over all events.
 
-        Returns ``(slot_of, slot_seq, slot_entity, seq_slot_start, counts)``:
-        the slot of each event in flat order, each slot's sequence position
-        and entity (sequence-major sorted), the slot range of every sequence,
-        and the events per slot.  Depends only on the data, never on
-        parameters.
+        Returns ``(slot_of, slot_seq, slot_entity, seq_slot_start, counts,
+        by_slot)``: the slot of each event in flat order, each slot's sequence
+        position and entity (sequence-major sorted), the slot range of every
+        sequence, the events per slot, and the events in stable slot order
+        (each slot's events together, in time order), which keeps each
+        sequence's events in its own range.  Depends only on the data.
         """
-        if self._slots is None:
-            n = np.int64(self.num_entities)
-            code = self._frame[0] * n + self.labels
-            uq, slot_of = np.unique(code, return_inverse=True)
-            slot_seq = uq // n
-            slot_entity = uq % n
-            seq_slot_start = np.searchsorted(slot_seq, np.arange(len(self) + 1)).astype(np.int64)
-            counts = np.bincount(slot_of, minlength=len(uq)).astype(np.int64)
-            self._slots = (slot_of, slot_seq, slot_entity, seq_slot_start, counts)
         return self._slots
 
     def event_frame(self):
@@ -281,10 +295,6 @@ class Dataset:
     @property
     def total_events(self) -> int:
         return int(self.offsets[-1])
-
-    @property
-    def total_horizon(self) -> float:
-        return math.fsum(self.horizons.tolist())
 
     def never_active(self) -> np.ndarray:
         """Entities with no event in any sequence."""

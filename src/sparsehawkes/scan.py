@@ -239,7 +239,7 @@ def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = F
     """
     beta = checked_beta(params)
     _, tail, trel = data.event_frame()
-    slot_of, slot_seq, slot_entity, seq_slot_start, counts = data.slot_tables()
+    slot_of, slot_seq, slot_entity, seq_slot_start, counts, by_slot = data.slot_tables()
     offsets = data.offsets
     k0, k1 = (0, len(data)) if subset is None else subset
     e0, e1 = offsets[k0], offsets[k1]
@@ -254,6 +254,7 @@ def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = F
     slot_entity = slot_entity[s0:s1]
     seq_slot_start = seq_slot_start[k0:k1 + 1] - s0
     counts = counts[s0:s1]
+    by_slot = by_slot[e0:e1] - e0
     ns = len(horizons)
     d = params.dim
     m = len(trel)
@@ -301,8 +302,7 @@ def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = F
     # time order) one chain.  A slot holding a single event neither feeds
     # nor receives these sums, so only repeated slots are scanned; on sparse
     # data that skips most of the work.
-    rep = (counts[slot_of] >= 2).nonzero()[0]
-    rep = rep[np.argsort(slot_of[rep], kind="stable")]
+    rep = by_slot[np.repeat(counts >= 2, counts)]
     x = e_up[rep, None]
     if gradients:
         x = np.concatenate([x, (e_up * trel)[rep, None]], axis=1)
@@ -344,9 +344,9 @@ def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = F
     rev_carry = _chain_carries(chain_first, band_g, band_tot_rev, reverse=True)
 
     # Per-slot sums of all per-event gradient quantities in one grouped pass:
-    # stable sort by slot keeps each slot's events contiguous and in order, so
-    # a single reduceat covers both (m, d) blocks and the scalar columns.
-    # When no slot holds two events the sums are the rows themselves.
+    # the stable slot order keeps each slot's events contiguous and in order,
+    # so a single reduceat covers both (m, d) blocks and the scalar columns.
+    # When no slot holds two events the sums are the reordered rows themselves.
     stacked = np.empty((m, 2 * d + 3))
     np.multiply(s_all, inv[:, None], out=stacked[:, :d])
     p_all = np.multiply(e_up[:, None], rev, out=stacked[:, d:2 * d])
@@ -355,12 +355,9 @@ def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = F
     stacked[:, 2 * d] = inv
     np.multiply(r_all, inv, out=stacked[:, 2 * d + 1])
     stacked[:, 2 * d + 2] = e_tail
+    sums = stacked[by_slot]
     if rep.size:
-        order_slot = np.argsort(slot_of, kind="stable")
-        sums = np.add.reduceat(stacked[order_slot], counts.cumsum() - counts, axis=0)
-    else:
-        sums = np.empty_like(stacked)
-        sums[slot_of] = stacked
+        sums = np.add.reduceat(sums, counts.cumsum() - counts, axis=0)
     return BatchStats(
         num_seqs=ns, beta=beta, horizons=horizons,
         loglam=loglam, z=z,
@@ -385,7 +382,7 @@ def pairwise_sequence_stats(params: ModelParams, data: Dataset, k: int) -> Batch
     """
     beta = checked_beta(params)
     offsets = data.offsets
-    slot_of, _, slot_entity, seq_slot_start, counts = data.slot_tables()
+    slot_of, _, slot_entity, seq_slot_start, counts, _ = data.slot_tables()
     _, tail, trel = data.event_frame()
     e0, e1 = int(offsets[k]), int(offsets[k + 1])
     s0, s1 = int(seq_slot_start[k]), int(seq_slot_start[k + 1])

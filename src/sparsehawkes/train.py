@@ -187,7 +187,7 @@ def init_params(data: Dataset, config: TrainConfig, rng: np.random.Generator) ->
     positive, away from the flat region of the softplus.
     """
     n, d = data.num_entities, config.dim
-    counts = np.bincount(data.flat_events()[4], minlength=n)
+    counts = np.bincount(data.labels, minlength=n)
     rates = np.maximum(counts, 0.5) / data.total_horizon
     # Drawn straight into the [u | v | mu | self] block, one part at a time,
     # in the order the draws have always been made.
@@ -251,7 +251,7 @@ def _step(params: ModelParams, data: Dataset, k: int, caches: LazyCaches, state:
         bs = pairwise_sequence_stats(params, data, k)
     else:
         bs = batch_sequence_stats(params, data, gradients=True, subset=(k, k + 1))
-    rows, g_beta = _slot_gradients(params, bs, caches, data.activity_count)
+    rows, g_beta = _slot_gradients(params, bs, caches, data)
     old, new = _adam_rows(state, bs.slot_entity, rows, float(g_beta[0]), config, params)
     d = params.dim
     update_u_hat(caches, bs.slot_entity, old[:, :d], new[:, :d])

@@ -12,6 +12,7 @@ import pytest
 
 import sparsehawkes
 from sparsehawkes.evaluate import BenchmarkResult
+from sparsehawkes.lazy import LazyCaches
 from sparsehawkes.model import Dataset, Sequence
 from sparsehawkes.scan import BatchStats
 
@@ -71,6 +72,8 @@ def test_removed_members_are_gone():
     assert not hasattr(Sequence, "active_entities")
     assert "_active" not in Sequence.__slots__
     assert set(BenchmarkResult.__dataclass_fields__).isdisjoint({"entity_touches", "threads"})
+    assert set(LazyCaches.__dataclass_fields__).isdisjoint(
+        {"d_const", "never_active", "total_horizon"})
 
 
 def test_package_never_imports_from_tests():

@@ -43,12 +43,12 @@ def test_cache_identities():
         if here:
             # The per-entity share times the activity count recovers the
             # total horizon mass of the sequences the entity missed.
-            assert caches.d_const[x] * len(here) == pytest.approx(absent, abs=1e-10)
+            assert data.absent_share[x] * len(here) == pytest.approx(absent, abs=1e-10)
         else:
-            assert caches.d_const[x] == 0.0
-            assert x in caches.never_active
+            assert data.absent_share[x] == 0.0
+            assert x in data.never_active()
     np.testing.assert_allclose(caches.u_hat, params.factors_u().sum(axis=0), rtol=1e-12)
-    assert caches.total_horizon == pytest.approx(float(horizons.sum()))
+    assert data.total_horizon == pytest.approx(float(horizons.sum()))
 
 
 def test_z_hat_per_slot_matches_per_event_sum():
@@ -100,7 +100,7 @@ def test_likelihood_all_entities_active_degenerate_case():
         rng.shuffle(entities)
         seqs.append(Sequence.from_arrays(times, entities, 10.0))
     data = Dataset(n, seqs)
-    assert len(build_caches(params, data).never_active) == 0
+    assert len(data.never_active()) == 0
     caches = build_caches(params, data)
     assert lazy_log_likelihood(params, data, caches) == pytest.approx(
         dense_log_likelihood(params, data), rel=1e-12
@@ -112,7 +112,7 @@ def test_likelihood_with_never_active_entities():
     params, data = oracles.random_instance(rng, max_entities=6)
     grown, grown_data = pad_with_silent_entities(params, data, extra=30)
     caches = build_caches(grown, grown_data)
-    assert len(caches.never_active) >= 30
+    assert len(grown_data.never_active()) >= 30
     assert lazy_log_likelihood(grown, grown_data, caches) == pytest.approx(
         dense_log_likelihood(grown, grown_data), rel=1e-8
     )
@@ -144,7 +144,7 @@ def sequence_gradient(params, data, caches, k):
     """Sequence ``k``'s gradient rows as a training step computes them:
     ``(entities, rows, decay term)``."""
     bs = batch_sequence_stats(params, data, True, subset=(k, k + 1))
-    rows, g_beta = _slot_gradients(params, bs, caches, data.activity_count)
+    rows, g_beta = _slot_gradients(params, bs, caches, data)
     return bs.slot_entity, rows, g_beta[0]
 
 

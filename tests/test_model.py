@@ -110,6 +110,14 @@ def test_dataset_indexing():
     assert list(data.never_active()) == [1, 3]
     assert data.total_events == 3
     assert data.total_horizon == pytest.approx(7.0)
+    # entity 0 misses the 3.0 horizon over its two sequences, entity 2 misses
+    # 2.0 + 3.0 over its one; absent entities get 0
+    assert data.absent_share.tolist() == [1.5, 0.0, 5.0, 0.0]
+    slot_of, by_slot = data.slot_tables()[0], data.slot_tables()[5]
+    np.testing.assert_array_equal(by_slot, np.argsort(slot_of, kind="stable"))
+    for e0, e1 in zip(data.offsets[:-1], data.offsets[1:]):
+        np.testing.assert_array_equal(by_slot[e0:e1] - e0,
+                                      np.argsort(slot_of[e0:e1], kind="stable"))
     with pytest.raises(ValueError):
         Dataset(2, [s1])  # entity 2 out of range
     with pytest.raises(ValueError):

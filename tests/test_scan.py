@@ -212,18 +212,18 @@ def test_batched_accumulation_matches_per_sequence_sum():
         d = params.dim
         for k in range(len(data)):
             bs = batch_sequence_stats(params, data, True, subset=(k, k + 1))
-            rows, g_beta = _slot_gradients(params, bs, caches, data.activity_count)
+            rows, g_beta = _slot_gradients(params, bs, caches, data)
             ent = bs.slot_entity
             want_u[ent] += rows[:, :d]
             want_v[ent] += rows[:, d:2 * d]
             want_mu[ent] += rows[:, 2 * d]
             want_self[ent] += rows[:, 2 * d + 1]
             beta_sum += g_beta[0]
-        never = caches.never_active
+        never = data.never_active()
         if len(never):
             from sparsehawkes.model import softplus_grad, checked_beta
 
-            want_mu[never] = -caches.total_horizon * softplus_grad(params.theta_mu[never])
+            want_mu[never] = -data.total_horizon * softplus_grad(params.theta_mu[never])
             want_u[never] = -(caches.z_hat[None, :] / checked_beta(params)) * softplus_grad(
                 params.theta_u[never]
             )
@@ -353,8 +353,8 @@ def assert_kernel_matches_banded(params, data):
             npt.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
         pairs = [(getattr(got, name), getattr(want, name), name)
                  for name in ("loglam", "z", "q", "inv_lam")]
-        rows, g_beta = _slot_gradients(params, got, caches, data.activity_count)
-        rows_w, g_beta_w = _slot_gradients(params, want, caches, data.activity_count)
+        rows, g_beta = _slot_gradients(params, got, caches, data)
+        rows_w, g_beta_w = _slot_gradients(params, want, caches, data)
         pairs.append((rows, rows_w, "gradient rows"))
         for a, b, name in pairs:
             scale = np.abs(b).max(initial=0.0)

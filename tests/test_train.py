@@ -51,7 +51,7 @@ def make_grad(entities, n, d, fill=0.0, beta=0.0):
 def first_sequence_grad(params, data, caches):
     """Sequence 0's gradient as ``make_grad``'s triple, computed as a training step does."""
     bs = batch_sequence_stats(params, data, True, subset=(0, 1))
-    rows, g_beta = _slot_gradients(params, bs, caches, data.activity_count)
+    rows, g_beta = _slot_gradients(params, bs, caches, data)
     return bs.slot_entity, rows, float(g_beta[0])
 
 
