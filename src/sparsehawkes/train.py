@@ -7,17 +7,21 @@ one-epoch-lagged decayed emitting totals from the caches, the incrementally
 maintained receiving-embedding total, and only the parameters of entities
 active in the sequence; the lazy engine's one gradient formula turns the
 scan into rows for those entities, which get one Adam update of their rows
-of the ``[u | v | mu | self]`` parameter block, together with the global
-decay slot.  The rows Adam read and wrote then refresh the receiving total
-through one activation.  The parallel mode runs the same step lock-free from
-several workers over shared memory (only the decay slot is locked), trading
-bitwise reproducibility for throughput.
+of the ``[u | v | mu | self]`` parameter block, together with the decay's
+slot.  The rows Adam read and wrote then refresh the receiving total
+through one activation.
+
+:func:`train` and :func:`train_parallel` run one loop, :func:`_fit`: the
+same start-up, the same epoch body :func:`_epoch` and the same decay slot.
+Sequentially the body runs in-process over the whole order; in parallel
+each forked worker runs it over its shard, lock-free against shared
+memory (only the decay slot is locked), trading bitwise reproducibility
+for throughput.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import hashlib
 import json
 import math
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lazy import LazyCaches, _slot_gradients, build_caches, lazy_log_likelihood, update_u_hat
-from .model import Dataset, ModelParams, NumericalDivergenceError, softplus, softplus_inv
+from .model import Dataset, ModelParams, NumericalDivergenceError, softplus_inv
 from .scan import batch_sequence_stats, pairwise_sequence_stats
 
 __all__ = [
@@ -108,23 +112,24 @@ class TrainConfig:
 
 
 class AdamState:
-    """Adam moments as (n, 2d + 2) rows ``[u | v | mu | self]``, with per-row step counts.
+    """Adam moments as (n, 2d + 2) rows ``[u | v | mu | self]``, with per-row
+    step counts, and the decay's slot ``(value, m, v, steps)``.
 
     A row's blocks move together and share the counter ``t``, which advances
     only when the row is touched, so rarely seen entities get the full bias
     correction on their first updates instead of a stale global step number.
-    ``decay_guard`` wraps each update of the decay scalars; parallel workers
-    point it at the shared decay slot.
+    The decay slot is the decay's one home in both modes: each update holds
+    ``lock`` from read to write, a no-op sequentially and one lock shared by
+    the parallel workers, so no update is lost.
     """
 
-    def __init__(self, m: np.ndarray, v: np.ndarray, t: np.ndarray):
-        self.m, self.v, self.t = m, v, t
-        self.m_beta, self.v_beta, self.t_beta = 0.0, 0.0, 0
-        self.decay_guard = contextlib.nullcontext
-
-    @classmethod
-    def zeros(cls, n: int, d: int) -> "AdamState":
-        return cls(np.zeros((n, 2 * d + 2)), np.zeros((n, 2 * d + 2)), np.zeros(n, dtype=np.int64))
+    def __init__(self, params: ModelParams, alloc=np.zeros, lock=contextlib.nullcontext()):
+        """Zero moments for ``params`` from ``alloc``; the slot starts at its decay."""
+        n, w = params.theta.shape
+        self.m, self.v, self.t = alloc((n, w)), alloc((n, w)), alloc(n, np.int64)
+        self.decay = alloc(4)
+        self.decay[0] = params.theta_beta
+        self.lock = lock
 
 
 @dataclass
@@ -149,7 +154,8 @@ class TrainReport:
 def _adam_rows(state: AdamState, idx: np.ndarray, rows: np.ndarray, d_beta: float,
                config: TrainConfig, params: ModelParams):
     """One sparse ascent step, in place, on the gradient rows ``[u | v | mu | self]``
-    of entities ``idx`` and on the decay.
+    of entities ``idx`` and on the decay's slot, whose new value it copies to
+    ``params.theta_beta``.
 
     The moments are of the negated gradient (the usual minimizer convention)
     and the step is subtracted.  Returns the parameter rows of ``idx`` as read
@@ -168,13 +174,16 @@ def _adam_rows(state: AdamState, idx: np.ndarray, rows: np.ndarray, d_beta: floa
     params.theta[idx] = new = old - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
 
     g = -d_beta
-    with state.decay_guard():
-        state.t_beta += 1
-        state.m_beta = b1 * state.m_beta + (1.0 - b1) * g
-        state.v_beta = b2 * state.v_beta + (1.0 - b2) * g * g
-        m_hat = state.m_beta / (1.0 - b1**state.t_beta)
-        v_hat = state.v_beta / (1.0 - b2**state.t_beta)
-        params.theta_beta -= config.learning_rate * m_hat / (math.sqrt(v_hat) + config.adam_eps)
+    with state.lock:
+        beta, m, v, steps = state.decay.tolist()
+        steps += 1
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**steps)
+        v_hat = v / (1.0 - b2**steps)
+        beta -= config.learning_rate * m_hat / (math.sqrt(v_hat) + config.adam_eps)
+        state.decay[:] = beta, m, v, steps
+    params.theta_beta = beta
     return old, new
 
 
@@ -219,8 +228,8 @@ def _maybe_checkpoint(config: TrainConfig, params: ModelParams, epoch: int,
 
 def _finish_epoch(params: ModelParams, data: Dataset, caches: LazyCaches,
                   config: TrainConfig, report: TrainReport, epoch: int,
-                  secs: float, last_good: ModelParams) -> float:
-    """Exact reporting with freshly built caches; raises on divergence."""
+                  secs: float, last_good: ModelParams) -> LazyCaches:
+    """Exact reporting with freshly built caches, which it returns; raises on divergence."""
     try:
         fresh = build_caches(params, data)
         loglik = lazy_log_likelihood(params, data, fresh)
@@ -236,16 +245,18 @@ def _finish_epoch(params: ModelParams, data: Dataset, caches: LazyCaches,
     if epoch % config.log_every == 0 or epoch == config.epochs:
         print(f"epoch={epoch} loglik={loglik:.6f} secs={secs:.3f}", flush=True)
         _maybe_checkpoint(config, params, epoch, loglik, report)
-    return loglik
+    return fresh
 
 
 def _step(params: ModelParams, data: Dataset, k: int, caches: LazyCaches, state: AdamState,
           config: TrainConfig) -> np.ndarray:
-    """One sparse Adam step on sequence ``k``, against the lagged ``z_hat``.
+    """One sparse Adam step on sequence ``k``, against the lagged ``z_hat``
+    and the decay's value in its slot.
 
     Returns the sequence's decayed emitting total under the parameters before
     the step, its share of the next epoch's ``z_hat``.
     """
+    params.theta_beta = float(state.decay[0])
     offsets = data.offsets
     if offsets[k + 1] - offsets[k] <= _PAIRWISE_MAX:
         bs = pairwise_sequence_stats(params, data, k)
@@ -258,105 +269,28 @@ def _step(params: ModelParams, data: Dataset, k: int, caches: LazyCaches, state:
     return bs.z[0]
 
 
-def _start(data: Dataset, config: TrainConfig, init: ModelParams | None):
-    """The start-up :func:`train` and :func:`train_parallel` share: the seeded
-    generator, a copy of ``init`` (else :func:`init_params`), its caches, an
-    empty report, the last good snapshot and the mask of non-empty sequences."""
-    rng = np.random.default_rng(config.seed)
-    if init is None:
-        params = init_params(data, config, rng)
-    else:
-        if init.num_entities != data.num_entities:
-            raise ValueError(
-                f"init covers {init.num_entities} entities, data has {data.num_entities}"
-            )
-        params = init.copy()
-    nonempty = np.diff(data.offsets) > 0
-    return rng, params, build_caches(params, data), TrainReport(), params.copy(), nonempty
+def _epoch(params: ModelParams, data: Dataset, shard: np.ndarray, caches: LazyCaches,
+           state: AdamState, config: TrainConfig) -> np.ndarray:
+    """One :func:`_step` per sequence of ``shard``, in order; returns the sum
+    of their shares of the next epoch's ``z_hat``."""
+    z_next = np.zeros(params.dim)
+    for k in shard.tolist():
+        z_next += _step(params, data, k, caches, state, config)
+    return z_next
 
 
-def train(
-    data: Dataset,
-    config: TrainConfig,
-    init: ModelParams | None = None,
-) -> tuple[ModelParams, TrainReport]:
-    """Sequential training; deterministic for a fixed config.
-
-    Per epoch, one :func:`_step` per non-empty sequence, in order or in a
-    seeded shuffle.  Reported likelihoods are exact, computed against rebuilt
-    caches after each epoch.
-    """
-    rng, params, caches, report, last_good, nonempty = _start(data, config, init)
-    state = AdamState.zeros(params.num_entities, params.dim)
-    base_order = np.arange(len(data))
-
-    for epoch in range(1, config.epochs + 1):
-        start = time.perf_counter()
-        order = rng.permutation(base_order) if config.shuffle else base_order
-        z_next = np.zeros(params.dim)
-        try:
-            for k in order[nonempty[order]].tolist():
-                z_next += _step(params, data, k, caches, state, config)
-        except NumericalDivergenceError as exc:
-            raise TrainingDivergedError(
-                f"epoch {epoch}: {exc}", last_good, report, epoch
-            ) from exc
-        caches.z_hat = z_next
-        secs = time.perf_counter() - start
-        _finish_epoch(params, data, caches, config, report, epoch, secs, last_good)
-        last_good = params.copy()
-    report.final_caches = caches
-    report.decay_steps = state.t_beta
-    return params, report
-
-
-def _shared_array(shape, dtype=np.float64):
-    size = int(np.prod(shape))
-    if dtype == np.float64:
-        raw = multiprocessing.RawArray(ctypes.c_double, size)
-    elif dtype == np.int64:
-        raw = multiprocessing.RawArray(ctypes.c_int64, size)
-    else:
-        raise ValueError(f"unsupported shared dtype {dtype}")
+def _shared_array(shape, dtype=np.float64) -> np.ndarray:
+    """Zeros in anonymous shared memory, which forked workers write in place."""
+    raw = multiprocessing.RawArray(np.ctypeslib.as_ctypes_type(dtype), int(np.prod(shape)))
     return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
-def _parallel_worker(
-    worker_id: int,
-    shard: np.ndarray,
-    data: Dataset,
-    params: ModelParams,
-    beta_slots: np.ndarray,
-    beta_lock,
-    state: AdamState,
-    caches: LazyCaches,
-    config: TrainConfig,
-    queue,
-):
-    """One epoch over a shard against shared-memory parameters.
-
-    The decay parameter and its Adam scalars live in a shared slot vector
-    (value, first moment, second moment, step count).  A step's gradient may
-    use a decay value another worker has since moved, and torn embedding rows
-    are tolerated, as the lock-free contract allows; but each update of the
-    slots holds ``beta_lock`` from read to write, so none is lost.
-    """
-
-    @contextlib.contextmanager
-    def decay_guard():
-        with beta_lock:
-            params.theta_beta, state.m_beta, state.v_beta = beta_slots[:3].tolist()
-            state.t_beta = int(beta_slots[3])
-            yield
-            beta_slots[:] = (params.theta_beta, state.m_beta, state.v_beta, state.t_beta)
-
-    state.decay_guard = decay_guard
-    z_partial = np.zeros(params.dim)
+def _parallel_worker(worker_id: int, shard: np.ndarray, params: ModelParams, data: Dataset,
+                     caches: LazyCaches, state: AdamState, config: TrainConfig, queue):
+    """A forked worker's :func:`_epoch` over its shard, reported as one
+    ``("done" | "diverged" | "error", worker_id, payload)`` on ``queue``."""
     try:
-        for k in shard.tolist():
-            params.theta_beta = float(beta_slots[0])
-            z_partial += _step(params, data, k, caches, state, config)
-        queue.put(("done", worker_id, z_partial))
+        queue.put(("done", worker_id, _epoch(params, data, shard, caches, state, config)))
     except NumericalDivergenceError as exc:
         queue.put(("diverged", worker_id, str(exc)))
     except Exception as exc:  # surfaced by the parent as a hard failure
@@ -386,78 +320,102 @@ def _collect(queue, workers, epoch: int) -> dict:
     return results
 
 
-def train_parallel(data: Dataset, config: TrainConfig) -> tuple[ModelParams, TrainReport]:
-    """Lock-free parallel training over forked workers and shared memory.
-
-    Sequences are split into one static shard per worker; each epoch forks
-    the workers, they run :func:`train`'s step, streaming updates into the
-    shared parameter blocks without locks (the decay slot excepted), and the
-    parent then swaps in the next epoch's decayed emitting totals, measures
-    the receiving-total drift, rebuilds it, and reports the exact likelihood.
-    Results match sequential training statistically, not bitwise.  A worker
-    that dies raises an error naming it and the epoch; the others are reaped.
-    """
-    if config.threads < 2:
-        raise ValueError("train_parallel needs threads >= 2; use train for one")
-    ctx = multiprocessing.get_context("fork")
-    rng, seed_params, caches, report, last_good, nonempty = _start(data, config, None)
-    n, d = seed_params.num_entities, seed_params.dim
-
-    params = ModelParams.from_block(_shared_array((n, 2 * d + 2)), seed_params.theta_beta, d)
-    params.theta[:] = seed_params.theta
-    # slot vector: decay value, its two Adam moments, its step count
-    beta_slots = _shared_array((4,))
-    beta_slots[0] = seed_params.theta_beta
-    beta_lock = ctx.Lock()
-
-    state = AdamState(
-        _shared_array((n, 2 * d + 2)), _shared_array((n, 2 * d + 2)), _shared_array((n,), np.int64)
-    )
-    shared_u_hat = _shared_array((d,))
-    shared_u_hat[:] = caches.u_hat
-    caches.u_hat = shared_u_hat
+def _fit(data: Dataset, config: TrainConfig, init: ModelParams | None, ctx=None):
+    """The one training loop: in-process when ``ctx`` is None, else one forked
+    worker per shard each epoch from the multiprocessing context ``ctx``, over
+    parameters, Adam state and ``u_hat`` in memory from one allocator."""
+    rng = np.random.default_rng(config.seed)
+    initial = init_params(data, config, rng) if init is None else init
+    if initial.num_entities != data.num_entities:
+        raise ValueError(
+            f"init covers {initial.num_entities} entities, data has {data.num_entities}"
+        )
+    if initial.dim != config.dim:
+        raise ValueError(f"init has dim {initial.dim}, config.dim is {config.dim}")
+    alloc = np.zeros if ctx is None else _shared_array
+    params = ModelParams.from_block(alloc(initial.theta.shape), initial.theta_beta, config.dim)
+    params.theta[:] = initial.theta
+    del initial  # the caches' copy is the last good snapshot until an epoch ends
+    caches = build_caches(params, data)
+    u_hat, caches.u_hat = caches.u_hat, alloc(config.dim)
+    caches.u_hat[:] = u_hat
+    state = AdamState(params, alloc, contextlib.nullcontext() if ctx is None else ctx.Lock())
+    report, last_good = TrainReport(), caches.built_from
+    nonempty = np.diff(data.offsets) > 0
     base_order = np.arange(len(data))
-
     for epoch in range(1, config.epochs + 1):
         start = time.perf_counter()
         order = rng.permutation(base_order) if config.shuffle else base_order
-        shards = [shard[nonempty[shard]] for shard in np.array_split(order, config.threads)]
-        queue = ctx.Queue()
-        workers = [
-            ctx.Process(
-                target=_parallel_worker,
-                args=(wid, shard, data, params, beta_slots, beta_lock, state, caches, config, queue),
-            )
-            for wid, shard in enumerate(shards)
-        ]
-        results = None
-        try:
-            for w in workers:
-                w.start()
-            results = _collect(queue, workers, epoch)
-        finally:
-            for w in workers:
-                if results is None and w.is_alive():
-                    w.terminate()
-                if w.pid is not None:
-                    w.join()
-        params.theta_beta = float(beta_slots[0])
-        failures = [(wid, kind, payload) for wid, (kind, payload) in sorted(results.items())
-                    if kind != "done"]
-        if failures:
-            wid, kind, payload = failures[0]
-            if kind == "diverged":
+        splits = np.array_split(order, 1 if ctx is None else config.threads)
+        shards = [shard[nonempty[shard]] for shard in splits]
+        if ctx is None:
+            try:
+                caches.z_hat = _epoch(params, data, shards[0], caches, state, config)
+            except NumericalDivergenceError as exc:
                 raise TrainingDivergedError(
-                    f"epoch {epoch} worker {wid}: {payload}", last_good, report, epoch
-                )
-            raise RuntimeError(f"epoch {epoch} worker {wid} failed: {payload}")
-        caches.z_hat = np.sum([results[wid][1] for wid in range(len(workers))], axis=0)
+                    f"epoch {epoch}: {exc}", last_good, report, epoch
+                ) from exc
+        else:
+            queue = ctx.Queue()
+            workers = [
+                ctx.Process(target=_parallel_worker,
+                            args=(wid, shard, params, data, caches, state, config, queue))
+                for wid, shard in enumerate(shards)
+            ]
+            results = None
+            try:
+                for w in workers:
+                    w.start()
+                results = _collect(queue, workers, epoch)
+            finally:
+                for w in workers:
+                    if results is None and w.is_alive():
+                        w.terminate()
+                    if w.pid is not None:
+                        w.join()
+            for wid, (kind, payload) in sorted(results.items()):
+                if kind == "diverged":
+                    msg = f"epoch {epoch} worker {wid}: {payload}"
+                    raise TrainingDivergedError(msg, last_good, report, epoch)
+                if kind == "error":
+                    raise RuntimeError(f"epoch {epoch} worker {wid} failed: {payload}")
+            caches.z_hat = np.sum([results[wid][1] for wid in range(len(workers))], axis=0)
+        params.theta_beta = float(state.decay[0])
         secs = time.perf_counter() - start
-        _finish_epoch(params, data, caches, config, report, epoch, secs, last_good)
-        # lock-free interleaving lets the incremental receiving total drift;
-        # rebuild it exactly once per epoch after recording how far it moved
-        caches.u_hat[:] = softplus(params.theta_u).sum(axis=0)
-        last_good = params.copy()
+        fresh = _finish_epoch(params, data, caches, config, report, epoch, secs, last_good)
+        if ctx is not None:
+            # lock-free interleaving lets the incremental receiving total
+            # drift; rebuild it once per epoch after recording how far it moved
+            caches.u_hat[:] = fresh.u_hat
+        last_good = fresh.built_from
     report.final_caches = caches
-    report.decay_steps = int(beta_slots[3])
+    report.decay_steps = int(state.decay[3])
     return params, report
+
+
+def train(data: Dataset, config: TrainConfig,
+          init: ModelParams | None = None) -> tuple[ModelParams, TrainReport]:
+    """Sequential training; deterministic for a fixed config.
+
+    Per epoch, one :func:`_step` per non-empty sequence, in order or in a
+    seeded shuffle.  Reported likelihoods are exact, computed against rebuilt
+    caches after each epoch.
+    """
+    return _fit(data, config, init)
+
+
+def train_parallel(data: Dataset, config: TrainConfig) -> tuple[ModelParams, TrainReport]:
+    """Lock-free parallel training over forked workers and shared memory.
+
+    :func:`train`'s loop, with the order split into one shard per worker:
+    each epoch forks the workers, each runs the epoch body over its shard,
+    streaming updates into the shared parameter and Adam blocks without
+    locks (the decay slot excepted); the parent then swaps in the next
+    epoch's decayed emitting totals, reports the exact likelihood, and
+    resets the drifted receiving total to the rebuilt one.  Results match
+    sequential training statistically, not bitwise.  A worker that fails or
+    dies raises an error naming it and the epoch; the others are reaped.
+    """
+    if config.threads < 2:
+        raise ValueError("train_parallel needs threads >= 2; use train for one")
+    return _fit(data, config, None, multiprocessing.get_context("fork"))

@@ -8,6 +8,7 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sparsehawkes
@@ -15,6 +16,7 @@ from sparsehawkes.evaluate import BenchmarkResult
 from sparsehawkes.lazy import LazyCaches
 from sparsehawkes.model import Dataset, Sequence
 from sparsehawkes.scan import BatchStats
+from sparsehawkes.train import AdamState
 
 # ``__main__`` runs the command line when imported.
 SUBMODULES = sorted(
@@ -74,6 +76,12 @@ def test_removed_members_are_gone():
     assert set(BenchmarkResult.__dataclass_fields__).isdisjoint({"entity_touches", "threads"})
     assert set(LazyCaches.__dataclass_fields__).isdisjoint(
         {"d_const", "never_active", "total_horizon"})
+    # the decay's Adam state is the slot array ``AdamState.decay`` in both
+    # training modes, and train and train_parallel start up inside one loop
+    state = AdamState(sparsehawkes.ModelParams.from_block(np.zeros((1, 4)), 0.0, 1))
+    assert [name for name in ("decay_guard", "m_beta", "v_beta", "t_beta", "zeros")
+            if hasattr(state, name)] == []
+    assert not hasattr(importlib.import_module("sparsehawkes.train"), "_start")
 
 
 def test_package_never_imports_from_tests():

@@ -74,7 +74,7 @@ def test_config_validation():
 def test_adam_zero_gradient_is_a_noop():
     params = small_params()
     before = params.copy()
-    state = AdamState.zeros(5, 2)
+    state = AdamState(params)
     _adam_rows(state, *make_grad([1, 3], 5, 2, fill=0.0), TrainConfig(), params)
     np.testing.assert_array_equal(params.theta_mu, before.theta_mu)
     np.testing.assert_array_equal(params.theta_self, before.theta_self)
@@ -88,7 +88,7 @@ def test_adam_constant_gradient_approaches_bounded_step():
     # learning rate, in the ascent direction of the gradient
     params = small_params(n=3, d=2, seed=1)
     config = TrainConfig(learning_rate=0.01)
-    state = AdamState.zeros(3, 2)
+    state = AdamState(params)
     g = make_grad([0, 1, 2], 3, 2, fill=0.7, beta=-1.3)
     for _ in range(1000):
         _adam_rows(state, *g, config, params)
@@ -104,7 +104,7 @@ def test_adam_constant_gradient_approaches_bounded_step():
 def test_adam_untouched_rows_completely_frozen():
     params = small_params(n=6, d=3, seed=2)
     before = params.copy()
-    state = AdamState.zeros(6, 3)
+    state = AdamState(params)
     rest = [0, 2, 4, 5]
     _adam_rows(state, *make_grad([1, 3], 6, 3, fill=0.5, beta=0.2), TrainConfig(), params)
     np.testing.assert_array_equal(params.theta_mu[rest], before.theta_mu[rest])
@@ -116,7 +116,7 @@ def test_adam_untouched_rows_completely_frozen():
     # touched rows did move and their counters advanced
     assert np.all(params.theta_mu[[1, 3]] != before.theta_mu[[1, 3]])
     assert np.all(state.t[[1, 3]] == 1)
-    assert state.t_beta == 1
+    assert state.decay[3] == 1
 
 
 def poisson_dataset(rate, horizon, n_seqs, seed):
@@ -207,7 +207,7 @@ def test_one_step_touches_only_active_entities():
     def one_step(params):
         caches = build_caches(params, data)
         config = TrainConfig(learning_rate=0.05, dim=d)
-        state = AdamState.zeros(n, d)
+        state = AdamState(params)
         grads = first_sequence_grad(params, data, caches)
         old = params.theta_u[grads[0]].copy()
         _adam_rows(state, *grads, config, params)
@@ -222,7 +222,7 @@ def test_one_step_touches_only_active_entities():
     for block in (poisoned.theta_mu, poisoned.theta_self, poisoned.theta_u, poisoned.theta_v):
         block[inactive] = np.nan
     config = TrainConfig(learning_rate=0.05, dim=d)
-    state = AdamState.zeros(n, d)
+    state = AdamState(poisoned)
     grads = first_sequence_grad(poisoned, data, caches)
     old = poisoned.theta_u[grads[0]].copy()
     _adam_rows(state, *grads, config, poisoned)
@@ -473,3 +473,44 @@ def test_parallel_dead_worker_raises_instead_of_hanging(monkeypatch):
     assert time.perf_counter() - start < 30.0
     # the surviving worker was reaped, not left running
     assert multiprocessing.active_children() == []
+
+
+def fail_on_sequence(monkeypatch, k_bad, exc):
+    """Make ``_step`` raise ``exc`` on sequence ``k_bad``; forked workers inherit it."""
+    real_step = train_module._step
+
+    def step(params, data, k, *args):
+        if k == k_bad:
+            raise exc
+        return real_step(params, data, k, *args)
+
+    monkeypatch.setattr(train_module, "_step", step)
+
+
+def test_parallel_worker_divergence_names_epoch_and_worker(monkeypatch):
+    # sequences 3..5 are worker 1's shard of 6 under two workers
+    data = poisson_dataset(rate=0.5, horizon=10.0, n_seqs=6, seed=19)
+    assert len(data.sequences[4]) > 0
+    fail_on_sequence(monkeypatch, 4, NumericalDivergenceError("planted at sequence 4"))
+    with pytest.raises(TrainingDivergedError, match=r"^epoch 1 worker 1: planted") as info:
+        train_parallel(data, TrainConfig(epochs=2, dim=1, threads=2, log_every=100))
+    err = info.value
+    assert err.epoch == 1
+    assert err.report.epoch_loglik == []
+    assert np.isfinite(err.last_params.theta).all() and np.isfinite(err.last_params.theta_beta)
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_worker_error_names_epoch_and_worker(monkeypatch):
+    data = poisson_dataset(rate=0.5, horizon=10.0, n_seqs=6, seed=19)
+    fail_on_sequence(monkeypatch, 4, KeyError("planted"))
+    with pytest.raises(RuntimeError, match=r"^epoch 1 worker 1 failed: KeyError"):
+        train_parallel(data, TrainConfig(epochs=2, dim=1, threads=2, log_every=100))
+    assert multiprocessing.active_children() == []
+
+
+def test_init_dimension_must_match_config():
+    data = poisson_dataset(rate=0.5, horizon=10.0, n_seqs=3, seed=21)
+    init = init_params(data, TrainConfig(dim=3), np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"init has dim 3, config\.dim is 20"):
+        train(data, TrainConfig(dim=20, epochs=1, log_every=100), init=init)
