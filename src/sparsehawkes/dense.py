@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, ModelParams, NumericalDivergenceError, checked_beta, softplus_grad
+from .model import (Dataset, ModelParams, NumericalDivergenceError, _Columns, checked_beta,
+                    softplus_grad)
 from .scan import batch_sequence_stats
 
 __all__ = ["GradientBuffer", "dense_log_likelihood", "dense_gradient"]
@@ -24,23 +25,22 @@ __all__ = ["GradientBuffer", "dense_log_likelihood", "dense_gradient"]
 
 @dataclass
 class GradientBuffer:
-    """Dense gradient of the log-likelihood w.r.t. the raw parameter blocks."""
+    """Log-likelihood gradient: ``d_theta`` for the raw ``[u | v | mu | self]``
+    block :attr:`~.model.ModelParams.theta`, whose named blocks are views of
+    its columns as on ``ModelParams``, and ``d_theta_beta`` for the decay."""
 
-    d_theta_mu: np.ndarray
+    d_theta: np.ndarray
     d_theta_beta: float
-    d_theta_self: np.ndarray
-    d_theta_u: np.ndarray
-    d_theta_v: np.ndarray
+    dim: int
+
+    d_theta_u = _Columns(ModelParams.theta_u.cols, "d_theta")
+    d_theta_v = _Columns(ModelParams.theta_v.cols, "d_theta")
+    d_theta_mu = _Columns(ModelParams.theta_mu.cols, "d_theta")
+    d_theta_self = _Columns(ModelParams.theta_self.cols, "d_theta")
 
     @classmethod
     def zeros(cls, num_entities: int, dim: int) -> "GradientBuffer":
-        return cls(
-            d_theta_mu=np.zeros(num_entities),
-            d_theta_beta=0.0,
-            d_theta_self=np.zeros(num_entities),
-            d_theta_u=np.zeros((num_entities, dim)),
-            d_theta_v=np.zeros((num_entities, dim)),
-        )
+        return cls(np.zeros((num_entities, 2 * dim + 2)), 0.0, dim)
 
     def as_flat(self) -> np.ndarray:
         """Concatenate all blocks into one vector (mu, beta, self, u, v)."""
@@ -93,48 +93,41 @@ def dense_log_likelihood(params: ModelParams, data: Dataset) -> float:
 
 def dense_gradient(params: ModelParams, data: Dataset) -> GradientBuffer:
     """Analytic gradient of :func:`dense_log_likelihood` over the whole dataset."""
-    n_ent = params.num_entities
     d = params.dim
     u_full = params.factors_u()
     u_sum = u_full.sum(axis=0)
     beta = checked_beta(params)
-
-    dmu = np.zeros(n_ent)
-    dself = np.zeros(n_ent)
-    du = np.zeros((n_ent, d))
-    dv = np.zeros((n_ent, d))
+    n = params.num_entities
+    dmu, du = np.zeros(n), np.zeros((n, d))
 
     batch = batch_sequence_stats(params, data, gradients=True)
     order = _canonical_order(data)
     uz, uz_beta = np.zeros((2, batch.num_seqs))
     for k in order:
-        # Background block: every entity pays the horizon.  Receiving
-        # embeddings: the z-mass hits every entity's compensator.
+        # Every entity pays the horizon, and the z-mass hits every entity's
+        # compensator: two contiguous passes over all entities per sequence.
         dmu -= batch.horizons[k]
         du -= batch.z[k][None, :] / beta
         uz[k] = (u_full @ batch.z[k]).sum()
         uz_beta[k] = (u_full @ batch.z_beta[k]).sum()
+    grad = np.concatenate([du, np.zeros((n, d)), dmu[:, None], np.zeros((n, 1))], axis=1)
 
-    # Active entities get their log-intensity mass and event terms back,
-    # one (sequence, entity) slot at a time, added in the same order.
+    # Active entities get their log-intensity mass and event terms back, one
+    # [u | v | mu | self] row per (sequence, entity) slot, in the same order.
     rank = np.empty(batch.num_seqs, dtype=np.int64)
     rank[order] = np.arange(batch.num_seqs)
     sl = np.argsort(rank[batch.slot_seq], kind="stable")
-    act = batch.slot_entity[sl]
     q, r = batch.q[sl][:, None], batch.r_over_lam[sl][:, None]
     u_act, v_act = batch.u_slot[sl], batch.v_slot[sl]
-    np.add.at(dmu, act, batch.inv_lam[sl])
-    np.add.at(dself, act, (r - q / beta)[:, 0])
-    np.add.at(du, act, batch.s_over_lam[sl] - v_act * r + v_act * q / beta)
-    np.add.at(dv, act, batch.p_rev[sl] - u_act * r - (u_sum[None, :] - u_act) * q / beta)
+    np.add.at(grad, batch.slot_entity[sl], np.concatenate([
+        batch.s_over_lam[sl] - v_act * r + v_act * q / beta,
+        batch.p_rev[sl] - u_act * r - (u_sum[None, :] - u_act) * q / beta,
+        batch.inv_lam[sl][:, None],
+        r - q / beta,
+    ], axis=1))
+    grad *= softplus_grad(params.theta)
     cq = np.bincount(batch.slot_seq, weights=batch.c_slot * batch.q, minlength=batch.num_seqs)
     cq_beta = np.bincount(batch.slot_seq, weights=batch.c_slot * batch.q_beta, minlength=batch.num_seqs)
 
     dbeta = math.fsum((batch.beta_log + (uz + cq) / beta**2 - (uz_beta + cq_beta) / beta).tolist())
-    return GradientBuffer(
-        d_theta_mu=dmu * softplus_grad(params.theta_mu),
-        d_theta_beta=float(dbeta * softplus_grad(params.theta_beta)),
-        d_theta_self=dself * softplus_grad(params.theta_self),
-        d_theta_u=du * softplus_grad(params.theta_u),
-        d_theta_v=dv * softplus_grad(params.theta_v),
-    )
+    return GradientBuffer(grad, float(dbeta * softplus_grad(params.theta_beta)), d)

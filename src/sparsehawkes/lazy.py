@@ -182,29 +182,24 @@ def accumulate_lazy_gradient(
         caches.check(params)
     bs = batch_sequence_stats(params, data, gradients=True)
     rows, g_beta = _slot_gradients(params, bs, caches, data)
-    d = params.dim
-    buf = GradientBuffer.zeros(params.num_entities, d)
-    ent = bs.slot_entity
-    if len(ent):
-        # Group the slot rows by entity once and scatter the per-entity sums;
-        # entities touched nowhere in the batch are simply never written.
-        order_e = np.argsort(ent, kind="stable")
-        ent_sorted = ent[order_e]
+    beta, uniq, sums = bs.beta, bs.slot_entity, rows
+    if len(uniq):
+        # One grouped sum of the slot rows per entity; the others stay zero.
+        order_e = np.argsort(uniq, kind="stable")
+        ent_sorted = uniq[order_e]
         starts = np.flatnonzero(np.r_[True, ent_sorted[1:] != ent_sorted[:-1]])
-        sums = np.add.reduceat(rows[order_e], starts, axis=0)
-        uniq = ent_sorted[starts]
-        buf.d_theta_u[uniq] += sums[:, :d]
-        buf.d_theta_v[uniq] += sums[:, d:2 * d]
-        buf.d_theta_mu[uniq] += sums[:, 2 * d]
-        buf.d_theta_self[uniq] += sums[:, 2 * d + 1]
+        uniq, sums = ent_sorted[starts], np.add.reduceat(rows[order_e], starts, axis=0)
+    del bs, rows  # free the scan's arrays before the (n, 2d + 2) block: a lower peak
+    buf = GradientBuffer(np.zeros(params.theta.shape), math.fsum(g_beta.tolist()), params.dim)
+    buf.d_theta[uniq] = sums
 
     never = data.never_active()
     if len(never):
         buf.d_theta_mu[never] = -data.total_horizon * softplus_grad(params.theta_mu[never])
-        buf.d_theta_u[never] = (
-            -(caches.z_hat[None, :] / bs.beta) * softplus_grad(params.theta_u[never])
-        )
-    buf.d_theta_beta = math.fsum(g_beta.tolist())
+        g_u = params.theta_u[never]  # activated and scaled in place
+        softplus_grad(g_u, out=g_u)
+        g_u *= -(caches.z_hat / beta)
+        buf.d_theta_u[never] = g_u
     return buf
 
 

@@ -47,13 +47,13 @@ def softplus(x):
     return out[()]
 
 
-def softplus_grad(x):
-    """Derivative of :func:`softplus`, the logistic sigmoid.
+def softplus_grad(x, out=None):
+    """Derivative of :func:`softplus`, the logistic sigmoid, into ``out`` if given.
 
     Written via tanh so it is stable for arguments of either sign.
     """
     x = np.asarray(x, dtype=float)
-    out = np.multiply(x, 0.5, out=np.empty_like(x))
+    out = np.multiply(x, 0.5, out=np.empty_like(x) if out is None else out)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
@@ -309,17 +309,18 @@ class Dataset:
 
 
 class _Columns:
-    """Columns ``cols(dim)`` of :attr:`ModelParams.theta` as a view;
+    """Columns ``cols(dim)`` of a ``[u | v | mu | self]`` row block, the
+    attribute ``block`` (:attr:`ModelParams.theta` by default), as a view;
     assigning to it writes into the block."""
 
-    def __init__(self, cols):
-        self.cols = cols
+    def __init__(self, cols, block="theta"):
+        self.cols, self.block = cols, block
 
     def __get__(self, obj, owner=None):
-        return self if obj is None else obj.theta[:, self.cols(obj.dim)]
+        return self if obj is None else getattr(obj, self.block)[:, self.cols(obj.dim)]
 
     def __set__(self, obj, value):
-        obj.theta[:, self.cols(obj.dim)] = value
+        getattr(obj, self.block)[:, self.cols(obj.dim)] = value
 
 
 class ModelParams:

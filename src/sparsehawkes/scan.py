@@ -7,19 +7,20 @@ scan.  Computing them in a single place keeps the two engines honest about
 operating on identical per-event quantities while they differ in how they
 charge the inactive entities.
 
-Two implementations live here.  ``batch_sequence_stats`` computes the sums
-with array prefix scans on a :class:`~.model.Dataset`'s cached flat layout
-and per-event frame, the one place a layout is built; the engines scan all
-sequences with it, and a training step slices out one long sequence with
-``subset=``.  ``pairwise_sequence_stats`` computes one sequence's gradient
-statistics from its (m, m) decay kernel; a training step uses it for short
-sequences, where the banded scan's fixed cost of building bands and carries
-outweighs m squared products.  It rounds differently, so ``subset=`` scans
-stay bit-identical to slices of the full scan only because they keep the
-banded path.  A scan gathers and activates its slots' raw parameter rows
-once and checks the decay rate once; both paths share one intensity check
-and handle an empty range like any other.  The tests check the banded scan
-against the event-by-event (Ozaki 1979) recursion in ``tests/oracles.py``.
+One body, ``_scan``, computes them for a range of a :class:`~.model.Dataset`'s
+sequences on its cached slot tables and per-event frame: one gather and
+activation of the slots' parameter rows, the decay and intensity checks, and
+the per-slot and per-sequence reductions.  Only the decayed sums over earlier
+(and later) events come from one of two strategies.  ``_banded_sums`` runs
+banded prefix scans for ``batch_sequence_stats``, which the engines run over
+all sequences and a training step over one long one (``subset=``).
+``_kernel_sums`` multiplies by one sequence's (m, m) decay kernel for
+``pairwise_sequence_stats``, which a training step uses on short sequences,
+where m squared products cost less than building bands and carries.  The
+kernel rounds differently, so ``subset=`` scans stay banded: that keeps them
+bit-identical to slices of a full scan.  The tests check the banded scan
+against the event-by-event (Ozaki 1979) recursion in ``tests/oracles.py``,
+and the kernel against the banded scan.
 
 In the banded scan the decayed sums are linear recurrences whose closed form
 is a prefix sum of ``exp(beta*t_j) * value_j`` rescaled by
@@ -226,53 +227,12 @@ class BatchStats:
     q_beta: np.ndarray | None = None       # (S,)
 
 
-def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = False,
-                         subset: tuple[int, int] | None = None) -> BatchStats:
-    """Scan every sequence of ``data`` in one shot using banded prefix sums.
-
-    The dataset's cached layout is reused.  ``subset=(start, stop)`` scans
-    only those dataset positions, sliced out of the cached layout, with
-    results indexed from ``start`` and bit-identical to a full scan's.
-    Produces the quantities of the event-by-event recursion, with work
-    dominated by a fixed number of array passes over the concatenated events
-    instead of per-event interpreter steps.
-    """
-    beta = checked_beta(params)
-    _, tail, trel = data.event_frame()
-    slot_of, slot_seq, slot_entity, seq_slot_start, counts, by_slot = data.slot_tables()
-    offsets = data.offsets
-    k0, k1 = (0, len(data)) if subset is None else subset
-    e0, e1 = offsets[k0], offsets[k1]
-    s0, s1 = seq_slot_start[k0], seq_slot_start[k1]
-    bounds = offsets[k0:k1 + 1] - e0
+def _banded_sums(beta, trel, v_ev, bounds, slot_of, counts, by_slot, gradients):
+    """Decayed sums by banded prefix scans; see :func:`_scan`."""
+    m, d = v_ev.shape
+    bounds = bounds - bounds[0]
     nonempty = (bounds[1:] != bounds[:-1]).nonzero()[0]
     starts = bounds[nonempty]
-    horizons = data.horizons[k0:k1]
-    tail, trel = tail[e0:e1], trel[e0:e1]
-    slot_of = slot_of[e0:e1] - s0
-    slot_seq = slot_seq[s0:s1] - k0
-    slot_entity = slot_entity[s0:s1]
-    seq_slot_start = seq_slot_start[k0:k1 + 1] - s0
-    counts = counts[s0:s1]
-    by_slot = by_slot[e0:e1] - e0
-    ns = len(horizons)
-    d = params.dim
-    m = len(trel)
-
-    # One gather and one activation of the raw rows [u | v | mu | self];
-    # the last column then becomes the diagonal correction s - u.v.
-    act = softplus(params.theta[slot_entity])
-    u_slot, v_slot, mu_slot, c_slot = act[:, :d], act[:, d:2 * d], act[:, 2 * d], act[:, 2 * d + 1]
-    c_slot -= np.einsum("ij,ij->i", u_slot, v_slot)
-    ev = act[slot_of]
-    u_ev, v_ev, mu_ev, c_ev = ev[:, :d], ev[:, d:2 * d], ev[:, 2 * d], ev[:, 2 * d + 1]
-
-    # Compensator tail weights need no banding: their exponents are negative.
-    wtail = -np.expm1(-beta * tail)
-    z = np.zeros((ns, d))
-    z[nonempty] = np.add.reduceat(wtail[:, None] * v_ev, starts, axis=0)
-    # (bincount gives int64 zeros for an empty range, weights or not)
-    q = np.bincount(slot_of, weights=wtail, minlength=len(slot_seq)).astype(float, copy=False)
 
     # Phase bands: per-sequence elapsed phase cut into fixed-width strips,
     # with each sequence one chain.
@@ -302,146 +262,152 @@ def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = F
     # time order) one chain.  A slot holding a single event neither feeds
     # nor receives these sums, so only repeated slots are scanned; on sparse
     # data that skips most of the work.
-    rep = by_slot[np.repeat(counts >= 2, counts)]
-    x = e_up[rep, None]
-    if gradients:
-        x = np.concatenate([x, (e_up * trel)[rep, None]], axis=1)
-    r_cols = np.zeros((m, x.shape[1]))
-    r_cols[rep] = _forward(x, _bands(np.diff(slot_of[rep], prepend=-1) != 0, g_ev[rep]), e_dn[rep])
+    r_cols = np.zeros((m, 2 if gradients else 1))
+    if by_slot is not None:
+        rep = by_slot[np.repeat(counts >= 2, counts)]
+        x = e_up[rep, None]
+        if gradients:
+            x = np.concatenate([x, (e_up * trel)[rep, None]], axis=1)
+        bands_rep = _bands(np.diff(slot_of[rep], prepend=-1) != 0, g_ev[rep])
+        r_cols[rep] = _forward(x, bands_rep, e_dn[rep])
     r_all = r_cols[:, 0]
     r_dbeta = -trel * r_all + r_cols[:, 1] if gradients else None
 
+    def reverse(x, out):
+        # The reverse scan on the forward scan's bands.
+        band_first, band_len, band_of, pos, chain_first, band_g = bands
+        x *= e_dn[:, None]
+        x, totals = _banded_excl_scan(x, band_first, band_len, band_of, pos, reverse=True)
+        carries = _chain_carries(chain_first, band_g, totals, reverse=True)
+        np.multiply(e_up[:, None], x, out=out)
+        if carries is not None:
+            out += np.exp(psi - _BAND_WIDTH)[:, None] * carries[band_of]
+
+    def per_seq(w, v=None):
+        x = w if v is None else w[:, None] * v
+        out = np.zeros((len(bounds) - 1,) + x.shape[1:])
+        out[nonempty] = np.add.reduceat(x, starts, axis=0)
+        return out
+
+    return (s_all, s_dbeta, r_all, r_dbeta), reverse, per_seq
+
+
+def _kernel_sums(beta, trel, v_ev, bounds, slot_of, counts, by_slot, gradients):
+    """Decayed sums of one sequence, gradients always on, as products with
+    its (m, m) kernel ``K[i, j] = exp(-beta * (t_i - t_j))`` over earlier
+    events ``j`` (0 elsewhere): no exponent is positive, so nothing overflows.
+    The same-slot sums use ``K`` masked to equal slots, the reverse ``K.T``."""
+    # lag[i, j] = t_j - t_i is negative exactly for earlier events j.
+    lag = np.subtract.outer(trel, trel).T
+    kern = np.exp(np.where(lag < 0.0, lag, -np.inf) * beta)
+    kern_dbeta = kern * lag
+    if by_slot is None:
+        r_all = r_dbeta = np.zeros(len(trel))
+    else:
+        same = np.equal.outer(slot_of, slot_of)
+        r_all = (kern * same).sum(axis=1)
+        r_dbeta = (kern_dbeta * same).sum(axis=1)
+    return ((kern @ v_ev, kern_dbeta @ v_ev, r_all, r_dbeta),
+            lambda x, out: np.matmul(kern.T, x, out=out),
+            lambda w, v=None: np.add.reduce(w, keepdims=True) if v is None else w[None] @ v)
+
+
+def _scan(params: ModelParams, data: Dataset, k0: int, k1: int, gradients: bool,
+          sums) -> BatchStats:
+    """Statistics of sequences ``k0:k1`` of ``data``; the one place a
+    :class:`BatchStats` is built.
+
+    ``sums(beta, trel, v_ev, bounds, slot_of, counts, by_slot, gradients)``
+    forms the decayed sums on the range's events: sequence ``i`` holds events
+    ``bounds[i] - bounds[0]`` to ``bounds[i + 1] - bounds[0]``, and ``by_slot``
+    is None when no slot holds two events.  It returns the sums over earlier
+    events ``(s_all, s_dbeta, r_all, r_dbeta)`` (of the emitting rows and of
+    the same slot's events, with their beta-derivative parts); ``reverse(x,
+    out)``, writing the decayed sums of ``x`` over later events into ``out``;
+    and ``per_seq(w, v=None)``, the per-sequence sums of ``w`` (times ``v``).
+    """
+    beta = checked_beta(params)
+    _, tail, trel = data.event_frame()
+    slot_of, slot_seq, slot_entity, seq_slot_start, counts, by_slot = data.slot_tables()
+    offsets = data.offsets
+    e0, e1 = int(offsets[k0]), int(offsets[k1])
+    s0, s1 = int(seq_slot_start[k0]), int(seq_slot_start[k1])
+    tail, trel = tail[e0:e1], trel[e0:e1]
+    slot_of = slot_of[e0:e1] - s0
+    slot_entity, counts = slot_entity[s0:s1], counts[s0:s1]
+    d, m = params.dim, e1 - e0
+    by_slot = by_slot[e0:e1] - e0 if len(counts) < m else None
+
+    # One gather and one activation of the raw rows [u | v | mu | self];
+    # the last column then becomes the diagonal correction s - u.v.
+    act = softplus(params.theta[slot_entity])
+    u_slot, v_slot, mu_slot, c_slot = act[:, :d], act[:, d:2 * d], act[:, 2 * d], act[:, 2 * d + 1]
+    c_slot -= np.einsum("ij,ij->i", u_slot, v_slot)
+    ev = act[slot_of]
+    u_ev, v_ev, mu_ev, c_ev = ev[:, :d], ev[:, d:2 * d], ev[:, 2 * d], ev[:, 2 * d + 1]
+
+    # Compensator tail weights need no banding: their exponents are negative.
+    tail_phase = -beta * tail
+    wtail = -np.expm1(tail_phase)
+    # (bincount gives int64 zeros for an empty range, weights or not)
+    q = np.bincount(slot_of, weights=wtail, minlength=len(counts)).astype(float, copy=False)
+    (s_all, s_dbeta, r_all, r_dbeta), reverse, per_seq = sums(
+        beta, trel, v_ev, offsets[k0:k1 + 1], slot_of, counts, by_slot, gradients)
+
     lam = mu_ev + np.einsum("ij,ij->i", u_ev, s_all) + c_ev * r_all
     _check_intensity(lam, data, e0)
-    loglam = np.zeros(ns)
-    loglam[nonempty] = np.add.reduceat(np.log(lam), starts)
-
-    if not gradients:
-        return BatchStats(
-            num_seqs=ns, beta=beta, horizons=horizons,
-            loglam=loglam, z=z,
-            slot_seq=slot_seq, slot_entity=slot_entity,
-            seq_slot_start=seq_slot_start, counts=counts, q=q,
-            mu_slot=mu_slot, c_slot=c_slot, u_slot=u_slot, v_slot=v_slot,
-        )
-
-    inv = 1.0 / lam
-
-    beta_ev = (np.einsum("ij,ij->i", u_ev, s_dbeta) + c_ev * r_dbeta) * inv
-    beta_log = np.zeros(ns)
-    beta_log[nonempty] = np.add.reduceat(beta_ev, starts)
-
-    e_tail = tail * np.exp(-beta * tail)
-    z_beta = np.zeros((ns, d))
-    z_beta[nonempty] = np.add.reduceat(e_tail[:, None] * v_ev, starts, axis=0)
-
-    # Reverse scan on the forward scan's bands: decayed sums over later events
-    # of u/lambda, delivered to each event's emitting side.
-    band_first, band_len, band_of, pos, chain_first, band_g = bands
-    rev = u_ev * inv[:, None]
-    rev *= e_dn[:, None]
-    rev, band_tot_rev = _banded_excl_scan(rev, band_first, band_len, band_of, pos, reverse=True)
-    rev_carry = _chain_carries(chain_first, band_g, band_tot_rev, reverse=True)
-
-    # Per-slot sums of all per-event gradient quantities in one grouped pass:
-    # the stable slot order keeps each slot's events contiguous and in order,
-    # so a single reduceat covers both (m, d) blocks and the scalar columns.
-    # When no slot holds two events the sums are the reordered rows themselves.
-    stacked = np.empty((m, 2 * d + 3))
-    np.multiply(s_all, inv[:, None], out=stacked[:, :d])
-    p_all = np.multiply(e_up[:, None], rev, out=stacked[:, d:2 * d])
-    if rev_carry is not None:
-        p_all += np.exp(psi - _BAND_WIDTH)[:, None] * rev_carry[band_of]
-    stacked[:, 2 * d] = inv
-    np.multiply(r_all, inv, out=stacked[:, 2 * d + 1])
-    stacked[:, 2 * d + 2] = e_tail
-    sums = stacked[by_slot]
-    if rep.size:
-        sums = np.add.reduceat(sums, counts.cumsum() - counts, axis=0)
+    grads = {}
+    if gradients:
+        inv = 1.0 / lam
+        beta_ev = (np.einsum("ij,ij->i", u_ev, s_dbeta) + c_ev * r_dbeta) * inv
+        e_tail = tail * np.exp(tail_phase)
+        # Per-slot sums of all per-event gradient columns: one reduceat over
+        # the stable slot order, which keeps each slot's events together and
+        # in time order, or, when no slot holds two events, one reordering.
+        stacked = np.empty((m, 2 * d + 3))
+        np.multiply(s_all, inv[:, None], out=stacked[:, :d])
+        reverse(u_ev * inv[:, None], stacked[:, d:2 * d])
+        stacked[:, 2 * d] = inv
+        np.multiply(r_all, inv, out=stacked[:, 2 * d + 1])
+        stacked[:, 2 * d + 2] = e_tail
+        if by_slot is None:
+            slot_sums = np.empty_like(stacked)
+            slot_sums[slot_of] = stacked
+        else:
+            slot_sums = np.add.reduceat(stacked[by_slot], counts.cumsum() - counts, axis=0)
+        grads = dict(inv_lam=slot_sums[:, 2 * d], r_over_lam=slot_sums[:, 2 * d + 1],
+                     s_over_lam=slot_sums[:, :d], p_rev=slot_sums[:, d:2 * d],
+                     q_beta=slot_sums[:, 2 * d + 2], beta_log=per_seq(beta_ev),
+                     z_beta=per_seq(e_tail, v_ev))
     return BatchStats(
-        num_seqs=ns, beta=beta, horizons=horizons,
-        loglam=loglam, z=z,
-        slot_seq=slot_seq, slot_entity=slot_entity,
-        seq_slot_start=seq_slot_start, counts=counts, q=q,
-        mu_slot=mu_slot, c_slot=c_slot, u_slot=u_slot, v_slot=v_slot,
-        inv_lam=sums[:, 2 * d], r_over_lam=sums[:, 2 * d + 1], s_over_lam=sums[:, :d],
-        p_rev=sums[:, d:2 * d], beta_log=beta_log, z_beta=z_beta, q_beta=sums[:, 2 * d + 2],
+        num_seqs=k1 - k0, beta=beta, horizons=data.horizons[k0:k1],
+        loglam=per_seq(np.log(lam)), z=per_seq(wtail, v_ev),
+        slot_seq=slot_seq[s0:s1] - k0, slot_entity=slot_entity,
+        seq_slot_start=seq_slot_start[k0:k1 + 1] - s0, counts=counts, q=q,
+        mu_slot=mu_slot, c_slot=c_slot, u_slot=u_slot, v_slot=v_slot, **grads,
     )
+
+
+def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = False,
+                         subset: tuple[int, int] | None = None) -> BatchStats:
+    """Scan every sequence of ``data`` (or dataset positions ``subset=(start,
+    stop)``, with results indexed from ``start``) by banded prefix sums.
+
+    A ``subset=`` scan is sliced out of the dataset's cached layout and is
+    bit-identical to the same sequences' part of a full scan.  Produces the
+    quantities of the event-by-event recursion, with work dominated by a
+    fixed number of array passes over the concatenated events instead of
+    per-event interpreter steps.
+    """
+    return _scan(params, data, *(subset or (0, len(data))), gradients, _banded_sums)
 
 
 def pairwise_sequence_stats(params: ModelParams, data: Dataset, k: int) -> BatchStats:
     """Gradient statistics of sequence ``k`` of ``data`` from its (m, m) decay kernel.
 
-    ``K[i, j] = exp(-beta * (t_i - t_j))`` for earlier events ``j`` and 0
-    otherwise, so every exponent is at most 0 and nothing overflows: the
-    decayed sums are products with ``K``, the same-entity ones with ``K``
-    masked to equal slots, and the reverse scan one product with ``K.T``.
     Returns what ``batch_sequence_stats(params, data, True, subset=(k, k + 1))``
-    returns, equal to rounding; cost grows with m squared, so it serves short
-    sequences (see ``_PAIRWISE_MAX`` in :mod:`.train`).
+    returns: the slot tables, ``q`` and the activated rows bit for bit, the
+    decayed sums equal to rounding.  Its cost grows with m squared, so it
+    serves short sequences (see ``_PAIRWISE_MAX`` in :mod:`.train`).
     """
-    beta = checked_beta(params)
-    offsets = data.offsets
-    slot_of, _, slot_entity, seq_slot_start, counts, _ = data.slot_tables()
-    _, tail, trel = data.event_frame()
-    e0, e1 = int(offsets[k]), int(offsets[k + 1])
-    s0, s1 = int(seq_slot_start[k]), int(seq_slot_start[k + 1])
-    horizons = data.horizons[k:k + 1]
-    d = params.dim
-    m, a = e1 - e0, s1 - s0
-    tail, trel = tail[e0:e1], trel[e0:e1]
-    loc = slot_of[e0:e1] - s0
-    slot_entity = slot_entity[s0:s1]
-
-    act = softplus(params.theta[slot_entity])
-    u_slot, v_slot, mu_slot, c_slot = act[:, :d], act[:, d:2 * d], act[:, 2 * d], act[:, 2 * d + 1]
-    c_slot -= np.einsum("ij,ij->i", u_slot, v_slot)
-    ev = act[loc]
-    u_ev, v_ev, mu_ev, c_ev = ev[:, :d], ev[:, d:2 * d], ev[:, 2 * d], ev[:, 2 * d + 1]
-
-    # lag[i, j] = t_j - t_i is negative exactly for earlier events j.
-    lag = np.subtract.outer(trel, trel).T
-    kern = np.exp(np.where(lag < 0.0, lag, -np.inf) * beta)
-    kern_dbeta = kern * lag
-    s_all = kern @ v_ev
-    s_dbeta = kern_dbeta @ v_ev
-    if a == m:
-        r_all = r_dbeta = np.zeros(m)
-    else:
-        same = np.equal.outer(loc, loc)
-        r_all = (kern * same).sum(axis=1)
-        r_dbeta = (kern_dbeta * same).sum(axis=1)
-
-    lam = mu_ev + np.einsum("ij,ij->i", u_ev, s_all) + c_ev * r_all
-    _check_intensity(lam, data, e0)
-    inv = 1.0 / lam
-    beta_ev = (np.einsum("ij,ij->i", u_ev, s_dbeta) + c_ev * r_dbeta) * inv
-
-    # Per-event columns summed per slot: s/lam, the reverse scan, 1/lam, r/lam
-    # and the two compensator tail weights.
-    stacked = np.empty((m, 2 * d + 4))
-    np.multiply(s_all, inv[:, None], out=stacked[:, :d])
-    np.matmul(kern.T, u_ev * inv[:, None], out=stacked[:, d:2 * d])
-    stacked[:, 2 * d] = inv
-    np.multiply(r_all, inv, out=stacked[:, 2 * d + 1])
-    tail_phase = -beta * tail
-    np.multiply(tail, np.exp(tail_phase), out=stacked[:, 2 * d + 2])
-    # Not an in-place negative: NumPy 2.4.6 miscomputes ``np.negative(c, out=c)``
-    # on a column whose rows are 8 doubles apart.
-    np.negative(np.expm1(tail_phase), out=stacked[:, 2 * d + 3])
-    if a == m:
-        sums = np.empty_like(stacked)
-        sums[loc] = stacked
-    else:
-        sums = np.equal.outer(np.arange(a), loc) @ stacked
-    z_beta, z = stacked[:, 2 * d + 2:].T @ v_ev
-    return BatchStats(
-        num_seqs=1, beta=beta, horizons=horizons,
-        loglam=np.log(lam).sum(keepdims=True), z=z[None],
-        slot_seq=np.zeros(a, dtype=np.int64), slot_entity=slot_entity,
-        seq_slot_start=np.array([0, a]), counts=counts[s0:s1], q=sums[:, 2 * d + 3],
-        mu_slot=mu_slot, c_slot=c_slot, u_slot=u_slot, v_slot=v_slot,
-        inv_lam=sums[:, 2 * d], r_over_lam=sums[:, 2 * d + 1], s_over_lam=sums[:, :d],
-        p_rev=sums[:, d:2 * d], beta_log=beta_ev.sum(keepdims=True), z_beta=z_beta[None],
-        q_beta=sums[:, 2 * d + 2],
-    )
+    return _scan(params, data, k, k + 1, True, _kernel_sums)

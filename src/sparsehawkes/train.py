@@ -138,8 +138,10 @@ class TrainReport:
 
     ``u_hat_drift`` holds the relative gap per epoch between the running
     receiving-embedding total and a from-scratch recomputation.
-    ``final_caches`` is the training-state cache object at exit (lagged
-    aggregates included), kept for invariant checks and warm restarts.
+    ``final_caches`` is the training state at exit, the running ``u_hat``
+    and the lagged ``z_hat``.  Its ``built_from`` stays the starting
+    snapshot, so its ``check`` refuses the returned parameters: lagged sums
+    must not pass as fresh (``build_caches`` gives fresh ones).
     ``decay_steps`` counts Adam steps on the decay parameter.
     """
 

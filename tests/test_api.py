@@ -1,7 +1,8 @@
 """The package's public surface: every exported name resolves, the package
 exports its submodules' lists and nothing else, the stepwise reference stack,
-the single-sequence wrappers and the aliases stay out of it, and nothing
-under ``src/`` reaches into the test suite."""
+the single-sequence wrappers and the aliases stay out of it, nothing under
+``src/`` reaches into the test suite, and one scan body builds every
+``BatchStats``."""
 
 import ast
 import importlib
@@ -98,3 +99,29 @@ def test_package_never_imports_from_tests():
             offenders += [f"{path.name}:{node.lineno}" for root in roots
                           if root in ("tests", "oracles", "conftest")]
     assert offenders == []
+
+
+def _called_names(node):
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, (ast.Name, ast.Attribute))}
+
+
+def test_one_scan_body_builds_batch_stats():
+    # the banded and the kernel scan are entry points over one body, the only
+    # function under src/ that constructs BatchStats
+    src = Path(sparsehawkes.__file__).parent
+    builders, scan_calls = [], {}
+    for path in sorted(src.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = _called_names(fn)
+                if "BatchStats" in called:
+                    builders.append((path.name, fn.name))
+                if path.name == "scan.py":
+                    scan_calls[fn.name] = called
+    assert len(builders) == 1, builders
+    (module, body), = builders
+    assert module == "scan.py"
+    for entry in ("batch_sequence_stats", "pairwise_sequence_stats"):
+        assert body in scan_calls[entry], entry

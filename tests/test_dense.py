@@ -87,3 +87,44 @@ def test_gradient_buffer_zeros_shape():
     buf = GradientBuffer.zeros(3, 2)
     assert buf.as_flat().shape == (3 + 1 + 3 + 6 + 6,)
     assert np.all(buf.as_flat() == 0.0)
+
+
+def test_gradients_are_one_row_block_in_the_parameter_layout():
+    # both engines return the gradient of ModelParams.theta as one block in
+    # its [u | v | mu | self] layout; the named blocks are views of it
+    from sparsehawkes.lazy import accumulate_lazy_gradient, build_caches
+
+    params, data = oracles.random_instance(np.random.default_rng(131))
+    for buf in (dense_gradient(params, data),
+                accumulate_lazy_gradient(params, data, build_caches(params, data))):
+        assert buf.d_theta.shape == params.theta.shape
+        assert buf.d_theta.dtype == params.theta.dtype
+        d = buf.dim
+        assert np.shares_memory(buf.d_theta_u, buf.d_theta)
+        np.testing.assert_array_equal(buf.d_theta_u, buf.d_theta[:, :d])
+        np.testing.assert_array_equal(buf.d_theta_v, buf.d_theta[:, d:2 * d])
+        np.testing.assert_array_equal(buf.d_theta_mu, buf.d_theta[:, 2 * d])
+        np.testing.assert_array_equal(buf.d_theta_self, buf.d_theta[:, 2 * d + 1])
+
+
+def test_gradient_buffer_views_write_into_the_block_and_flatten_in_order():
+    n, d = 3, 2
+    buf = GradientBuffer.zeros(n, d)
+    buf.d_theta_u[1] = [1.0, 2.0]
+    buf.d_theta_v[:, 1] += 3.0
+    buf.d_theta_mu[2] = 4.0
+    buf.d_theta_self = [5.0, 6.0, 7.0]
+    want = np.zeros((n, 2 * d + 2))
+    want[1, :d] = [1.0, 2.0]
+    want[:, d + 1] = 3.0
+    want[2, 2 * d] = 4.0
+    want[:, 2 * d + 1] = [5.0, 6.0, 7.0]
+    np.testing.assert_array_equal(buf.d_theta, want)
+
+    # on a block of distinct values as_flat reads (mu, beta, self, u, v)
+    block = np.arange(n * (2 * d + 2), dtype=float).reshape(n, 2 * d + 2)
+    flat = GradientBuffer(block, -1.0, d).as_flat()
+    np.testing.assert_array_equal(flat, np.concatenate([
+        block[:, 2 * d], [-1.0], block[:, 2 * d + 1], block[:, :d].ravel(),
+        block[:, d:2 * d].ravel()]))
+    np.testing.assert_array_equal(flat[:n + 1 + n], [4.0, 10.0, 16.0, -1.0, 5.0, 11.0, 17.0])

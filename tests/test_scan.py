@@ -349,10 +349,14 @@ def assert_kernel_matches_banded(params, data):
     for k in np.flatnonzero(np.diff(offsets)).tolist():
         got = pairwise_sequence_stats(params, data, k)
         want = batch_sequence_stats(params, data, gradients=True, subset=(k, k + 1))
-        for name in ("slot_entity", "counts", "mu_slot", "c_slot", "u_slot", "v_slot"):
+        # one body slices the tables, activates the rows and sums the tail
+        # weights for both, so these agree bit for bit
+        for name in ("slot_entity", "slot_seq", "seq_slot_start", "counts", "horizons", "q",
+                     "mu_slot", "c_slot", "u_slot", "v_slot"):
             npt.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
         pairs = [(getattr(got, name), getattr(want, name), name)
-                 for name in ("loglam", "z", "q", "inv_lam")]
+                 for name in ("loglam", "z", "inv_lam")]
         rows, g_beta = _slot_gradients(params, got, caches, data)
         rows_w, g_beta_w = _slot_gradients(params, want, caches, data)
         pairs.append((rows, rows_w, "gradient rows"))

@@ -11,6 +11,7 @@ from sparsehawkes import (
     Dataset,
     ModelParams,
     Sequence,
+    StaleCacheError,
     build_caches,
     lazy_log_likelihood,
     synthetic_dataset,
@@ -188,6 +189,21 @@ def test_lagged_totals_stay_close_at_small_learning_rate():
     assert gap / scale < 0.01
     # incremental receiving totals track the rebuild tightly in sequential mode
     assert report.u_hat_drift[-1] <= 1e-6
+
+
+def test_final_caches_hold_lagged_sums_and_refuse_the_returned_params():
+    # the training caches keep the starting snapshot as ``built_from``: their
+    # z_hat is the last epoch's lagged sum, which must not pass as fresh
+    data, _ = synthetic_dataset(
+        nodes=10, sequences=15, beta=1.0, mu_rate=0.05, horizon=30.0, seed=5
+    )
+    config = TrainConfig(epochs=3, dim=3, log_every=100)
+    params, report = train(data, config)
+    start = init_params(data, config, np.random.default_rng(config.seed))
+    np.testing.assert_array_equal(report.final_caches.built_from.theta, start.theta)
+    with pytest.raises(StaleCacheError):
+        lazy_log_likelihood(params, data, report.final_caches)
+    assert np.isfinite(lazy_log_likelihood(params, data, build_caches(params, data)))
 
 
 def test_one_step_touches_only_active_entities():
