@@ -9,11 +9,22 @@ nowhere) that the :class:`~.model.Dataset` computes once.  Together they
 remove every per-inactive-entity term from the likelihood and gradient,
 which is what makes training on huge entity universes feasible.
 
-One gradient formula (``_slot_gradients``) serves every caller: the full
-pass scatters its per-slot rows by entity and adds the never-active terms;
-a training step uses its one sequence's rows as they are.  The rows are in
-the parameter block's ``[u | v | mu | self]`` layout, and every activation
-(and its derivative) is computed once per (sequence, entity) slot.
+One gradient formula (``_slot_rows`` and ``_decay_terms``) serves every
+caller: the full pass scatters its per-slot rows by entity and adds the
+never-active terms; a training step (``_slot_gradients``) uses its one
+sequence's rows as they are.  The rows are in the parameter block's
+``[u | v | mu | self]`` layout, and every activation (and its derivative) is
+computed once per (sequence, entity) slot.
+
+The full passes (``lazy_log_likelihood`` and ``accumulate_lazy_gradient``)
+scan consecutive ranges of whole sequences holding about ``_CHUNK_EVENTS``
+events each; a longer sequence is a range of its own.  A pass's working
+memory is therefore one range's scan plus what it keeps for the whole
+dataset: ``d`` to ``2d + 3`` numbers per sequence, the gradient's
+``(S, 2d + 2)`` block of slot rows and its ``(n, 2d + 2)`` output.  Each range's per-slot and
+per-sequence results are bit-identical to the same sequences' part of one
+whole-dataset scan, and the products with ``u_hat`` run once over all
+sequences, so results do not depend on where the ranges are cut.
 """
 
 from __future__ import annotations
@@ -34,6 +45,10 @@ __all__ = [
     "lazy_log_likelihood",
     "accumulate_lazy_gradient",
 ]
+
+# Events per range of a full pass (see the module docstring); of 2^12 to 2^15,
+# 2^13 measured best for memory and speed together (see CHANGES.md).
+_CHUNK_EVENTS = 2**13
 
 
 class StaleCacheError(RuntimeError):
@@ -77,6 +92,19 @@ def build_caches(params: ModelParams, data: Dataset) -> LazyCaches:
                       built_from=params.copy())
 
 
+def _chunks(data: Dataset) -> list[tuple[int, int]]:
+    """Consecutive ranges ``(k0, k1)`` of whole sequences covering ``data``,
+    each holding at most ``_CHUNK_EVENTS`` events unless it is one longer
+    sequence; one empty range for a dataset without sequences."""
+    offsets, ns = data.offsets, len(data)
+    cuts = [0]
+    while cuts[-1] < ns:
+        k0 = cuts[-1]
+        k1 = int(np.searchsorted(offsets, offsets[k0] + _CHUNK_EVENTS, side="right")) - 1
+        cuts.append(max(k1, k0 + 1))
+    return list(zip(cuts, cuts[1:])) or [(0, 0)]
+
+
 def lazy_log_likelihood(
     params: ModelParams,
     data: Dataset,
@@ -91,29 +119,23 @@ def lazy_log_likelihood(
     """
     if check_caches:
         caches.check(params)
-    u_hat = caches.u_hat
-    bs = batch_sequence_stats(params, data)
-    beta = bs.beta
-    ns = bs.num_seqs
-    # Per-slot pieces of the active-entity compensator, reduced per sequence.
-    z_rows = bs.z[bs.slot_seq]
-    own_slot = bs.mu_slot * bs.horizons[bs.slot_seq] + (
-        np.einsum("ij,ij->i", bs.u_slot, z_rows) + bs.c_slot * bs.q
-    ) / beta
-    own_seq = np.bincount(bs.slot_seq, weights=own_slot, minlength=ns)
+    ns, seq_slot_start = len(data), data.slot_tables()[3]
+    z = np.empty((ns, params.dim))
+    loglam, own_seq, u_dot_z, absent_seq = cols = np.empty((4, ns))
+    for k0, k1 in _chunks(data):
+        bs = batch_sequence_stats(params, data, subset=(k0, k1))
+        beta, slot_seq = bs.beta, bs.slot_seq
+        # Per-slot pieces of the active-entity compensator, reduced per sequence.
+        u_z = np.einsum("ij,ij->i", bs.u_slot, bs.z[slot_seq])
+        own_slot = bs.mu_slot * bs.horizons[slot_seq] + (u_z + bs.c_slot * bs.q) / beta
+        absent = bs.mu_slot * data.absent_share[bs.slot_entity]
+        z[k0:k1] = bs.z
+        cols[:, k0:k1] = bs.loglam, *(np.bincount(slot_seq, weights=w, minlength=k1 - k0)
+                                      for w in (own_slot, u_z, absent))
     # Shared term: each active entity carries an equal share of the global
-    # receiving total against this sequence's decayed emitting sum.
-    u_dot_z = np.bincount(
-        bs.slot_seq, weights=np.einsum("ij,ij->i", bs.u_slot, z_rows), minlength=ns
-    )
-    uhat_z = bs.z @ u_hat
-    absent_seq = np.bincount(
-        bs.slot_seq,
-        weights=bs.mu_slot * data.absent_share[bs.slot_entity],
-        minlength=ns,
-    )
-    seq_vals = bs.loglam - own_seq - (uhat_z - u_dot_z) / beta - absent_seq
-    terms = seq_vals[np.diff(bs.seq_slot_start) > 0].tolist()
+    # receiving total against its sequence's decayed emitting sum.
+    seq_vals = loglam - own_seq - (z @ caches.u_hat - u_dot_z) / beta - absent_seq
+    terms = seq_vals[np.diff(seq_slot_start) > 0].tolist()
     never = data.never_active()
     if len(never):
         terms.append(-data.total_horizon * float(softplus(params.theta_mu[never]).sum()))
@@ -123,11 +145,10 @@ def lazy_log_likelihood(
     return total
 
 
-def _slot_gradients(
-    params: ModelParams, bs: BatchStats, caches: LazyCaches, data: Dataset
-) -> tuple[np.ndarray, np.ndarray]:
+def _slot_rows(params: ModelParams, bs: BatchStats, caches: LazyCaches, data: Dataset,
+               out=None) -> np.ndarray:
     """Raw-parameter gradient rows ``[u | v | mu | self]`` per slot of ``bs``,
-    and the (ns,) decay terms per sequence, without never-active corrections.
+    without never-active corrections, written into ``out`` if given.
 
     ``bs`` is a scan of ``data``; the rows read its activity counts and absent shares.
     """
@@ -141,11 +162,9 @@ def _slot_gradients(
     # Each block is computed in place in its columns of ``rows``, and the
     # whole row block is then scaled by the activation's derivative at once.
     d = params.dim
-    ns = bs.num_seqs
-    one = ns == 1
     q_beta = bs.q / beta
-    horizon = bs.horizons[0] if one else bs.horizons[bs.slot_seq]
-    rows = np.empty((len(ent), 2 * d + 2))
+    horizon = bs.horizons[0] if bs.num_seqs == 1 else bs.horizons[bs.slot_seq]
+    rows = np.empty((len(ent), 2 * d + 2)) if out is None else out
     g_self = np.subtract(bs.r_over_lam, q_beta, out=rows[:, 2 * d + 1])
     g_u = np.subtract(bs.s_over_lam, bs.v_slot * g_self[:, None], out=rows[:, :d])
     g_u -= (1.0 / (beta * data.activity_count[ent]))[:, None] * caches.z_hat
@@ -154,16 +173,31 @@ def _slot_gradients(
     g_mu = np.subtract(bs.inv_lam, horizon, out=rows[:, 2 * d])
     g_mu -= data.absent_share[ent]
     rows *= softplus_grad(params.theta[ent])
-    uz = bs.z @ u_hat
-    uz_beta = bs.z_beta @ u_hat
-    if one:
-        cq = bs.c_slot @ bs.q
-        cq_beta = bs.c_slot @ bs.q_beta
-    else:
-        cq = np.bincount(bs.slot_seq, weights=bs.c_slot * bs.q, minlength=ns)
-        cq_beta = np.bincount(bs.slot_seq, weights=bs.c_slot * bs.q_beta, minlength=ns)
-    g_beta = bs.beta_log + (uz + cq) / beta**2 - (uz_beta + cq_beta) / beta
-    return rows, g_beta * params.beta_grad()
+    return rows
+
+
+def _decay_terms(params: ModelParams, caches: LazyCaches, beta: float, beta_log, z, z_beta,
+                 cq, cq_beta) -> np.ndarray:
+    """Per-sequence raw decay gradients from the scan's per-sequence sums and
+    the sequences' sums of ``c_slot * q`` (``cq``) and ``c_slot * q_beta``.
+
+    A full pass calls this once on all its sequences: BLAS rounds a row of
+    ``z @ u_hat`` by its position in the block, so one product over ranges
+    would depend on where the ranges are cut.
+    """
+    u_hat = caches.u_hat
+    g_beta = beta_log + (z @ u_hat + cq) / beta**2 - (z_beta @ u_hat + cq_beta) / beta
+    return g_beta * params.beta_grad()
+
+
+def _slot_gradients(
+    params: ModelParams, bs: BatchStats, caches: LazyCaches, data: Dataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """A training step's gradient: the slot rows of its one-sequence scan
+    ``bs`` and its (1,) decay term."""
+    return _slot_rows(params, bs, caches, data), _decay_terms(
+        params, caches, bs.beta, bs.beta_log, bs.z, bs.z_beta,
+        bs.c_slot @ bs.q, bs.c_slot @ bs.q_beta)
 
 
 def accumulate_lazy_gradient(
@@ -180,17 +214,30 @@ def accumulate_lazy_gradient(
     """
     if check_caches:
         caches.check(params)
-    bs = batch_sequence_stats(params, data, gradients=True)
-    rows, g_beta = _slot_gradients(params, bs, caches, data)
-    beta, uniq, sums = bs.beta, bs.slot_entity, rows
+    ns, d = len(data), params.dim
+    _, _, uniq, seq_slot_start, _, _ = data.slot_tables()
+    # The pass's slot rows in slot order, and per sequence the scan sums the
+    # decay terms need.
+    rows = np.empty((len(uniq), 2 * d + 2))
+    z, z_beta = zs = np.empty((2, ns, d))
+    beta_log, cq, cq_beta = cols = np.empty((3, ns))
+    for k0, k1 in _chunks(data):
+        bs = batch_sequence_stats(params, data, gradients=True, subset=(k0, k1))
+        s0, s1 = seq_slot_start[k0], seq_slot_start[k1]
+        _slot_rows(params, bs, caches, data, rows[s0:s1])
+        zs[:, k0:k1] = bs.z, bs.z_beta
+        cols[:, k0:k1] = bs.beta_log, *(np.bincount(bs.slot_seq, weights=bs.c_slot * w,
+                                                    minlength=k1 - k0) for w in (bs.q, bs.q_beta))
+    beta, sums = bs.beta, rows
+    g_beta = _decay_terms(params, caches, beta, beta_log, z, z_beta, cq, cq_beta)
     if len(uniq):
         # One grouped sum of the slot rows per entity; the others stay zero.
         order_e = np.argsort(uniq, kind="stable")
         ent_sorted = uniq[order_e]
         starts = np.flatnonzero(np.r_[True, ent_sorted[1:] != ent_sorted[:-1]])
         uniq, sums = ent_sorted[starts], np.add.reduceat(rows[order_e], starts, axis=0)
-    del bs, rows  # free the scan's arrays before the (n, 2d + 2) block: a lower peak
-    buf = GradientBuffer(np.zeros(params.theta.shape), math.fsum(g_beta.tolist()), params.dim)
+    del bs, rows  # free the last scan and the slot rows before the (n, 2d + 2) block
+    buf = GradientBuffer(np.zeros(params.theta.shape), math.fsum(g_beta.tolist()), d)
     buf.d_theta[uniq] = sums
 
     never = data.never_active()

@@ -43,7 +43,7 @@ def softplus(x):
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    out += np.maximum(x, 0.0)
+    np.add(out, x, out=out, where=x > 0.0)
     return out[()]
 
 

@@ -1,8 +1,8 @@
 """The package's public surface: every exported name resolves, the package
 exports its submodules' lists and nothing else, the stepwise reference stack,
 the single-sequence wrappers and the aliases stay out of it, nothing under
-``src/`` reaches into the test suite, and one scan body builds every
-``BatchStats``."""
+``src/`` reaches into the test suite, one scan body builds every
+``BatchStats``, and the lazy engine's full passes scan ranges of sequences."""
 
 import ast
 import importlib
@@ -125,3 +125,14 @@ def test_one_scan_body_builds_batch_stats():
     assert module == "scan.py"
     for entry in ("batch_sequence_stats", "pairwise_sequence_stats"):
         assert body in scan_calls[entry], entry
+
+
+def test_lazy_full_passes_scan_ranges_of_sequences():
+    # a full pass's scratch is bounded by one range of sequences only while
+    # every scan in the lazy engine names its range
+    path = Path(sparsehawkes.__file__).parent / "lazy.py"
+    calls = [call for call in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(call, ast.Call) and "batch_sequence_stats"
+             == getattr(call.func, "id", getattr(call.func, "attr", None))]
+    assert calls
+    assert all("subset" in {kw.arg for kw in call.keywords} for call in calls)

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sparsehawkes.model import Dataset, ModelParams, Sequence, softplus
+from sparsehawkes import lazy
+from sparsehawkes.evaluate import holdout_loglik
+from sparsehawkes.model import Dataset, ModelParams, NumericalDivergenceError, Sequence, softplus
 from sparsehawkes.dense import dense_gradient, dense_log_likelihood
 from sparsehawkes.lazy import (
     StaleCacheError,
@@ -214,3 +218,106 @@ def test_update_u_hat_tracks_rebuild():
         update_u_hat(caches, x, old, params.theta_u[x])
     rebuilt = params.factors_u().sum(axis=0)
     np.testing.assert_allclose(caches.u_hat, rebuilt, rtol=1e-6)
+
+
+def full_pass_results(params, data):
+    """The full passes' results as bytes: likelihood, gradient, held-out score."""
+    caches = build_caches(params, data)
+    got = [np.float64(lazy_log_likelihood(params, data, caches)).tobytes(),
+           accumulate_lazy_gradient(params, data, caches).as_flat().tobytes()]
+    if data.total_events:
+        got.append(np.float64(holdout_loglik(params, data)).tobytes())
+    return got
+
+
+def ragged_instance():
+    """Empty sequences, never-active entities (9 to 11) and one sequence
+    longer than the default chunk between short ones."""
+    rng = np.random.default_rng(103)
+    params = oracles.random_params(rng, 12, 3)
+    seqs = [Sequence([], horizon=3.0)]
+    seqs += [oracles.random_sequence(rng, 9, 12) for _ in range(5)]
+    long_times = np.sort(rng.uniform(0.0, 400.0, lazy._CHUNK_EVENTS + 500))
+    seqs.append(Sequence.from_arrays(long_times, rng.integers(0, 9, len(long_times)), 400.0))
+    seqs += [Sequence([], horizon=2.0)] + [oracles.random_sequence(rng, 9, 12) for _ in range(4)]
+    return params, Dataset(12, seqs)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**9])
+def test_chunked_full_passes_are_byte_identical(monkeypatch, chunk):
+    # one sequence per range, a few per range, and the whole dataset in one
+    # range must all give what the default ranges give, to the last bit
+    rng = np.random.default_rng(101)
+    cases = [oracles.random_instance(rng, max_entities=10, max_seqs=8) for _ in range(25)]
+    cases.append(ragged_instance())
+    assert len(lazy._chunks(cases[-1][1])) == 3  # the long sequence is a range of its own
+    for params, data in cases:
+        want = full_pass_results(params, data)
+        with monkeypatch.context() as m:
+            m.setattr(lazy, "_CHUNK_EVENTS", chunk)
+            assert full_pass_results(params, data) == want
+
+
+def test_chunks_cover_whole_sequences_in_order(monkeypatch):
+    _, data = ragged_instance()
+    lengths = np.diff(data.offsets)
+    for chunk in (1, 7, 40, lazy._CHUNK_EVENTS, 10**9):
+        monkeypatch.setattr(lazy, "_CHUNK_EVENTS", chunk)
+        ranges = lazy._chunks(data)
+        assert [k0 for k0, _ in ranges] == [0] + [k1 for _, k1 in ranges[:-1]]
+        assert ranges[-1][1] == len(data)
+        for k0, k1 in ranges:
+            assert k1 > k0 and (k1 == k0 + 1 or lengths[k0:k1].sum() <= chunk)
+    assert lazy._chunks(Dataset(3, [])) == [(0, 0)]
+
+
+def test_divergence_in_a_later_range_names_the_dataset_position(monkeypatch):
+    # entity 2 has zero background, self and receiving rates, so its events
+    # have zero intensity; the first such event is event 2 of sequence 3
+    seqs = [Sequence.from_arrays([0.5, 1.0 + k], [k % 2, 1 - k % 2], 4.0) for k in range(3)]
+    seqs.append(Sequence.from_arrays([0.3, 0.9, 1.4], [0, 1, 2], 4.0))
+    data = Dataset(3, seqs)
+    rng = np.random.default_rng(107)
+    params = oracles.random_params(rng, 3, 2)
+    params.theta_mu[2] = params.theta_self[2] = -800.0
+    params.theta_u[2] = -800.0
+    caches = build_caches(params, data)
+    monkeypatch.setattr(lazy, "_CHUNK_EVENTS", 2)
+    assert len(lazy._chunks(data)) == 4
+    for run in (lazy_log_likelihood, accumulate_lazy_gradient):
+        with pytest.raises(NumericalDivergenceError, match="at sequence 3 event index 2 "):
+            run(params, data, caches)
+
+
+def traced_peak(fn):
+    """Peak bytes NumPy and Python allocate while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_full_pass_working_memory_does_not_grow_with_the_data():
+    # 16, 32 and 64 sequences of 2,000 events (d = 8): a whole-dataset scan's
+    # scratch would double with each size; ranges of sequences keep it flat,
+    # and the gradient adds only its slot-row block (and that block's copy in
+    # entity order) to the scan of one range
+    rng = np.random.default_rng(109)
+    n, m, d = 400, 2_000, 8
+    params = oracles.random_params(rng, n, d)
+    ll_peaks, grad_peaks, block_bytes = [], [], []
+    for ns in (16, 32, 64):
+        times = np.concatenate([np.sort(rng.uniform(0.0, 1000.0, m)) for _ in range(ns)])
+        labels = np.concatenate([rng.choice(rng.choice(n, 100, replace=False), m)
+                                 for _ in range(ns)])
+        data = Dataset.from_columns(n, np.arange(ns + 1) * m, times, labels, np.full(ns, 1000.0))
+        caches = build_caches(params, data)
+        ll_peaks.append(traced_peak(lambda: lazy_log_likelihood(params, data, caches)))
+        grad_peaks.append(traced_peak(lambda: accumulate_lazy_gradient(params, data, caches)))
+        block_bytes.append(len(data.slot_tables()[2]) * (2 * d + 2) * 8)
+    assert max(ll_peaks) <= 1.25 * min(ll_peaks), ll_peaks
+    for peak, block in zip(grad_peaks[1:], block_bytes[1:]):
+        assert peak - grad_peaks[0] <= 2 * (block - block_bytes[0]), (grad_peaks, block_bytes)
