@@ -1,4 +1,4 @@
-"""Cascade text ingestion, dataset statistics, and checkpoint persistence.
+"""Cascade text ingestion and checkpoint persistence.
 
 Two on-disk contracts live here.  Cascade files are UTF-8 text (a leading
 byte-order mark is skipped), one event per line as
@@ -18,7 +18,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress, count, filterfalse, repeat
 
 import numpy as np
@@ -29,11 +29,9 @@ __all__ = [
     "CascadeFormatError",
     "CheckpointFormatError",
     "CascadeFile",
-    "DatasetStats",
     "Checkpoint",
     "read_cascade_file",
     "write_cascades",
-    "dataset_stats",
     "write_checkpoint",
     "read_checkpoint_full",
 ]
@@ -222,47 +220,6 @@ def write_cascades(path, data: Dataset, vocabulary: list[str] | None = None,
             fh.write(f"#horizon {seq.horizon!r}\n")
             for t, x in zip(seq.times, seq.entities):
                 fh.write(f"{seq_id}\t{vocabulary[int(x)]}\t{float(t)!r}\n")
-
-
-@dataclass
-class DatasetStats:
-    """Sparsity and size summary of a dataset.
-
-    ``active_fractions`` holds each sequence's active-entity count divided by
-    the universe size, sorted descending.  ``event_count_histogram`` maps the
-    per-sequence event count to how many sequences have it.
-    ``mean_active_entities`` is the average number of distinct entities per
-    sequence, the quantity that drives the sparse engine's per-sequence cost.
-    """
-
-    num_entities: int
-    num_sequences: int
-    total_events: int
-    active_fractions: np.ndarray
-    event_count_histogram: np.ndarray
-    mean_active_entities: float
-    median_active_fraction: float = field(init=False)
-
-    def __post_init__(self):
-        self.median_active_fraction = (
-            float(np.median(self.active_fractions)) if len(self.active_fractions) else 0.0
-        )
-
-
-def dataset_stats(data: Dataset) -> DatasetStats:
-    if len(data) == 0:
-        raise ValueError("dataset has no sequences")
-    active_counts = np.diff(data.slot_tables()[3])
-    event_counts = np.diff(data.offsets)
-    fractions = np.sort(active_counts / data.num_entities)[::-1]
-    return DatasetStats(
-        num_entities=data.num_entities,
-        num_sequences=len(data),
-        total_events=int(event_counts.sum()),
-        active_fractions=fractions,
-        event_count_histogram=np.bincount(event_counts),
-        mean_active_entities=float(active_counts.mean()),
-    )
 
 
 CHECKPOINT_MAGIC = b"LMHP"

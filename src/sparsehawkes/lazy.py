@@ -9,22 +9,25 @@ nowhere) that the :class:`~.model.Dataset` computes once.  Together they
 remove every per-inactive-entity term from the likelihood and gradient,
 which is what makes training on huge entity universes feasible.
 
-One gradient formula (``_slot_rows`` and ``_decay_terms``) serves every
-caller: the full pass scatters its per-slot rows by entity and adds the
-never-active terms; a training step (``_slot_gradients``) uses its one
-sequence's rows as they are.  The rows are in the parameter block's
-``[u | v | mu | self]`` layout, and every activation (and its derivative) is
-computed once per (sequence, entity) slot.
+One gradient formula, ``_range_gradient`` over the scan of a range of whole
+sequences, serves every caller: a training step runs it on its one sequence
+and uses the slot rows as they are; the full pass runs it on each range,
+scatters the rows by entity and adds the never-active terms.  The rows are
+in the parameter block's ``[u | v | mu | self]`` layout, and every
+activation (and its derivative) is computed once per (sequence, entity) slot.
 
 The full passes (``lazy_log_likelihood`` and ``accumulate_lazy_gradient``)
 scan consecutive ranges of whole sequences holding about ``_CHUNK_EVENTS``
 events each; a longer sequence is a range of its own.  A pass's working
 memory is therefore one range's scan plus what it keeps for the whole
-dataset: ``d`` to ``2d + 3`` numbers per sequence, the gradient's
-``(S, 2d + 2)`` block of slot rows and its ``(n, 2d + 2)`` output.  Each range's per-slot and
+dataset: one number per sequence, the gradient's ``(S, 2d + 2)`` block of
+slot rows and its ``(n, 2d + 2)`` output.  Each range's per-slot and
 per-sequence results are bit-identical to the same sequences' part of one
-whole-dataset scan, and the products with ``u_hat`` run once over all
-sequences, so results do not depend on where the ranges are cut.
+whole-dataset scan, and every product with ``u_hat`` is taken row by row
+(``einsum``, not a BLAS matrix product, which rounds a row by its position
+in the block), so results do not depend on where the ranges are cut: a
+training step's gradient is, bit for bit, its sequence's part of the full
+pass.
 """
 
 from __future__ import annotations
@@ -119,9 +122,8 @@ def lazy_log_likelihood(
     """
     if check_caches:
         caches.check(params)
-    ns, seq_slot_start = len(data), data.slot_tables()[3]
-    z = np.empty((ns, params.dim))
-    loglam, own_seq, u_dot_z, absent_seq = cols = np.empty((4, ns))
+    seq_slot_start = data.slot_tables()[3]
+    seq_vals = np.empty(len(data))
     for k0, k1 in _chunks(data):
         bs = batch_sequence_stats(params, data, subset=(k0, k1))
         beta, slot_seq = bs.beta, bs.slot_seq
@@ -129,12 +131,12 @@ def lazy_log_likelihood(
         u_z = np.einsum("ij,ij->i", bs.u_slot, bs.z[slot_seq])
         own_slot = bs.mu_slot * bs.horizons[slot_seq] + (u_z + bs.c_slot * bs.q) / beta
         absent = bs.mu_slot * data.absent_share[bs.slot_entity]
-        z[k0:k1] = bs.z
-        cols[:, k0:k1] = bs.loglam, *(np.bincount(slot_seq, weights=w, minlength=k1 - k0)
-                                      for w in (own_slot, u_z, absent))
-    # Shared term: each active entity carries an equal share of the global
-    # receiving total against its sequence's decayed emitting sum.
-    seq_vals = loglam - own_seq - (z @ caches.u_hat - u_dot_z) / beta - absent_seq
+        own_seq, u_dot_z, absent_seq = (np.bincount(slot_seq, weights=w, minlength=k1 - k0)
+                                        for w in (own_slot, u_z, absent))
+        # Shared term: each active entity carries an equal share of the global
+        # receiving total against its sequence's decayed emitting sum.
+        shared = np.einsum("ij,j->i", bs.z, caches.u_hat) - u_dot_z
+        seq_vals[k0:k1] = bs.loglam - own_seq - shared / beta - absent_seq
     terms = seq_vals[np.diff(seq_slot_start) > 0].tolist()
     never = data.never_active()
     if len(never):
@@ -145,12 +147,14 @@ def lazy_log_likelihood(
     return total
 
 
-def _slot_rows(params: ModelParams, bs: BatchStats, caches: LazyCaches, data: Dataset,
-               out=None) -> np.ndarray:
-    """Raw-parameter gradient rows ``[u | v | mu | self]`` per slot of ``bs``,
-    without never-active corrections, written into ``out`` if given.
+def _range_gradient(params: ModelParams, bs: BatchStats, caches: LazyCaches, data: Dataset,
+                    out=None) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient of the sequences that ``bs``, a ``gradients=True`` scan of
+    ``data``, covers.
 
-    ``bs`` is a scan of ``data``; the rows read its activity counts and absent shares.
+    Returns the raw-parameter rows ``[u | v | mu | self]`` per slot, without
+    never-active corrections and written into ``out`` if given, and the raw
+    decay term per sequence.
     """
     beta = bs.beta
     u_hat = caches.u_hat
@@ -163,41 +167,21 @@ def _slot_rows(params: ModelParams, bs: BatchStats, caches: LazyCaches, data: Da
     # whole row block is then scaled by the activation's derivative at once.
     d = params.dim
     q_beta = bs.q / beta
-    horizon = bs.horizons[0] if bs.num_seqs == 1 else bs.horizons[bs.slot_seq]
     rows = np.empty((len(ent), 2 * d + 2)) if out is None else out
     g_self = np.subtract(bs.r_over_lam, q_beta, out=rows[:, 2 * d + 1])
     g_u = np.subtract(bs.s_over_lam, bs.v_slot * g_self[:, None], out=rows[:, :d])
     g_u -= (1.0 / (beta * data.activity_count[ent]))[:, None] * caches.z_hat
     g_v = np.subtract(bs.p_rev, bs.u_slot * g_self[:, None], out=rows[:, d:2 * d])
     g_v -= q_beta[:, None] * u_hat
-    g_mu = np.subtract(bs.inv_lam, horizon, out=rows[:, 2 * d])
+    g_mu = np.subtract(bs.inv_lam, bs.horizons[bs.slot_seq], out=rows[:, 2 * d])
     g_mu -= data.absent_share[ent]
     rows *= softplus_grad(params.theta[ent])
-    return rows
 
-
-def _decay_terms(params: ModelParams, caches: LazyCaches, beta: float, beta_log, z, z_beta,
-                 cq, cq_beta) -> np.ndarray:
-    """Per-sequence raw decay gradients from the scan's per-sequence sums and
-    the sequences' sums of ``c_slot * q`` (``cq``) and ``c_slot * q_beta``.
-
-    A full pass calls this once on all its sequences: BLAS rounds a row of
-    ``z @ u_hat`` by its position in the block, so one product over ranges
-    would depend on where the ranges are cut.
-    """
-    u_hat = caches.u_hat
-    g_beta = beta_log + (z @ u_hat + cq) / beta**2 - (z_beta @ u_hat + cq_beta) / beta
-    return g_beta * params.beta_grad()
-
-
-def _slot_gradients(
-    params: ModelParams, bs: BatchStats, caches: LazyCaches, data: Dataset
-) -> tuple[np.ndarray, np.ndarray]:
-    """A training step's gradient: the slot rows of its one-sequence scan
-    ``bs`` and its (1,) decay term."""
-    return _slot_rows(params, bs, caches, data), _decay_terms(
-        params, caches, bs.beta, bs.beta_log, bs.z, bs.z_beta,
-        bs.c_slot @ bs.q, bs.c_slot @ bs.q_beta)
+    cq, cq_beta = (np.bincount(bs.slot_seq, weights=bs.c_slot * w, minlength=bs.num_seqs)
+                   for w in (bs.q, bs.q_beta))
+    g_beta = (bs.beta_log + (np.einsum("ij,j->i", bs.z, u_hat) + cq) / beta**2
+              - (np.einsum("ij,j->i", bs.z_beta, u_hat) + cq_beta) / beta)
+    return rows, g_beta * params.beta_grad()
 
 
 def accumulate_lazy_gradient(
@@ -214,22 +198,16 @@ def accumulate_lazy_gradient(
     """
     if check_caches:
         caches.check(params)
-    ns, d = len(data), params.dim
+    d = params.dim
     _, _, uniq, seq_slot_start, _, _ = data.slot_tables()
-    # The pass's slot rows in slot order, and per sequence the scan sums the
-    # decay terms need.
+    # The pass's slot rows in slot order, and its decay term per sequence.
     rows = np.empty((len(uniq), 2 * d + 2))
-    z, z_beta = zs = np.empty((2, ns, d))
-    beta_log, cq, cq_beta = cols = np.empty((3, ns))
+    g_beta = np.empty(len(data))
     for k0, k1 in _chunks(data):
         bs = batch_sequence_stats(params, data, gradients=True, subset=(k0, k1))
         s0, s1 = seq_slot_start[k0], seq_slot_start[k1]
-        _slot_rows(params, bs, caches, data, rows[s0:s1])
-        zs[:, k0:k1] = bs.z, bs.z_beta
-        cols[:, k0:k1] = bs.beta_log, *(np.bincount(bs.slot_seq, weights=bs.c_slot * w,
-                                                    minlength=k1 - k0) for w in (bs.q, bs.q_beta))
+        g_beta[k0:k1] = _range_gradient(params, bs, caches, data, rows[s0:s1])[1]
     beta, sums = bs.beta, rows
-    g_beta = _decay_terms(params, caches, beta, beta_log, z, z_beta, cq, cq_beta)
     if len(uniq):
         # One grouped sum of the slot rows per entity; the others stay zero.
         order_e = np.argsort(uniq, kind="stable")

@@ -5,8 +5,9 @@ dataset's cached layout: through its (m, m) decay kernel when it has at most
 ``_PAIRWISE_MAX`` events, else with the banded scan.  It reads the
 one-epoch-lagged decayed emitting totals from the caches, the incrementally
 maintained receiving-embedding total, and only the parameters of entities
-active in the sequence; the lazy engine's one gradient formula turns the
-scan into rows for those entities, which get one Adam update of their rows
+active in the sequence; the lazy engine's one gradient formula, which a
+full gradient pass runs on each range of sequences, turns the scan into
+rows for those entities, which get one Adam update of their rows
 of the ``[u | v | mu | self]`` parameter block, together with the decay's
 slot.  The rows Adam read and wrote then refresh the receiving total
 through one activation.
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lazy import LazyCaches, _slot_gradients, build_caches, lazy_log_likelihood, update_u_hat
+from .lazy import LazyCaches, _range_gradient, build_caches, lazy_log_likelihood, update_u_hat
 from .model import Dataset, ModelParams, NumericalDivergenceError, softplus_inv
 from .scan import batch_sequence_stats, pairwise_sequence_stats
 
@@ -264,7 +265,7 @@ def _step(params: ModelParams, data: Dataset, k: int, caches: LazyCaches, state:
         bs = pairwise_sequence_stats(params, data, k)
     else:
         bs = batch_sequence_stats(params, data, gradients=True, subset=(k, k + 1))
-    rows, g_beta = _slot_gradients(params, bs, caches, data)
+    rows, g_beta = _range_gradient(params, bs, caches, data)
     old, new = _adam_rows(state, bs.slot_entity, rows, float(g_beta[0]), config, params)
     d = params.dim
     update_u_hat(caches, bs.slot_entity, old[:, :d], new[:, :d])

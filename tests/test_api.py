@@ -2,7 +2,8 @@
 exports its submodules' lists and nothing else, the stepwise reference stack,
 the single-sequence wrappers and the aliases stay out of it, nothing under
 ``src/`` reaches into the test suite, one scan body builds every
-``BatchStats``, and the lazy engine's full passes scan ranges of sequences."""
+``BatchStats``, the lazy engine's full passes scan ranges of sequences, and a
+training step and the full gradient pass share one gradient function."""
 
 import ast
 import importlib
@@ -32,12 +33,13 @@ EXPORTING = [name for name in SUBMODULES if name not in ("sparsehawkes.cli", "sp
 # The event-by-event reference lives in tests/oracles.py; per-sequence
 # questions are asked with batch_sequence_stats(..., subset=(k, k + 1)).
 # The aliases went for their direct forms: read_cascade_file(p).dataset and
-# read_checkpoint_full.
+# read_checkpoint_full.  The dataset summary had no reader.
 REMOVED = (
     "SequenceScan", "sequence_stats_reference", "SequenceStats", "sequence_stats",
     "alpha", "alpha_row", "intensity", "compensator",
     "lazy_sequence_gradients", "SequenceGradient",
     "parse_cascades", "read_checkpoint", "write_series_tsv",
+    "dataset_stats", "DatasetStats",
 )
 
 
@@ -56,7 +58,7 @@ def test_package_exports_each_submodule_list_once():
     names = [name for module in EXPORTING for name in importlib.import_module(module).__all__]
     assert len(names) == len(set(names))
     assert sorted(sparsehawkes.__all__) == sorted(names + ["__version__"])
-    assert len(sparsehawkes.__all__) <= 40
+    assert len(sparsehawkes.__all__) <= 38
 
 
 @pytest.mark.parametrize("module_name", ["sparsehawkes"] + SUBMODULES)
@@ -136,3 +138,25 @@ def test_lazy_full_passes_scan_ranges_of_sequences():
              == getattr(call.func, "id", getattr(call.func, "attr", None))]
     assert calls
     assert all("subset" in {kw.arg for kw in call.keywords} for call in calls)
+
+
+def test_step_and_full_pass_share_one_gradient_function():
+    # a training step is the full gradient pass's range function over one
+    # sequence; matrix products, which round a row by its position in the
+    # block, stay out of the lazy engine's per-range code
+    src = Path(sparsehawkes.__file__).parent
+    functions = {}
+    for name in ("lazy.py", "train.py"):
+        for fn in ast.walk(ast.parse((src / name).read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                functions[name, fn.name] = fn
+    shared = _called_names(functions["train.py", "_step"]) & _called_names(
+        functions["lazy.py", "accumulate_lazy_gradient"])
+    assert shared & {name for module, name in functions if module == "lazy.py"} == {
+        "_range_gradient"}
+    assert [name for (module, name), fn in functions.items() if module == "lazy.py"
+            and name != "build_caches"
+            and any(isinstance(node, ast.MatMult) for node in ast.walk(fn))] == []
+    lazy = importlib.import_module("sparsehawkes.lazy")
+    assert [name for name in ("_slot_gradients", "_decay_terms", "_slot_rows")
+            if hasattr(lazy, name)] == []

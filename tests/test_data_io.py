@@ -15,7 +15,6 @@ from sparsehawkes.data_io import (
     CHECKPOINT_MAGIC,
     CascadeFormatError,
     CheckpointFormatError,
-    dataset_stats,
     read_cascade_file,
     read_checkpoint_full,
     write_cascades,
@@ -288,52 +287,6 @@ def test_round_trip_is_byte_identical_at_scale(tmp_path):
 
     default_vocab = [str(i) for i in range(n_entities)]
     assert labels_of(cf.dataset, cf.vocabulary) == labels_of(data, default_vocab)
-
-
-# ---------------------------------------------------------------------------
-# dataset statistics
-
-
-def test_stats_everything_active():
-    seqs = [
-        Sequence.from_arrays([0.5, 1.0], [0, 1], 2.0),
-        Sequence.from_arrays([0.25, 0.75], [1, 0], 2.0),
-    ]
-    stats = dataset_stats(Dataset(2, seqs))
-    assert stats.num_entities == 2
-    assert stats.num_sequences == 2
-    assert stats.total_events == 4
-    np.testing.assert_array_equal(stats.active_fractions, [1.0, 1.0])
-    assert stats.mean_active_entities == 2.0
-    assert stats.median_active_fraction == 1.0
-    # two sequences of two events each
-    np.testing.assert_array_equal(stats.event_count_histogram, [0, 0, 2])
-
-
-def test_stats_sparse_activity():
-    seqs = [Sequence.from_arrays([1.0], [3], 2.0)]
-    stats = dataset_stats(Dataset(100, seqs))
-    assert stats.active_fractions[0] == pytest.approx(0.01)
-    assert stats.mean_active_entities == 1.0
-    assert stats.total_events == 1
-
-
-def test_stats_mixed_sizes():
-    seqs = [
-        Sequence.from_arrays([0.5], [0], 1.0),
-        Sequence.from_arrays([0.5, 0.6, 0.7], [0, 1, 0], 1.0),
-        Sequence.from_arrays([], [], 1.0),
-    ]
-    stats = dataset_stats(Dataset(4, seqs))
-    np.testing.assert_array_equal(stats.event_count_histogram, [1, 1, 0, 1])
-    np.testing.assert_allclose(stats.active_fractions, [0.5, 0.25, 0.0])
-    assert stats.median_active_fraction == pytest.approx(0.25)
-    assert stats.mean_active_entities == pytest.approx(1.0)
-
-
-def test_stats_rejects_empty_dataset():
-    with pytest.raises(ValueError, match="no sequences"):
-        dataset_stats(Dataset(3, []))
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ from sparsehawkes.model import Dataset, ModelParams, NumericalDivergenceError, S
 from sparsehawkes.dense import dense_gradient, dense_log_likelihood
 from sparsehawkes.lazy import (
     StaleCacheError,
-    _slot_gradients,
+    _range_gradient,
     accumulate_lazy_gradient,
     build_caches,
     lazy_log_likelihood,
     update_u_hat,
 )
 from sparsehawkes.scan import batch_sequence_stats
+from sparsehawkes.train import _PAIRWISE_MAX
 
 import oracles
 
@@ -148,7 +149,7 @@ def sequence_gradient(params, data, caches, k):
     """Sequence ``k``'s gradient rows as a training step computes them:
     ``(entities, rows, decay term)``."""
     bs = batch_sequence_stats(params, data, True, subset=(k, k + 1))
-    rows, g_beta = _slot_gradients(params, bs, caches, data)
+    rows, g_beta = _range_gradient(params, bs, caches, data)
     return bs.slot_entity, rows, g_beta[0]
 
 
@@ -256,6 +257,48 @@ def test_chunked_full_passes_are_byte_identical(monkeypatch, chunk):
         with monkeypatch.context() as m:
             m.setattr(lazy, "_CHUNK_EVENTS", chunk)
             assert full_pass_results(params, data) == want
+
+
+def long_instance(rng):
+    """Sequences longer than a training step's kernel limit, crossing phase
+    bands over six of nine entities, between a short and an empty one."""
+    params = oracles.random_params(rng, 9, 4)
+    seqs = []
+    for m in (_PAIRWISE_MAX + 1, 0, 150, 5, 400):
+        times = np.unique(rng.uniform(0.0, 2000.0, m))
+        seqs.append(Sequence.from_arrays(times, rng.integers(0, 6, len(times)), 2000.0))
+    return params, Dataset(9, seqs)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, lazy._CHUNK_EVENTS])
+def test_step_gradient_is_the_full_pass_slice(monkeypatch, chunk):
+    # a training step's banded one-sequence gradient is, to the last bit, its
+    # sequence's slot rows (before the pass groups them by entity) and decay
+    # term in the full gradient pass, wherever the pass cuts its ranges
+    rng = np.random.default_rng(113)
+    cases = [long_instance(rng) for _ in range(3)] + [ragged_instance()]
+    range_gradient = lazy._range_gradient
+    monkeypatch.setattr(lazy, "_CHUNK_EVENTS", chunk)
+    for params, data in cases:
+        caches = build_caches(params, data)
+        passed = []
+
+        def recorded(*args, **kwargs):
+            rows, g_beta = range_gradient(*args, **kwargs)
+            passed.append((rows.copy(), g_beta))  # the rows are a view of the pass's block
+            return rows, g_beta
+
+        with monkeypatch.context() as m:
+            m.setattr(lazy, "_range_gradient", recorded)
+            accumulate_lazy_gradient(params, data, caches)
+        assert len(passed) == len(lazy._chunks(data))
+        pass_rows = np.concatenate([rows for rows, _ in passed])
+        pass_decay = np.concatenate([g_beta for _, g_beta in passed])
+        seq_slot_start = data.slot_tables()[3]
+        for k in range(len(data)):
+            _, rows, g_beta = sequence_gradient(params, data, caches, k)
+            assert np.array_equal(rows, pass_rows[seq_slot_start[k]:seq_slot_start[k + 1]]), k
+            assert g_beta == pass_decay[k], k
 
 
 def test_chunks_cover_whole_sequences_in_order(monkeypatch):

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from sparsehawkes.model import Dataset, NumericalDivergenceError, Sequence, softplus_inv
 from sparsehawkes.scan import batch_sequence_stats, pairwise_sequence_stats
-from sparsehawkes.lazy import _slot_gradients, accumulate_lazy_gradient, build_caches
+from sparsehawkes.lazy import _range_gradient, accumulate_lazy_gradient, build_caches
 from sparsehawkes.train import _PAIRWISE_MAX
 
 from oracles import random_instance, random_params, rel_close, sequence_stats_reference, stats_at
@@ -212,7 +212,7 @@ def test_batched_accumulation_matches_per_sequence_sum():
         d = params.dim
         for k in range(len(data)):
             bs = batch_sequence_stats(params, data, True, subset=(k, k + 1))
-            rows, g_beta = _slot_gradients(params, bs, caches, data)
+            rows, g_beta = _range_gradient(params, bs, caches, data)
             ent = bs.slot_entity
             want_u[ent] += rows[:, :d]
             want_v[ent] += rows[:, d:2 * d]
@@ -357,8 +357,8 @@ def assert_kernel_matches_banded(params, data):
             assert getattr(got, name).dtype == getattr(want, name).dtype, name
         pairs = [(getattr(got, name), getattr(want, name), name)
                  for name in ("loglam", "z", "inv_lam")]
-        rows, g_beta = _slot_gradients(params, got, caches, data)
-        rows_w, g_beta_w = _slot_gradients(params, want, caches, data)
+        rows, g_beta = _range_gradient(params, got, caches, data)
+        rows_w, g_beta_w = _range_gradient(params, want, caches, data)
         pairs.append((rows, rows_w, "gradient rows"))
         for a, b, name in pairs:
             scale = np.abs(b).max(initial=0.0)

@@ -18,7 +18,7 @@ from sparsehawkes import (
     thinning_sample,
 )
 from sparsehawkes.data_io import read_checkpoint_full
-from sparsehawkes.lazy import _slot_gradients, accumulate_lazy_gradient, update_u_hat
+from sparsehawkes.lazy import _range_gradient, accumulate_lazy_gradient, update_u_hat
 from sparsehawkes.scan import batch_sequence_stats
 from sparsehawkes.model import NumericalDivergenceError, softplus, softplus_inv
 from sparsehawkes.train import (
@@ -52,7 +52,7 @@ def make_grad(entities, n, d, fill=0.0, beta=0.0):
 def first_sequence_grad(params, data, caches):
     """Sequence 0's gradient as ``make_grad``'s triple, computed as a training step does."""
     bs = batch_sequence_stats(params, data, True, subset=(0, 1))
-    rows, g_beta = _slot_gradients(params, bs, caches, data)
+    rows, g_beta = _range_gradient(params, bs, caches, data)
     return bs.slot_entity, rows, float(g_beta[0])
 
 
