@@ -28,6 +28,15 @@ whole-dataset scan, and every product with ``u_hat`` is taken row by row
 in the block), so results do not depend on where the ranges are cut: a
 training step's gradient is, bit for bit, its sequence's part of the full
 pass.
+
+Each pass owns one :class:`~.scan.Workspace`, sized by ``_workspace`` to its
+largest range, for the call only.  Every range's scan and ``_range_gradient``
+write their blocks into it, so after the first range a pass touches no fresh
+page for its scratch; the gradient's activation derivative is taken in place
+on the raw rows the scan gathered.  Training shares one workspace between an
+epoch's banded steps and its report (see :mod:`.train`).  The per-entity
+grouping of the slot rows copies entities with one slot and sums only the
+others (``scan._group_sums``).
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ import numpy as np
 
 from .dense import GradientBuffer
 from .model import Dataset, ModelParams, NumericalDivergenceError, softplus, softplus_grad
-from .scan import BatchStats, batch_sequence_stats
+from .scan import BatchStats, Workspace, _fresh, _group_sums, batch_sequence_stats
 
 __all__ = [
     "StaleCacheError",
@@ -108,27 +117,41 @@ def _chunks(data: Dataset) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:])) or [(0, 0)]
 
 
+def _workspace(data: Dataset, ranges: list[tuple[int, int]], dim: int) -> Workspace:
+    """A workspace for one call that scans ``ranges`` of ``data``: room for
+    the largest range's events, each as wide as a gradient scan's row."""
+    offsets = data.offsets
+    return Workspace(max(int(offsets[k1] - offsets[k0]) for k0, k1 in ranges), 2 * dim + 3)
+
+
 def lazy_log_likelihood(
     params: ModelParams,
     data: Dataset,
     caches: LazyCaches,
     check_caches: bool = True,
+    workspace: Workspace | None = None,
 ) -> float:
     """Exact log-likelihood in per-active-entity form.
 
     Equal to the dense engine's value to floating-point noise; the per-entity
     terms only run over entities active in each sequence, with the absent
-    entities' mass folded in through the cached aggregates.
+    entities' mass folded in through the cached aggregates.  The ranges'
+    scratch lives in ``workspace``, one for this call unless the caller
+    passes its own (see :func:`_workspace`).
     """
     if check_caches:
         caches.check(params)
     seq_slot_start = data.slot_tables()[3]
     seq_vals = np.empty(len(data))
-    for k0, k1 in _chunks(data):
-        bs = batch_sequence_stats(params, data, subset=(k0, k1))
+    ranges = _chunks(data)
+    ws = workspace or _workspace(data, ranges, params.dim)
+    for k0, k1 in ranges:
+        bs = batch_sequence_stats(params, data, subset=(k0, k1), workspace=ws)
         beta, slot_seq = bs.beta, bs.slot_seq
         # Per-slot pieces of the active-entity compensator, reduced per sequence.
-        u_z = np.einsum("ij,ij->i", bs.u_slot, bs.z[slot_seq])
+        z_slot = np.take(bs.z, slot_seq, axis=0, out=ws("full", (len(slot_seq), params.dim)),
+                         mode="clip")
+        u_z = np.einsum("ij,ij->i", bs.u_slot, z_slot)
         own_slot = bs.mu_slot * bs.horizons[slot_seq] + (u_z + bs.c_slot * bs.q) / beta
         absent = bs.mu_slot * data.absent_share[bs.slot_entity]
         own_seq, u_dot_z, absent_seq = (np.bincount(slot_seq, weights=w, minlength=k1 - k0)
@@ -137,6 +160,7 @@ def lazy_log_likelihood(
         # receiving total against its sequence's decayed emitting sum.
         shared = np.einsum("ij,j->i", bs.z, caches.u_hat) - u_dot_z
         seq_vals[k0:k1] = bs.loglam - own_seq - shared / beta - absent_seq
+    del bs, ws
     terms = seq_vals[np.diff(seq_slot_start) > 0].tolist()
     never = data.never_active()
     if len(never):
@@ -148,13 +172,14 @@ def lazy_log_likelihood(
 
 
 def _range_gradient(params: ModelParams, bs: BatchStats, caches: LazyCaches, data: Dataset,
-                    out=None) -> tuple[np.ndarray, np.ndarray]:
+                    out=None, ws=_fresh) -> tuple[np.ndarray, np.ndarray]:
     """The gradient of the sequences that ``bs``, a ``gradients=True`` scan of
     ``data``, covers.
 
     Returns the raw-parameter rows ``[u | v | mu | self]`` per slot, without
     never-active corrections and written into ``out`` if given, and the raw
-    decay term per sequence.
+    decay term per sequence.  Scratch comes from the scan's workspace ``ws``,
+    and the activation derivative is taken in place on ``bs.theta_slot``.
     """
     beta = bs.beta
     u_hat = caches.u_hat
@@ -164,18 +189,22 @@ def _range_gradient(params: ModelParams, bs: BatchStats, caches: LazyCaches, dat
     # emitting total cancels between the own-pair and shared terms,
     # leaving the self-rate correction and one global outer product each.
     # Each block is computed in place in its columns of ``rows``, and the
-    # whole row block is then scaled by the activation's derivative at once.
+    # whole row block is then scaled by the activation's derivative at once,
+    # at the raw rows the scan read.
     d = params.dim
     q_beta = bs.q / beta
     rows = np.empty((len(ent), 2 * d + 2)) if out is None else out
+    tmp = ws("full", (len(ent), d))
     g_self = np.subtract(bs.r_over_lam, q_beta, out=rows[:, 2 * d + 1])
-    g_u = np.subtract(bs.s_over_lam, bs.v_slot * g_self[:, None], out=rows[:, :d])
-    g_u -= (1.0 / (beta * data.activity_count[ent]))[:, None] * caches.z_hat
-    g_v = np.subtract(bs.p_rev, bs.u_slot * g_self[:, None], out=rows[:, d:2 * d])
-    g_v -= q_beta[:, None] * u_hat
+    g_u = np.subtract(bs.s_over_lam, np.multiply(bs.v_slot, g_self[:, None], out=tmp),
+                      out=rows[:, :d])
+    g_u -= np.multiply((1.0 / (beta * data.activity_count[ent]))[:, None], caches.z_hat, out=tmp)
+    g_v = np.subtract(bs.p_rev, np.multiply(bs.u_slot, g_self[:, None], out=tmp),
+                      out=rows[:, d:2 * d])
+    g_v -= np.multiply(q_beta[:, None], u_hat, out=tmp)
     g_mu = np.subtract(bs.inv_lam, bs.horizons[bs.slot_seq], out=rows[:, 2 * d])
     g_mu -= data.absent_share[ent]
-    rows *= softplus_grad(params.theta[ent])
+    rows *= softplus_grad(bs.theta_slot, out=bs.theta_slot)
 
     cq, cq_beta = (np.bincount(bs.slot_seq, weights=bs.c_slot * w, minlength=bs.num_seqs)
                    for w in (bs.q, bs.q_beta))
@@ -203,18 +232,23 @@ def accumulate_lazy_gradient(
     # The pass's slot rows in slot order, and its decay term per sequence.
     rows = np.empty((len(uniq), 2 * d + 2))
     g_beta = np.empty(len(data))
-    for k0, k1 in _chunks(data):
-        bs = batch_sequence_stats(params, data, gradients=True, subset=(k0, k1))
+    ranges = _chunks(data)
+    ws = _workspace(data, ranges, d)
+    for k0, k1 in ranges:
+        bs = batch_sequence_stats(params, data, gradients=True, subset=(k0, k1), workspace=ws)
         s0, s1 = seq_slot_start[k0], seq_slot_start[k1]
-        g_beta[k0:k1] = _range_gradient(params, bs, caches, data, rows[s0:s1])[1]
+        g_beta[k0:k1] = _range_gradient(params, bs, caches, data, rows[s0:s1], ws)[1]
     beta, sums = bs.beta, rows
+    del bs, ws  # free the last scan and the workspace before the grouping
     if len(uniq):
         # One grouped sum of the slot rows per entity; the others stay zero.
         order_e = np.argsort(uniq, kind="stable")
         ent_sorted = uniq[order_e]
         starts = np.flatnonzero(np.r_[True, ent_sorted[1:] != ent_sorted[:-1]])
-        uniq, sums = ent_sorted[starts], np.add.reduceat(rows[order_e], starts, axis=0)
-    del bs, rows  # free the last scan and the slot rows before the (n, 2d + 2) block
+        uniq = ent_sorted[starts]
+        sums = _group_sums(rows, order_e, np.diff(starts, append=len(ent_sorted)),
+                           np.empty((len(uniq), 2 * d + 2)))
+    del rows  # free the slot rows before the (n, 2d + 2) block
     buf = GradientBuffer(np.zeros(params.theta.shape), math.fsum(g_beta.tolist()), d)
     buf.d_theta[uniq] = sums
 

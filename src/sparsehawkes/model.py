@@ -34,12 +34,12 @@ class NumericalDivergenceError(RuntimeError):
     """Raised when a likelihood or intensity stops being finite/positive."""
 
 
-def softplus(x):
+def softplus(x, out=None):
     """Elementwise log(1 + e^x), safe against overflow for large x: the split
     max(x, 0) + log1p(e^-|x|) of ``np.logaddexp(0, x)``, in whole-array
-    passes on one buffer."""
+    passes on one buffer, ``out`` if given (it must not overlap ``x``)."""
     x = np.asarray(x, dtype=float)
-    out = np.abs(x, out=np.empty_like(x))
+    out = np.abs(x, out=np.empty_like(x) if out is None else out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)

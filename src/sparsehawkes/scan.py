@@ -35,12 +35,33 @@ on a ``_bands`` layout) runs this along chains of time-ordered events: each
 sequence for the emitting sums, each slot holding two or more events for the
 same-entity sums; the reverse scan reuses the sequences' bands.  The kernel
 needs none of this: its exponents ``-beta*(t_i - t_j)`` are never positive.
+
+Within a band the prefix sums are the additions ``np.cumsum`` makes, in its
+order.  Bands of at most ``_PAD_CAP`` events (all of them on short
+sequences) are laid out as one grid, or one zero-padded block when their
+lengths differ, and summed one slice of the short axis at a time, straight
+into the scanned rows: NumPy's cumsum along a short middle axis is several
+times slower than the same additions.  Longer bands run cumsum one band at a
+time.  Per-slot sums copy the slots that hold one event and run
+``np.add.reduceat`` only over the others (``_group_sums``).
+
+A caller that scans several ranges (a full pass over ranges of sequences,
+or a training epoch's banded steps and its report) owns one
+:class:`Workspace` for the call, sized to its largest range, and passes it
+to each scan.  The scan writes its large blocks into it with ``out=``: the
+slots' raw and activated rows, the per-event rows, the forward sums, the
+gradient columns and their per-slot sums, and the scratch of the scans.  A
+block whose value is dead serves the next one, so a gradient range needs
+five blocks, and no range after the first touches a fresh page.  The
+workspace dies with the call; nothing is kept on the dataset or in module
+state, so it adds nothing to the memory a long-lived process holds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,20 +73,75 @@ __all__ = ["BatchStats", "batch_sequence_stats", "pairwise_sequence_stats"]
 # double, so products of one stored exponential with one carry never overflow.
 _BAND_WIDTH = 350.0
 
-# Bands at most this long are scanned together in one padded cumsum; longer
-# ones get an individual pass.  Keeps the padded scratch array small while
-# bounding the per-band Python overhead to the rare long bands.
+# Bands at most this long are scanned together in one padded block, one
+# slice at a time; longer ones get an individual cumsum.  Keeps the padded
+# block and the slice loop short while bounding the per-band Python overhead
+# to the rare long bands.
 _PAD_CAP = 16
 
 
-def _banded_excl_scan(x, band_first, band_len, band_of, pos, reverse=False):
+class Workspace:
+    """Scratch blocks that the ranges of one call reuse.
+
+    ``ws(name, shape)`` returns a C-contiguous view of the block called
+    ``name``.  A block is allocated when its name first asks for more than
+    it holds, with room for at least ``rows * width`` doubles: the call's
+    largest range in events times its widest per-event row, which no
+    per-slot or per-event block of that range exceeds, so every range after
+    the first writes into pages the call has touched already, and any block
+    can hold any one of a range's values.  A name holds one value at a time:
+    once a value is dead its block serves the next one (see :func:`_scan`).
+    A workspace lives for one call and is dropped with it, never kept on a
+    dataset or in module state.
+    """
+
+    def __init__(self, rows: int, width: int):
+        self.size = rows * width
+        self.blocks: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        block = self.blocks.get(name)
+        if block is None or block.size < size:
+            block = self.blocks[name] = np.empty(max(size, self.size))
+        return block[:size].reshape(shape)
+
+
+def _fresh(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A new block per request: the workspace of a call that scans once."""
+    return np.empty(shape)
+
+
+def _excl_sums(grid, reverse=False):
+    """Exclusive prefix (or suffix) sums along axis 1 of ``grid``, in place,
+    with cumsum's additions in cumsum's order; returns the totals.  A short
+    axis is summed slice by slice, because NumPy's cumsum over a short
+    middle axis is several times slower than the same additions."""
+    if reverse:
+        grid = grid[:, ::-1]
+    if grid.shape[1] > _PAD_CAP:
+        cs = grid.cumsum(axis=1)
+        np.subtract(cs, grid, out=grid)
+        return cs[:, -1].copy()
+    total = grid[:, 0].copy()
+    np.subtract(total, grid[:, 0], out=grid[:, 0])
+    for j in range(1, grid.shape[1]):
+        col = grid[:, j]
+        total += col
+        np.subtract(total, col, out=col)
+    return total
+
+
+def _banded_excl_scan(x, bands, reverse=False):
     """Exclusive prefix (or suffix) sums of ``x`` restarted at band starts.
 
-    ``x`` is (m,) or (m, k) with each band occupying a contiguous slice of
-    rows.  Returns the per-row exclusive running sum within the row's band
-    plus the per-band totals.  Short bands are packed into one padded cumsum;
-    long bands are scanned individually.
+    ``x`` is a C-contiguous (m,) or (m, k) array with each band of ``bands``
+    occupying a contiguous slice of rows; it is overwritten with each row's
+    exclusive running sum within its band, and the per-band totals are
+    returned.  Short bands are packed into one padded block; long bands are
+    scanned individually.
     """
+    band_first, band_len, band_of, pos = bands[:4]
     nb = len(band_first)
     tail_shape = x.shape[1:]
     width = int(band_len[0]) if nb else 0
@@ -73,16 +149,7 @@ def _banded_excl_scan(x, band_first, band_len, band_of, pos, reverse=False):
         # All bands the same length: the flat rows already form a
         # (bands, width) grid, so no scatter or gather is needed and the
         # partial sums come out in the exact order of the general path.
-        grid = x.reshape((nb, width) + tail_shape)
-        if reverse:
-            grid = grid[:, ::-1]
-        cs = grid.cumsum(axis=1)
-        totals = cs[:, -1].copy()
-        cs -= grid
-        if reverse:
-            cs = cs[:, ::-1]
-        return cs.reshape(x.shape), totals
-    out = np.empty_like(x)
+        return _excl_sums(x.reshape((nb, width) + tail_shape), reverse)
     totals = np.zeros((nb,) + tail_shape)
     short = band_len <= _PAD_CAP
     sidx = short.nonzero()[0]
@@ -97,18 +164,33 @@ def _banded_excl_scan(x, band_first, band_len, band_of, pos, reverse=False):
             p = band_len[band_of[emask]] - 1 - p
         pad = np.zeros((sidx.size, width) + tail_shape)
         pad[rows, p] = x[emask]
-        cs = pad.cumsum(axis=1)
-        out[emask] = cs[rows, p] - x[emask]
-        totals[sidx] = cs[:, -1]
+        totals[sidx] = _excl_sums(pad)
+        x[emask] = pad[rows, p]
     for b in (~short).nonzero()[0]:
         i0 = int(band_first[b])
-        sl = slice(i0, i0 + int(band_len[b]))
-        xs = x[sl][::-1] if reverse else x[sl]
-        cs = xs.cumsum(axis=0)
-        totals[b] = cs[-1]
-        ex = cs - xs
-        out[sl] = ex[::-1] if reverse else ex
-    return out, totals
+        totals[b] = _excl_sums(x[None, i0:i0 + int(band_len[b])], reverse)[0]
+    return totals
+
+
+def _group_sums(x, order, counts, out, scratch=np.empty):
+    """Sums of the rows ``x[order]`` over consecutive groups of ``counts``
+    rows, written into ``out``: bit for bit ``np.add.reduceat(x[order],
+    starts, axis=0)``.  A group of one row is copied, and only groups of two
+    or more go through ``reduceat``, which costs about ten times a copy per
+    group.  ``scratch(shape)`` gives the block the rows are gathered into."""
+    multi = counts >= 2
+    if not multi.any():
+        return np.take(x, order, axis=0, out=out, mode="clip")
+    sums = out
+    if not multi.all():
+        single = ~multi
+        out[single] = x[order[(counts.cumsum() - counts)[single]]]
+        order, counts, sums = order[np.repeat(multi, counts)], counts[multi], None
+    rows = np.take(x, order, axis=0, out=scratch((len(order),) + x.shape[1:]), mode="clip")
+    sums = np.add.reduceat(rows, counts.cumsum() - counts, axis=0, out=sums)
+    if sums is not out:
+        out[multi] = sums
+    return out
 
 
 def _chain_carries(first_flags, g, totals, reverse=False):
@@ -167,17 +249,17 @@ def _bands(first, g):
     return band_first, np.bincount(band_of), band_of, pos, first[band_first], g[band_first]
 
 
-def _forward(x, bands, e_dn):
-    """Decayed sums of ``x`` over the earlier rows of each row's chain: the
-    banded exclusive scan, the carries across bands, then the ``e_dn``
-    rescale."""
+def _forward(x, bands, e_dn, scratch=np.empty):
+    """Decayed sums of ``x`` over the earlier rows of each row's chain, in
+    place: the banded exclusive scan, the carries across bands (gathered
+    into ``scratch(shape)``), then the ``e_dn`` rescale."""
     band_first, band_len, band_of, pos, chain_first, band_g = bands
-    out, totals = _banded_excl_scan(x, band_first, band_len, band_of, pos)
+    totals = _banded_excl_scan(x, bands)
     carries = _chain_carries(chain_first, band_g, totals)
     if carries is not None:
-        out += carries[band_of]
-    out *= e_dn[:, None]
-    return out
+        x += np.take(carries, band_of, axis=0, out=scratch(x.shape), mode="clip")
+    x *= e_dn[:, None]
+    return x
 
 
 def _check_intensity(lam, data, e0):
@@ -218,6 +300,7 @@ class BatchStats:
     c_slot: np.ndarray          # (S,)
     u_slot: np.ndarray          # (S, d)
     v_slot: np.ndarray          # (S, d)
+    theta_slot: np.ndarray | None = None   # (S, 2d + 2) raw rows [u | v | mu | self] as read
     inv_lam: np.ndarray | None = None      # (S,)
     r_over_lam: np.ndarray | None = None   # (S,)
     s_over_lam: np.ndarray | None = None   # (S, d)
@@ -227,7 +310,7 @@ class BatchStats:
     q_beta: np.ndarray | None = None       # (S,)
 
 
-def _banded_sums(beta, trel, v_ev, bounds, slot_of, counts, by_slot, gradients):
+def _banded_sums(beta, trel, v_ev, bounds, slot_of, counts, by_slot, gradients, ws):
     """Decayed sums by banded prefix scans; see :func:`_scan`."""
     m, d = v_ev.shape
     bounds = bounds - bounds[0]
@@ -246,17 +329,18 @@ def _banded_sums(beta, trel, v_ev, bounds, slot_of, counts, by_slot, gradients):
     bands = _bands(ev_first, g_ev)
 
     # Forward scan of the emitting embeddings (and their time-weighted
-    # companions when gradients are on, stacked to share the passes).
-    # Each step below writes into one (m, d) or (m, 2d) buffer, so the scan's
-    # peak memory stays a few such blocks and fresh pages are rarely touched.
-    full = np.empty((m, 2 * d if gradients else d))
+    # companions when gradients are on, stacked to share the passes), in
+    # place in the "full" block; the "stacked" block, not yet in use, is
+    # the scratch of the forward scans.
+    scratch = partial(ws, "stacked")
+    full = ws("full", (m, 2 * d if gradients else d))
     np.multiply(e_up[:, None], v_ev, out=full[:, :d])
     if gradients:
         np.multiply(full[:, :d], trel[:, None], out=full[:, d:])
-    full = _forward(full, bands, e_dn)
+    full = _forward(full, bands, e_dn, scratch)
     s_all, s_dbeta = full[:, :d], full[:, d:]
     if gradients:
-        s_dbeta -= trel[:, None] * s_all
+        s_dbeta -= np.multiply(trel[:, None], s_all, out=scratch((m, d)))
 
     # Same-entity sums: the same forward scan, with each slot's events (in
     # time order) one chain.  A slot holding a single event neither feeds
@@ -269,22 +353,26 @@ def _banded_sums(beta, trel, v_ev, bounds, slot_of, counts, by_slot, gradients):
         if gradients:
             x = np.concatenate([x, (e_up * trel)[rep, None]], axis=1)
         bands_rep = _bands(np.diff(slot_of[rep], prepend=-1) != 0, g_ev[rep])
-        r_cols[rep] = _forward(x, bands_rep, e_dn[rep])
+        r_cols[rep] = _forward(x, bands_rep, e_dn[rep], scratch)
     r_all = r_cols[:, 0]
     r_dbeta = -trel * r_all + r_cols[:, 1] if gradients else None
 
-    def reverse(x, out):
-        # The reverse scan on the forward scan's bands.
+    def reverse(u, inv, out):
+        # The reverse scan on the forward scan's bands, in place in the
+        # "full" block: the forward sums are dead by now.
         band_first, band_len, band_of, pos, chain_first, band_g = bands
+        x = np.multiply(u, inv[:, None], out=ws("full", (m, d)))
         x *= e_dn[:, None]
-        x, totals = _banded_excl_scan(x, band_first, band_len, band_of, pos, reverse=True)
+        totals = _banded_excl_scan(x, bands, reverse=True)
         carries = _chain_carries(chain_first, band_g, totals, reverse=True)
         np.multiply(e_up[:, None], x, out=out)
         if carries is not None:
-            out += np.exp(psi - _BAND_WIDTH)[:, None] * carries[band_of]
+            x = np.take(carries, band_of, axis=0, out=x, mode="clip")
+            x *= np.exp(psi - _BAND_WIDTH)[:, None]
+            out += x
 
     def per_seq(w, v=None):
-        x = w if v is None else w[:, None] * v
+        x = w if v is None else np.multiply(w[:, None], v, out=ws("full", (m, d)))
         out = np.zeros((len(bounds) - 1,) + x.shape[1:])
         out[nonempty] = np.add.reduceat(x, starts, axis=0)
         return out
@@ -292,7 +380,7 @@ def _banded_sums(beta, trel, v_ev, bounds, slot_of, counts, by_slot, gradients):
     return (s_all, s_dbeta, r_all, r_dbeta), reverse, per_seq
 
 
-def _kernel_sums(beta, trel, v_ev, bounds, slot_of, counts, by_slot, gradients):
+def _kernel_sums(beta, trel, v_ev, bounds, slot_of, counts, by_slot, gradients, ws):
     """Decayed sums of one sequence, gradients always on, as products with
     its (m, m) kernel ``K[i, j] = exp(-beta * (t_i - t_j))`` over earlier
     events ``j`` (0 elsewhere): no exponent is positive, so nothing overflows.
@@ -308,23 +396,26 @@ def _kernel_sums(beta, trel, v_ev, bounds, slot_of, counts, by_slot, gradients):
         r_all = (kern * same).sum(axis=1)
         r_dbeta = (kern_dbeta * same).sum(axis=1)
     return ((kern @ v_ev, kern_dbeta @ v_ev, r_all, r_dbeta),
-            lambda x, out: np.matmul(kern.T, x, out=out),
+            lambda u, inv, out: np.matmul(kern.T, u * inv[:, None], out=out),
             lambda w, v=None: np.add.reduce(w, keepdims=True) if v is None else w[None] @ v)
 
 
 def _scan(params: ModelParams, data: Dataset, k0: int, k1: int, gradients: bool,
-          sums) -> BatchStats:
+          sums, ws=_fresh) -> BatchStats:
     """Statistics of sequences ``k0:k1`` of ``data``; the one place a
     :class:`BatchStats` is built.
 
-    ``sums(beta, trel, v_ev, bounds, slot_of, counts, by_slot, gradients)``
-    forms the decayed sums on the range's events: sequence ``i`` holds events
-    ``bounds[i] - bounds[0]`` to ``bounds[i + 1] - bounds[0]``, and ``by_slot``
-    is None when no slot holds two events.  It returns the sums over earlier
-    events ``(s_all, s_dbeta, r_all, r_dbeta)`` (of the emitting rows and of
-    the same slot's events, with their beta-derivative parts); ``reverse(x,
-    out)``, writing the decayed sums of ``x`` over later events into ``out``;
-    and ``per_seq(w, v=None)``, the per-sequence sums of ``w`` (times ``v``).
+    ``sums(beta, trel, v_ev, bounds, slot_of, counts, by_slot, gradients,
+    ws)`` forms the decayed sums on the range's events: sequence ``i`` holds
+    events ``bounds[i] - bounds[0]`` to ``bounds[i + 1] - bounds[0]``, and
+    ``by_slot`` is None when no slot holds two events.  It returns the sums
+    over earlier events ``(s_all, s_dbeta, r_all, r_dbeta)`` (of the emitting
+    rows and of the same slot's events, with their beta-derivative parts);
+    ``reverse(u, inv, out)``, writing the decayed sums of ``u * inv[:, None]``
+    over later events into ``out``; and ``per_seq(w, v=None)``, the
+    per-sequence sums of ``w`` (times ``v``).  The range's blocks come from
+    the workspace ``ws``, so the result's slot arrays are views that the
+    next scan on the same workspace overwrites.
     """
     beta = checked_beta(params)
     _, tail, trel = data.event_frame()
@@ -335,61 +426,77 @@ def _scan(params: ModelParams, data: Dataset, k0: int, k1: int, gradients: bool,
     tail, trel = tail[e0:e1], trel[e0:e1]
     slot_of = slot_of[e0:e1] - s0
     slot_entity, counts = slot_entity[s0:s1], counts[s0:s1]
-    d, m = params.dim, e1 - e0
-    by_slot = by_slot[e0:e1] - e0 if len(counts) < m else None
+    d, m, slots = params.dim, e1 - e0, s1 - s0
+    by_slot = by_slot[e0:e1] - e0 if slots < m else None
 
     # One gather and one activation of the raw rows [u | v | mu | self];
-    # the last column then becomes the diagonal correction s - u.v.
-    act = softplus(params.theta[slot_entity])
+    # the last column then becomes the diagonal correction s - u.v.  A
+    # gradient scan keeps the raw rows for the activation's derivative; a
+    # likelihood scan drops them, so the per-event rows overwrite them.
+    # (The gather clips instead of checking each index: the dataset's labels
+    # are below its entity count, so only a smaller parameter block needs it.)
+    if data.num_entities > params.num_entities and np.any(slot_entity >= params.num_entities):
+        raise IndexError(f"the data's entities reach past the parameters' "
+                         f"{params.num_entities}")
+    raw = np.take(params.theta, slot_entity, axis=0, mode="clip",
+                  out=ws("raw" if gradients else "ev", (slots, 2 * d + 2)))
+    act = softplus(raw, out=ws("act", (slots, 2 * d + 2)))
     u_slot, v_slot, mu_slot, c_slot = act[:, :d], act[:, d:2 * d], act[:, 2 * d], act[:, 2 * d + 1]
     c_slot -= np.einsum("ij,ij->i", u_slot, v_slot)
-    ev = act[slot_of]
+    ev = np.take(act, slot_of, axis=0, out=ws("ev", (m, 2 * d + 2)), mode="clip")
     u_ev, v_ev, mu_ev, c_ev = ev[:, :d], ev[:, d:2 * d], ev[:, 2 * d], ev[:, 2 * d + 1]
 
     # Compensator tail weights need no banding: their exponents are negative.
     tail_phase = -beta * tail
     wtail = -np.expm1(tail_phase)
     # (bincount gives int64 zeros for an empty range, weights or not)
-    q = np.bincount(slot_of, weights=wtail, minlength=len(counts)).astype(float, copy=False)
+    q = np.bincount(slot_of, weights=wtail, minlength=slots).astype(float, copy=False)
     (s_all, s_dbeta, r_all, r_dbeta), reverse, per_seq = sums(
-        beta, trel, v_ev, offsets[k0:k1 + 1], slot_of, counts, by_slot, gradients)
+        beta, trel, v_ev, offsets[k0:k1 + 1], slot_of, counts, by_slot, gradients, ws)
 
     lam = mu_ev + np.einsum("ij,ij->i", u_ev, s_all) + c_ev * r_all
     _check_intensity(lam, data, e0)
-    grads = {}
     if gradients:
+        # The per-event gradient columns.  The forward sums are dead once the
+        # first column is formed, so the reverse scan and the per-sequence
+        # products after it run in their block.
         inv = 1.0 / lam
         beta_ev = (np.einsum("ij,ij->i", u_ev, s_dbeta) + c_ev * r_dbeta) * inv
         e_tail = tail * np.exp(tail_phase)
-        # Per-slot sums of all per-event gradient columns: one reduceat over
-        # the stable slot order, which keeps each slot's events together and
-        # in time order, or, when no slot holds two events, one reordering.
-        stacked = np.empty((m, 2 * d + 3))
+        stacked = ws("stacked", (m, 2 * d + 3))
         np.multiply(s_all, inv[:, None], out=stacked[:, :d])
-        reverse(u_ev * inv[:, None], stacked[:, d:2 * d])
+        reverse(u_ev, inv, stacked[:, d:2 * d])
         stacked[:, 2 * d] = inv
         np.multiply(r_all, inv, out=stacked[:, 2 * d + 1])
         stacked[:, 2 * d + 2] = e_tail
-        if by_slot is None:
-            slot_sums = np.empty_like(stacked)
-            slot_sums[slot_of] = stacked
-        else:
-            slot_sums = np.add.reduceat(stacked[by_slot], counts.cumsum() - counts, axis=0)
-        grads = dict(inv_lam=slot_sums[:, 2 * d], r_over_lam=slot_sums[:, 2 * d + 1],
-                     s_over_lam=slot_sums[:, :d], p_rev=slot_sums[:, d:2 * d],
-                     q_beta=slot_sums[:, 2 * d + 2], beta_log=per_seq(beta_ev),
-                     z_beta=per_seq(e_tail, v_ev))
-    return BatchStats(
+    stats = BatchStats(
         num_seqs=k1 - k0, beta=beta, horizons=data.horizons[k0:k1],
         loglam=per_seq(np.log(lam)), z=per_seq(wtail, v_ev),
         slot_seq=slot_seq[s0:s1] - k0, slot_entity=slot_entity,
         seq_slot_start=seq_slot_start[k0:k1 + 1] - s0, counts=counts, q=q,
-        mu_slot=mu_slot, c_slot=c_slot, u_slot=u_slot, v_slot=v_slot, **grads,
+        mu_slot=mu_slot, c_slot=c_slot, u_slot=u_slot, v_slot=v_slot,
     )
+    if not gradients:
+        return stats
+    stats.beta_log, stats.z_beta = per_seq(beta_ev), per_seq(e_tail, v_ev)
+    # Per-slot sums of the gradient columns over the stable slot order, which
+    # keeps each slot's events together and in time order (or, when no slot
+    # holds two events, one reordering), in the per-event rows' block: the
+    # rows are dead once the per-sequence sums are taken.
+    slot_sums = ws("ev", (slots, 2 * d + 3))
+    if by_slot is None:
+        slot_sums[slot_of] = stacked
+    else:
+        _group_sums(stacked, by_slot, counts, slot_sums, partial(ws, "full"))
+    stats.inv_lam, stats.r_over_lam = slot_sums[:, 2 * d], slot_sums[:, 2 * d + 1]
+    stats.s_over_lam, stats.p_rev = slot_sums[:, :d], slot_sums[:, d:2 * d]
+    stats.q_beta, stats.theta_slot = slot_sums[:, 2 * d + 2], raw
+    return stats
 
 
 def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = False,
-                         subset: tuple[int, int] | None = None) -> BatchStats:
+                         subset: tuple[int, int] | None = None,
+                         workspace: Workspace | None = None) -> BatchStats:
     """Scan every sequence of ``data`` (or dataset positions ``subset=(start,
     stop)``, with results indexed from ``start``) by banded prefix sums.
 
@@ -397,9 +504,12 @@ def batch_sequence_stats(params: ModelParams, data: Dataset, gradients: bool = F
     bit-identical to the same sequences' part of a full scan.  Produces the
     quantities of the event-by-event recursion, with work dominated by a
     fixed number of array passes over the concatenated events instead of
-    per-event interpreter steps.
+    per-event interpreter steps.  A caller that scans several ranges passes
+    one ``workspace`` for all of them, and reads each result before the next
+    scan overwrites its blocks.
     """
-    return _scan(params, data, *(subset or (0, len(data))), gradients, _banded_sums)
+    return _scan(params, data, *(subset or (0, len(data))), gradients, _banded_sums,
+                 workspace or _fresh)
 
 
 def pairwise_sequence_stats(params: ModelParams, data: Dataset, k: int) -> BatchStats:

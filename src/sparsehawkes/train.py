@@ -34,9 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lazy import LazyCaches, _range_gradient, build_caches, lazy_log_likelihood, update_u_hat
+from .lazy import (LazyCaches, _chunks, _range_gradient, _workspace, build_caches,
+                   lazy_log_likelihood, update_u_hat)
 from .model import Dataset, ModelParams, NumericalDivergenceError, softplus_inv
-from .scan import batch_sequence_stats, pairwise_sequence_stats
+from .scan import Workspace, _fresh, batch_sequence_stats, pairwise_sequence_stats
 
 __all__ = [
     "TrainingDivergedError",
@@ -231,11 +232,11 @@ def _maybe_checkpoint(config: TrainConfig, params: ModelParams, epoch: int,
 
 def _finish_epoch(params: ModelParams, data: Dataset, caches: LazyCaches,
                   config: TrainConfig, report: TrainReport, epoch: int,
-                  secs: float, last_good: ModelParams) -> LazyCaches:
+                  secs: float, last_good: ModelParams, ws: Workspace) -> LazyCaches:
     """Exact reporting with freshly built caches, which it returns; raises on divergence."""
     try:
         fresh = build_caches(params, data)
-        loglik = lazy_log_likelihood(params, data, fresh)
+        loglik = lazy_log_likelihood(params, data, fresh, workspace=ws)
     except (NumericalDivergenceError, ValueError) as exc:
         raise TrainingDivergedError(
             f"epoch {epoch}: {exc}", last_good, report, epoch
@@ -252,9 +253,10 @@ def _finish_epoch(params: ModelParams, data: Dataset, caches: LazyCaches,
 
 
 def _step(params: ModelParams, data: Dataset, k: int, caches: LazyCaches, state: AdamState,
-          config: TrainConfig) -> np.ndarray:
+          config: TrainConfig, ws: Workspace) -> np.ndarray:
     """One sparse Adam step on sequence ``k``, against the lagged ``z_hat``
-    and the decay's value in its slot.
+    and the decay's value in its slot; a banded scan's scratch lives in the
+    epoch's workspace ``ws``.
 
     Returns the sequence's decayed emitting total under the parameters before
     the step, its share of the next epoch's ``z_hat``.
@@ -262,10 +264,10 @@ def _step(params: ModelParams, data: Dataset, k: int, caches: LazyCaches, state:
     params.theta_beta = float(state.decay[0])
     offsets = data.offsets
     if offsets[k + 1] - offsets[k] <= _PAIRWISE_MAX:
-        bs = pairwise_sequence_stats(params, data, k)
+        bs, ws = pairwise_sequence_stats(params, data, k), _fresh  # off the workspace
     else:
-        bs = batch_sequence_stats(params, data, gradients=True, subset=(k, k + 1))
-    rows, g_beta = _range_gradient(params, bs, caches, data)
+        bs = batch_sequence_stats(params, data, gradients=True, subset=(k, k + 1), workspace=ws)
+    rows, g_beta = _range_gradient(params, bs, caches, data, ws=ws)
     old, new = _adam_rows(state, bs.slot_entity, rows, float(g_beta[0]), config, params)
     d = params.dim
     update_u_hat(caches, bs.slot_entity, old[:, :d], new[:, :d])
@@ -273,12 +275,12 @@ def _step(params: ModelParams, data: Dataset, k: int, caches: LazyCaches, state:
 
 
 def _epoch(params: ModelParams, data: Dataset, shard: np.ndarray, caches: LazyCaches,
-           state: AdamState, config: TrainConfig) -> np.ndarray:
+           state: AdamState, config: TrainConfig, ws: Workspace) -> np.ndarray:
     """One :func:`_step` per sequence of ``shard``, in order; returns the sum
     of their shares of the next epoch's ``z_hat``."""
     z_next = np.zeros(params.dim)
     for k in shard.tolist():
-        z_next += _step(params, data, k, caches, state, config)
+        z_next += _step(params, data, k, caches, state, config, ws)
     return z_next
 
 
@@ -289,11 +291,12 @@ def _shared_array(shape, dtype=np.float64) -> np.ndarray:
 
 
 def _parallel_worker(worker_id: int, shard: np.ndarray, params: ModelParams, data: Dataset,
-                     caches: LazyCaches, state: AdamState, config: TrainConfig, queue):
+                     caches: LazyCaches, state: AdamState, config: TrainConfig,
+                     ws: Workspace, queue):
     """A forked worker's :func:`_epoch` over its shard, reported as one
     ``("done" | "diverged" | "error", worker_id, payload)`` on ``queue``."""
     try:
-        queue.put(("done", worker_id, _epoch(params, data, shard, caches, state, config)))
+        queue.put(("done", worker_id, _epoch(params, data, shard, caches, state, config, ws)))
     except NumericalDivergenceError as exc:
         queue.put(("diverged", worker_id, str(exc)))
     except Exception as exc:  # surfaced by the parent as a hard failure
@@ -346,14 +349,18 @@ def _fit(data: Dataset, config: TrainConfig, init: ModelParams | None, ctx=None)
     report, last_good = TrainReport(), caches.built_from
     nonempty = np.diff(data.offsets) > 0
     base_order = np.arange(len(data))
+    ranges = _chunks(data)
     for epoch in range(1, config.epochs + 1):
         start = time.perf_counter()
+        # the epoch's banded steps and its report share one workspace, which
+        # is dropped with the epoch (a forked worker writes its own copy)
+        ws = _workspace(data, ranges, config.dim)
         order = rng.permutation(base_order) if config.shuffle else base_order
         splits = np.array_split(order, 1 if ctx is None else config.threads)
         shards = [shard[nonempty[shard]] for shard in splits]
         if ctx is None:
             try:
-                caches.z_hat = _epoch(params, data, shards[0], caches, state, config)
+                caches.z_hat = _epoch(params, data, shards[0], caches, state, config, ws)
             except NumericalDivergenceError as exc:
                 raise TrainingDivergedError(
                     f"epoch {epoch}: {exc}", last_good, report, epoch
@@ -362,7 +369,7 @@ def _fit(data: Dataset, config: TrainConfig, init: ModelParams | None, ctx=None)
             queue = ctx.Queue()
             workers = [
                 ctx.Process(target=_parallel_worker,
-                            args=(wid, shard, params, data, caches, state, config, queue))
+                            args=(wid, shard, params, data, caches, state, config, ws, queue))
                 for wid, shard in enumerate(shards)
             ]
             results = None
@@ -385,7 +392,8 @@ def _fit(data: Dataset, config: TrainConfig, init: ModelParams | None, ctx=None)
             caches.z_hat = np.sum([results[wid][1] for wid in range(len(workers))], axis=0)
         params.theta_beta = float(state.decay[0])
         secs = time.perf_counter() - start
-        fresh = _finish_epoch(params, data, caches, config, report, epoch, secs, last_good)
+        fresh = _finish_epoch(params, data, caches, config, report, epoch, secs, last_good, ws)
+        del ws
         if ctx is not None:
             # lock-free interleaving lets the incremental receiving total
             # drift; rebuild it once per epoch after recording how far it moved

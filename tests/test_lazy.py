@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparsehawkes import lazy
+from sparsehawkes import lazy, scan
 from sparsehawkes.evaluate import holdout_loglik
 from sparsehawkes.model import Dataset, ModelParams, NumericalDivergenceError, Sequence, softplus
 from sparsehawkes.dense import dense_gradient, dense_log_likelihood
@@ -15,8 +15,8 @@ from sparsehawkes.lazy import (
     lazy_log_likelihood,
     update_u_hat,
 )
-from sparsehawkes.scan import batch_sequence_stats
-from sparsehawkes.train import _PAIRWISE_MAX
+from sparsehawkes.scan import Workspace, _group_sums, batch_sequence_stats
+from sparsehawkes.train import TrainConfig, _PAIRWISE_MAX, train
 
 import oracles
 
@@ -244,10 +244,25 @@ def ragged_instance():
     return params, Dataset(12, seqs)
 
 
+def poison_workspace(monkeypatch):
+    """Fill every block a workspace hands out with NaN, so a value read
+    before this use wrote it, from an earlier range or an earlier name,
+    shows in the results."""
+    give = Workspace.__call__
+
+    def poisoned(self, name, shape):
+        block = give(self, name, shape)
+        block.fill(np.nan)
+        return block
+
+    monkeypatch.setattr(Workspace, "__call__", poisoned)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 10**9])
 def test_chunked_full_passes_are_byte_identical(monkeypatch, chunk):
     # one sequence per range, a few per range, and the whole dataset in one
-    # range must all give what the default ranges give, to the last bit
+    # range must all give what the default ranges give, to the last bit,
+    # also when every workspace block is poisoned before each use
     rng = np.random.default_rng(101)
     cases = [oracles.random_instance(rng, max_entities=10, max_seqs=8) for _ in range(25)]
     cases.append(ragged_instance())
@@ -256,6 +271,8 @@ def test_chunked_full_passes_are_byte_identical(monkeypatch, chunk):
         want = full_pass_results(params, data)
         with monkeypatch.context() as m:
             m.setattr(lazy, "_CHUNK_EVENTS", chunk)
+            assert full_pass_results(params, data) == want
+            poison_workspace(m)
             assert full_pass_results(params, data) == want
 
 
@@ -279,6 +296,7 @@ def test_step_gradient_is_the_full_pass_slice(monkeypatch, chunk):
     cases = [long_instance(rng) for _ in range(3)] + [ragged_instance()]
     range_gradient = lazy._range_gradient
     monkeypatch.setattr(lazy, "_CHUNK_EVENTS", chunk)
+    poison_workspace(monkeypatch)  # the pass's workspace; the steps scan without one
     for params, data in cases:
         caches = build_caches(params, data)
         passed = []
@@ -364,3 +382,88 @@ def test_full_pass_working_memory_does_not_grow_with_the_data():
     assert max(ll_peaks) <= 1.25 * min(ll_peaks), ll_peaks
     for peak, block in zip(grad_peaks[1:], block_bytes[1:]):
         assert peak - grad_peaks[0] <= 2 * (block - block_bytes[0]), (grad_peaks, block_bytes)
+
+
+def test_later_ranges_scan_in_the_calls_workspace(monkeypatch):
+    # every range after the first writes its large blocks into the blocks
+    # the call's workspace already holds: none is allocated again
+    params, data = ragged_instance()
+    monkeypatch.setattr(lazy, "_CHUNK_EVENTS", 7)
+    assert len(lazy._chunks(data)) > 3
+    real = lazy.batch_sequence_stats
+    for run, gradients in ((lazy.lazy_log_likelihood, False),
+                           (lazy.accumulate_lazy_gradient, True)):
+        seen = []
+
+        def recorded(*args, workspace=None, **kwargs):
+            bs = real(*args, workspace=workspace, **kwargs)
+            seen.append((workspace, dict(workspace.blocks)))
+            large = [bs.u_slot, bs.v_slot, bs.c_slot]
+            if gradients:
+                large += [bs.theta_slot, bs.s_over_lam, bs.p_rev, bs.inv_lam, bs.q_beta]
+            for array in large:
+                assert array.size == 0 or any(np.shares_memory(array, block)
+                                              for block in workspace.blocks.values())
+            return bs
+
+        with monkeypatch.context() as m:
+            m.setattr(lazy, "batch_sequence_stats", recorded)
+            run(params, data, build_caches(params, data))
+        ws, blocks = seen[0]
+        assert len(seen) == len(lazy._chunks(data))
+        for later, later_blocks in seen[1:]:
+            assert later is ws
+            assert later_blocks.keys() == blocks.keys()
+            assert all(later_blocks[name] is block for name, block in blocks.items())
+
+
+def test_training_epochs_read_only_what_they_wrote_in_the_workspace(monkeypatch):
+    # an epoch's banded steps and its report share one workspace: poisoning
+    # every block before each use leaves the trained parameters and the
+    # reported likelihoods unchanged, to the last bit
+    _, data = long_instance(np.random.default_rng(131))
+    config = TrainConfig(epochs=2, dim=4, log_every=100)
+    params, report = train(data, config)
+    poison_workspace(monkeypatch)
+    poisoned, poisoned_report = train(data, config)
+    assert poisoned.theta.tobytes() == params.theta.tobytes()
+    assert poisoned.theta_beta == params.theta_beta
+    assert poisoned_report.epoch_loglik == report.epoch_loglik
+
+
+def test_grouped_rows_equal_reduceat():
+    # groups of one row are copied and only longer groups summed, with the
+    # sums reduceat gives: no group repeated, every group repeated, mixed
+    rng = np.random.default_rng(127)
+    for low, high in ((1, 1), (2, 5), (1, 4)):
+        for _ in range(20):
+            counts = rng.integers(low, high + 1, int(rng.integers(1, 40)))
+            x = rng.normal(size=(int(counts.sum()), 7)) * 10.0 ** rng.uniform(-3, 3, (1, 7))
+            order = rng.permutation(len(x))
+            want = np.add.reduceat(x[order], counts.cumsum() - counts, axis=0)
+            got = _group_sums(x, order, counts, np.empty_like(want))
+            assert got.tobytes() == want.tobytes(), counts
+
+
+def dataset_state(data):
+    """Every slot of a dataset, by identity."""
+    assert not hasattr(data, "__dict__")
+    return {name: id(getattr(data, name, None)) for name in type(data).__slots__}
+
+
+def module_arrays():
+    return [f"{module.__name__}.{name}" for module in (lazy, scan)
+            for name, value in vars(module).items() if isinstance(value, np.ndarray)]
+
+
+def test_full_passes_and_training_keep_no_workspace():
+    # a workspace lives for one call: nothing is left on the dataset or in
+    # the engine's modules to hold its blocks after a pass or a training run
+    params, data = ragged_instance()
+    before = dataset_state(data)
+    caches = build_caches(params, data)
+    lazy_log_likelihood(params, data, caches)
+    accumulate_lazy_gradient(params, data, caches)
+    train(data, TrainConfig(epochs=1, dim=3, log_every=100))
+    assert dataset_state(data) == before
+    assert module_arrays() == []

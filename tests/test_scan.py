@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsehawkes.model import Dataset, NumericalDivergenceError, Sequence, softplus_inv
-from sparsehawkes.scan import batch_sequence_stats, pairwise_sequence_stats
+from sparsehawkes.scan import (_banded_excl_scan, _bands, batch_sequence_stats,
+                               pairwise_sequence_stats)
 from sparsehawkes.lazy import _range_gradient, accumulate_lazy_gradient, build_caches
 from sparsehawkes.train import _PAIRWISE_MAX
 
@@ -86,6 +87,41 @@ def test_single_entity_long_run_uses_long_band_path():
     st = stats_at(batch_sequence_stats(params, Dataset(2, [seq]), gradients=True), 0)
     rf = sequence_stats_reference(params, seq, gradients=True)
     assert_stats_match(st, rf, rtol=1e-8)
+
+
+def cumsum_excl_scan(x, lengths, reverse):
+    """Exclusive band sums and band totals by ``np.cumsum``, band by band."""
+    out, totals = np.empty_like(x), []
+    for a, b in zip(np.cumsum(lengths) - lengths, np.cumsum(lengths)):
+        xs = x[a:b][::-1] if reverse else x[a:b]
+        cs = np.cumsum(xs, axis=0)
+        out[a:b] = (cs - xs)[::-1] if reverse else cs - xs
+        totals.append(cs[-1])
+    return out, np.array(totals)
+
+
+@pytest.mark.parametrize("tail", [(), (1,), (2,), (40,)])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_short_band_sums_equal_cumsum_bit_for_bit(tail, reverse):
+    # bands of one width form a grid, mixed widths up to the padding cap a
+    # padded block; both sum slice by slice in place of cumsum, and must
+    # add the same numbers in the same order (values over six decades make
+    # any reordering show in the last bits)
+    rng = np.random.default_rng(17)
+    for width in range(1, 17):
+        mixed = rng.integers(1, width + 1, 9)
+        mixed[0] = width
+        for lengths in (np.full(7, width), np.append(mixed, width % 16 + 1)):
+            m = int(lengths.sum())
+            x = rng.normal(size=(m,) + tail) * 10.0 ** rng.uniform(-3, 3, size=(m,) + tail)
+            first = np.zeros(m, dtype=bool)
+            first[np.cumsum(lengths) - lengths] = True
+            bands = _bands(first, np.zeros(m, dtype=np.int64))
+            got = x.copy()
+            totals = _banded_excl_scan(got, bands, reverse=reverse)
+            want, want_totals = cumsum_excl_scan(x, lengths, reverse)
+            assert got.tobytes() == want.tobytes(), (width, lengths)
+            assert totals.tobytes() == want_totals.tobytes(), (width, lengths)
 
 
 def test_degenerate_shapes_in_one_batch():

@@ -422,9 +422,9 @@ def test_step_sends_only_long_sequences_to_the_banded_scan(monkeypatch):
     banded = []
     real = train_module.batch_sequence_stats
 
-    def spy(params, seqs, gradients=False, subset=None):
+    def spy(params, seqs, gradients=False, subset=None, **kwargs):
         banded.append(subset)
-        return real(params, seqs, gradients, subset)
+        return real(params, seqs, gradients, subset, **kwargs)
 
     monkeypatch.setattr(train_module, "batch_sequence_stats", spy)
     rng = np.random.default_rng(20)
