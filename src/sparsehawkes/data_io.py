@@ -193,14 +193,14 @@ def read_cascade_file(path) -> CascadeFile:
     return parse.finish(str(path))
 
 
-def write_cascades(path, data: Dataset, vocabulary: list[str] | None = None,
-                   sequence_ids: list[str] | None = None):
+def write_cascades(path, data: Dataset, vocabulary: list[str] | None = None):
     """Serialize a dataset in the cascade text format.
 
-    Labels default to the decimal entity index.  Horizon directives are
-    always written, so a round trip preserves horizons that do not coincide
-    with the last timestamp.  Entities that never occur have no carrier in
-    this format and are dropped on re-parse.
+    Sequence ``k`` is written with id ``s<k>``; labels default to the
+    decimal entity index.  Horizon directives are always written, so a round
+    trip preserves horizons that do not coincide with the last timestamp.
+    Entities that never occur have no carrier in this format and are dropped
+    on re-parse.
     """
     if vocabulary is None:
         vocabulary = [str(i) for i in range(data.num_entities)]
@@ -208,18 +208,14 @@ def write_cascades(path, data: Dataset, vocabulary: list[str] | None = None,
         raise ValueError(
             f"vocabulary has {len(vocabulary)} labels for {data.num_entities} entities"
         )
-    if sequence_ids is None:
-        sequence_ids = [f"s{i}" for i in range(len(data.sequences))]
-    elif len(sequence_ids) != len(data.sequences):
-        raise ValueError("one sequence id per sequence required")
     with open(path, "w", encoding="utf-8") as fh:
-        for seq_id, seq in zip(sequence_ids, data.sequences):
+        for k, seq in enumerate(data.sequences):
             if len(seq) == 0:
                 # an empty sequence has no event line to hang a horizon on
                 continue
             fh.write(f"#horizon {seq.horizon!r}\n")
             for t, x in zip(seq.times, seq.entities):
-                fh.write(f"{seq_id}\t{vocabulary[int(x)]}\t{float(t)!r}\n")
+                fh.write(f"s{k}\t{vocabulary[int(x)]}\t{float(t)!r}\n")
 
 
 CHECKPOINT_MAGIC = b"LMHP"

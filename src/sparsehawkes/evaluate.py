@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dense import dense_gradient
-from .lazy import accumulate_lazy_gradient, build_caches, lazy_log_likelihood
+from .lazy import _log_likelihood, accumulate_lazy_gradient, build_caches
 from .model import Dataset, ModelParams, influence_matrix, softplus_inv
 
 __all__ = [
@@ -91,8 +91,7 @@ def holdout_loglik(params: ModelParams, data: Dataset) -> float:
     total = data.total_events
     if total == 0:
         raise ValueError("held-out data has zero events; nothing to score")
-    caches = build_caches(params, data)
-    return lazy_log_likelihood(params, data, caches) / total
+    return _log_likelihood(params, data, params.factors_u().sum(axis=0)) / total
 
 
 @dataclass

@@ -2,12 +2,14 @@
 
 Most entities never appear in a given sequence, yet each one owes compensator
 mass there.  That mass only enters through two global sums, the total
-receiving embedding and the decay-weighted emitting totals across sequences,
-kept in :class:`LazyCaches`, and through per-entity data-only terms (each
-entity's share of the horizons where it is absent, and the entities active
-nowhere) that the :class:`~.model.Dataset` computes once.  Together they
-remove every per-inactive-entity term from the likelihood and gradient,
-which is what makes training on huge entity universes feasible.
+receiving embedding ``u_hat`` and the decay-weighted emitting totals across
+sequences ``z_hat``, kept in :class:`LazyCaches`, and through per-entity
+data-only terms (each entity's share of the horizons where it is absent, and
+the entities active nowhere) that the :class:`~.model.Dataset` computes
+once.  Together they remove every per-inactive-entity term from the
+likelihood and gradient, which is what makes training on huge entity
+universes feasible.  The likelihood reads only ``u_hat``: held-out scoring
+and training's epoch report pass ``_log_likelihood`` that sum, not caches.
 
 One gradient formula, ``_range_gradient`` over the scan of a range of whole
 sequences, serves every caller: a training step runs it on its one sequence
@@ -87,12 +89,13 @@ class LazyCaches:
         if ref.theta_beta != params.theta_beta or not np.array_equal(ref.theta, params.theta):
             raise StaleCacheError(
                 "caches were built from different parameter values; rebuild them "
-                "or pass check_caches=False if the drift is intentional"
+                "with build_caches"
             )
 
 
 def build_caches(params: ModelParams, data: Dataset) -> LazyCaches:
     """One full pass over parameters and data; linear in both."""
+    _check_entities(params, data)
     # Emitting embeddings are activated once per (sequence, entity) slot,
     # against the slot's summed tail weights.
     w = -np.expm1(-params.beta() * data.event_frame()[1])
@@ -124,27 +127,34 @@ def _workspace(data: Dataset, ranges: list[tuple[int, int]], dim: int) -> Worksp
     return Workspace(max(int(offsets[k1] - offsets[k0]) for k0, k1 in ranges), 2 * dim + 3)
 
 
-def lazy_log_likelihood(
-    params: ModelParams,
-    data: Dataset,
-    caches: LazyCaches,
-    check_caches: bool = True,
-    workspace: Workspace | None = None,
-) -> float:
-    """Exact log-likelihood in per-active-entity form.
+def _check_entities(params: ModelParams, data: Dataset):
+    """Refuse parameters with other than one row per entity of ``data``."""
+    if params.num_entities != data.num_entities:
+        raise ValueError(f"parameters cover {params.num_entities} entities, "
+                         f"data has {data.num_entities}")
+
+
+def lazy_log_likelihood(params: ModelParams, data: Dataset, caches: LazyCaches) -> float:
+    """Exact log-likelihood in per-active-entity form, against ``caches``
+    built from ``params``.
 
     Equal to the dense engine's value to floating-point noise; the per-entity
     terms only run over entities active in each sequence, with the absent
-    entities' mass folded in through the cached aggregates.  The ranges'
-    scratch lives in ``workspace``, one for this call unless the caller
-    passes its own (see :func:`_workspace`).
+    entities' mass folded in through the receiving total ``u_hat``.
     """
-    if check_caches:
-        caches.check(params)
+    caches.check(params)
+    return _log_likelihood(params, data, caches.u_hat)
+
+
+def _log_likelihood(params: ModelParams, data: Dataset, u_hat: np.ndarray,
+                    ws: Workspace | None = None) -> float:
+    """:func:`lazy_log_likelihood` on the receiving total ``u_hat``; the
+    ranges' scratch lives in ``ws``, or in one workspace for this call."""
+    _check_entities(params, data)
     seq_slot_start = data.slot_tables()[3]
     seq_vals = np.empty(len(data))
     ranges = _chunks(data)
-    ws = workspace or _workspace(data, ranges, params.dim)
+    ws = ws or _workspace(data, ranges, params.dim)
     for k0, k1 in ranges:
         bs = batch_sequence_stats(params, data, subset=(k0, k1), workspace=ws)
         beta, slot_seq = bs.beta, bs.slot_seq
@@ -158,7 +168,7 @@ def lazy_log_likelihood(
                                         for w in (own_slot, u_z, absent))
         # Shared term: each active entity carries an equal share of the global
         # receiving total against its sequence's decayed emitting sum.
-        shared = np.einsum("ij,j->i", bs.z, caches.u_hat) - u_dot_z
+        shared = np.einsum("ij,j->i", bs.z, u_hat) - u_dot_z
         seq_vals[k0:k1] = bs.loglam - own_seq - shared / beta - absent_seq
     del bs, ws
     terms = seq_vals[np.diff(seq_slot_start) > 0].tolist()
@@ -227,6 +237,7 @@ def accumulate_lazy_gradient(
     """
     if check_caches:
         caches.check(params)
+    _check_entities(params, data)
     d = params.dim
     _, _, uniq, seq_slot_start, _, _ = data.slot_tables()
     # The pass's slot rows in slot order, and its decay term per sequence.

@@ -25,6 +25,12 @@ __all__ = [
     "time_rescaling_residuals",
 ]
 
+# sample_scale_free_graph's chances that a step adds a node pointing at an old
+# one and that it joins two old nodes (the rest, 0.05, adds a node an old one
+# points at), and its in- and out-degree smoothing terms.
+_ALPHA_IN, _BETA_FRAC = 0.41, 0.54
+_DELTA_IN, _DELTA_OUT = 0.2, 0.0
+
 
 class UnstableConfigurationError(ValueError):
     """The requested process would explode (branching ratio at or above 1)."""
@@ -98,32 +104,19 @@ class GroundTruth:
     alpha: np.ndarray
 
 
-def sample_scale_free_graph(
-    n: int,
-    seed: int,
-    alpha_in: float = 0.41,
-    beta_frac: float = 0.54,
-    gamma_out: float = 0.05,
-    delta_in: float = 0.2,
-    delta_out: float = 0.0,
-) -> InfluenceMatrix:
+def sample_scale_free_graph(n: int, seed: int) -> InfluenceMatrix:
     """Directed scale-free graph grown edge by edge.
 
     Each step does one of three things: attach a new node pointing at a
-    target chosen by in-degree (probability ``alpha_in``), add an edge
-    between existing nodes chosen by out- and in-degree (``beta_frac``), or
+    target chosen by in-degree (probability ``_ALPHA_IN``), add an edge
+    between existing nodes chosen by out- and in-degree (``_BETA_FRAC``), or
     attach a new node receiving an edge from a source chosen by out-degree
-    (``gamma_out``).  The deltas smooth the degree-proportional choices so
-    degree-zero nodes stay reachable.  Growth stops when ``n`` nodes exist;
-    the returned adjacency is binary with parallel edges collapsed.
+    (the remaining 0.05).  The deltas smooth the degree-proportional choices
+    so degree-zero nodes stay reachable.  Growth stops when ``n`` nodes
+    exist; the returned adjacency is binary with parallel edges collapsed.
     """
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    probs = (alpha_in, beta_frac, gamma_out)
-    if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
-        raise ValueError("case probabilities must be non-negative and sum to 1")
-    if delta_in < 0 or delta_out < 0:
-        raise ValueError("degree smoothing terms must be non-negative")
 
     adj = np.zeros((n, n), dtype=np.uint8)
     # Deterministic two-node seed: a directed 2-cycle, so both in- and
@@ -138,29 +131,24 @@ def sample_scale_free_graph(
 
     rng = np.random.default_rng(np.random.PCG64(seed))
 
-    def pick_by_in() -> int:
-        total_deg = len(in_ends)
-        if rng.random() * (total_deg + num_nodes * delta_in) < total_deg:
-            return in_ends[int(rng.integers(total_deg))]
-        return int(rng.integers(num_nodes))
-
-    def pick_by_out() -> int:
-        total_deg = len(out_ends)
-        if rng.random() * (total_deg + num_nodes * delta_out) < total_deg:
-            return out_ends[int(rng.integers(total_deg))]
+    def pick(ends: list[int], delta: float) -> int:
+        """A node by its degree among ``ends``, smoothed by ``delta``."""
+        total_deg = len(ends)
+        if rng.random() * (total_deg + num_nodes * delta) < total_deg:
+            return ends[int(rng.integers(total_deg))]
         return int(rng.integers(num_nodes))
 
     while num_nodes < n:
         r = rng.random()
-        if r < alpha_in:
-            w = pick_by_in()
+        if r < _ALPHA_IN:
+            w = pick(in_ends, _DELTA_IN)
             v = num_nodes
             num_nodes += 1
-        elif r < alpha_in + beta_frac:
-            v = pick_by_out()
-            w = pick_by_in()
+        elif r < _ALPHA_IN + _BETA_FRAC:
+            v = pick(out_ends, _DELTA_OUT)
+            w = pick(in_ends, _DELTA_IN)
         else:
-            v = pick_by_out()
+            v = pick(out_ends, _DELTA_OUT)
             w = num_nodes
             num_nodes += 1
         out_ends.append(v)
@@ -277,10 +265,9 @@ def synthetic_dataset(
     horizon: float,
     seed: int,
     rank: int | None = None,
-    stability_target: float = 0.8,
 ) -> tuple[Dataset, GroundTruth]:
     """Scale-free graph -> (optional) low-rank compression -> stable rescale
-    -> independently seeded sequence draws."""
+    (to branching ratio 0.8) -> independently seeded sequence draws."""
     if sequences < 1:
         raise ValueError("sequences must be >= 1")
     root = np.random.SeedSequence(seed)
@@ -289,7 +276,7 @@ def synthetic_dataset(
     influence = InfluenceMatrix.from_values(graph.values.astype(np.float64))
     if rank is not None:
         influence = low_rank_approximation(influence, rank)
-    influence = rescale_for_stability(influence, beta, target=stability_target)
+    influence = rescale_for_stability(influence, beta)
     mu = np.full(nodes, float(mu_rate))
     seqs = [
         thinning_sample(mu, beta, influence, horizon, seed=child)

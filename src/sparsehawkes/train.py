@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lazy import (LazyCaches, _chunks, _range_gradient, _workspace, build_caches,
-                   lazy_log_likelihood, update_u_hat)
+from .lazy import (LazyCaches, _chunks, _log_likelihood, _range_gradient, _workspace,
+                   build_caches, update_u_hat)
 from .model import Dataset, ModelParams, NumericalDivergenceError, softplus_inv
 from .scan import Workspace, _fresh, batch_sequence_stats, pairwise_sequence_stats
 
@@ -139,7 +139,8 @@ class TrainReport:
     """Exact per-epoch curves and snapshot bookkeeping.
 
     ``u_hat_drift`` holds the relative gap per epoch between the running
-    receiving-embedding total and a from-scratch recomputation.
+    receiving-embedding total and the parameters' fresh sum, against which
+    ``epoch_loglik`` is computed (no caches are built after start-up).
     ``final_caches`` is the training state at exit, the running ``u_hat``
     and the lagged ``z_hat``.  Its ``built_from`` stays the starting
     snapshot, so its ``check`` refuses the returned parameters: lagged sums
@@ -232,24 +233,27 @@ def _maybe_checkpoint(config: TrainConfig, params: ModelParams, epoch: int,
 
 def _finish_epoch(params: ModelParams, data: Dataset, caches: LazyCaches,
                   config: TrainConfig, report: TrainReport, epoch: int,
-                  secs: float, last_good: ModelParams, ws: Workspace) -> LazyCaches:
-    """Exact reporting with freshly built caches, which it returns; raises on divergence."""
+                  secs: float, last_good: ModelParams,
+                  ws: Workspace) -> tuple[np.ndarray, ModelParams]:
+    """Exact reporting against a receiving total summed afresh; returns that
+    total and a snapshot of ``params``, or raises on divergence."""
     try:
-        fresh = build_caches(params, data)
-        loglik = lazy_log_likelihood(params, data, fresh, workspace=ws)
+        u_hat = params.factors_u().sum(axis=0)
+        loglik = _log_likelihood(params, data, u_hat, ws)
+        snapshot = params.copy()  # refuses a non-finite block
     except (NumericalDivergenceError, ValueError) as exc:
         raise TrainingDivergedError(
             f"epoch {epoch}: {exc}", last_good, report, epoch
         ) from exc
-    rebuilt_norm = float(np.linalg.norm(fresh.u_hat))
-    drift = float(np.linalg.norm(caches.u_hat - fresh.u_hat)) / max(rebuilt_norm, 1e-300)
+    rebuilt_norm = float(np.linalg.norm(u_hat))
+    drift = float(np.linalg.norm(caches.u_hat - u_hat)) / max(rebuilt_norm, 1e-300)
     report.epoch_loglik.append(loglik)
     report.epoch_seconds.append(secs)
     report.u_hat_drift.append(drift)
     if epoch % config.log_every == 0 or epoch == config.epochs:
         print(f"epoch={epoch} loglik={loglik:.6f} secs={secs:.3f}", flush=True)
         _maybe_checkpoint(config, params, epoch, loglik, report)
-    return fresh
+    return u_hat, snapshot
 
 
 def _step(params: ModelParams, data: Dataset, k: int, caches: LazyCaches, state: AdamState,
@@ -392,13 +396,13 @@ def _fit(data: Dataset, config: TrainConfig, init: ModelParams | None, ctx=None)
             caches.z_hat = np.sum([results[wid][1] for wid in range(len(workers))], axis=0)
         params.theta_beta = float(state.decay[0])
         secs = time.perf_counter() - start
-        fresh = _finish_epoch(params, data, caches, config, report, epoch, secs, last_good, ws)
+        u_hat, last_good = _finish_epoch(params, data, caches, config, report, epoch, secs,
+                                         last_good, ws)
         del ws
         if ctx is not None:
             # lock-free interleaving lets the incremental receiving total
-            # drift; rebuild it once per epoch after recording how far it moved
-            caches.u_hat[:] = fresh.u_hat
-        last_good = fresh.built_from
+            # drift; reset it once per epoch after recording how far it moved
+            caches.u_hat[:] = u_hat
     report.final_caches = caches
     report.decay_steps = int(state.decay[3])
     return params, report
@@ -409,8 +413,8 @@ def train(data: Dataset, config: TrainConfig,
     """Sequential training; deterministic for a fixed config.
 
     Per epoch, one :func:`_step` per non-empty sequence, in order or in a
-    seeded shuffle.  Reported likelihoods are exact, computed against rebuilt
-    caches after each epoch.
+    seeded shuffle.  Reported likelihoods are exact, computed after each
+    epoch against the receiving total summed afresh from the parameters.
     """
     return _fit(data, config, init)
 
@@ -423,7 +427,7 @@ def train_parallel(data: Dataset, config: TrainConfig) -> tuple[ModelParams, Tra
     streaming updates into the shared parameter and Adam blocks without
     locks (the decay slot excepted); the parent then swaps in the next
     epoch's decayed emitting totals, reports the exact likelihood, and
-    resets the drifted receiving total to the rebuilt one.  Results match
+    resets the drifted receiving total to the fresh sum.  Results match
     sequential training statistically, not bitwise.  A worker that fails or
     dies raises an error naming it and the epoch; the others are reaped.
     """

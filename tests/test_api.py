@@ -2,11 +2,13 @@
 exports its submodules' lists and nothing else, the stepwise reference stack,
 the single-sequence wrappers and the aliases stay out of it, nothing under
 ``src/`` reaches into the test suite, one scan body builds every
-``BatchStats``, the lazy engine's full passes scan ranges of sequences, and a
-training step and the full gradient pass share one gradient function."""
+``BatchStats``, the lazy engine's full passes scan ranges of sequences, a
+training step and the full gradient pass share one gradient function, and
+caches are built only where the gradient needs them."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import pytest
 
 import sparsehawkes
 from sparsehawkes.evaluate import BenchmarkResult
-from sparsehawkes.lazy import LazyCaches
+from sparsehawkes.lazy import LazyCaches, accumulate_lazy_gradient, lazy_log_likelihood
 from sparsehawkes.model import Dataset, Sequence
 from sparsehawkes.scan import BatchStats
 from sparsehawkes.train import AdamState
@@ -160,3 +162,20 @@ def test_step_and_full_pass_share_one_gradient_function():
     lazy = importlib.import_module("sparsehawkes.lazy")
     assert [name for name in ("_slot_gradients", "_decay_terms", "_slot_rows")
             if hasattr(lazy, name)] == []
+
+
+def test_only_training_start_up_and_the_gradient_benchmark_build_caches():
+    # the likelihood reads one cached sum, u_hat, which evaluation and the
+    # epoch report take from the parameters; the gradient's callers build
+    src = Path(sparsehawkes.__file__).parent
+    callers = {(path.name, fn.name) for path in sorted(src.rglob("*.py"))
+               for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(fn, ast.FunctionDef) and "build_caches" in _called_names(fn)}
+    assert callers == {("train.py", "_fit"), ("evaluate.py", "runtime_benchmark")}
+
+
+def test_lazy_log_likelihood_takes_params_data_and_caches():
+    params = inspect.signature(lazy_log_likelihood).parameters.values()
+    assert [(p.name, p.default is p.empty) for p in params] == [
+        ("params", True), ("data", True), ("caches", True)]
+    assert "check_caches" in inspect.signature(accumulate_lazy_gradient).parameters

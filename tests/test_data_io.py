@@ -260,8 +260,6 @@ def test_write_validates_vocabulary_and_ids(tmp_path):
     data = Dataset(2, [Sequence.from_arrays([1.0], [0], 2.0)])
     with pytest.raises(ValueError, match="vocabulary"):
         write_cascades(tmp_path / "a.tsv", data, vocabulary=["only-one"])
-    with pytest.raises(ValueError, match="sequence id"):
-        write_cascades(tmp_path / "b.tsv", data, sequence_ids=["a", "b"])
 
 
 def test_round_trip_is_byte_identical_at_scale(tmp_path):

@@ -8,6 +8,7 @@ from sparsehawkes.evaluate import holdout_loglik
 from sparsehawkes.model import Dataset, ModelParams, NumericalDivergenceError, Sequence, softplus
 from sparsehawkes.dense import dense_gradient, dense_log_likelihood
 from sparsehawkes.lazy import (
+    LazyCaches,
     StaleCacheError,
     _range_gradient,
     accumulate_lazy_gradient,
@@ -141,8 +142,25 @@ def test_stale_cache_detection():
     moved.theta_mu = moved.theta_mu + 0.1
     with pytest.raises(StaleCacheError):
         lazy_log_likelihood(moved, data, caches)
-    # Deliberate drift is allowed when asked for.
-    lazy_log_likelihood(moved, data, caches, check_caches=False)
+
+
+def test_parameters_must_cover_the_datas_entities():
+    # the never-active terms run over the data's entities and u_hat over the
+    # parameter rows, so any other row count would score a different model
+    rng = np.random.default_rng(1)
+    params, data = oracles.random_instance(rng, max_entities=6)
+    n = data.num_entities
+    grown, _ = pad_with_silent_entities(params, data, 3)
+    shrunk = ModelParams.from_block(params.theta[:-1].copy(), params.theta_beta, params.dim)
+    for bad in (grown, shrunk):
+        caches = LazyCaches(bad.factors_u().sum(axis=0), np.zeros(bad.dim), bad.copy())
+        match = f"parameters cover {bad.num_entities} entities, data has {n}"
+        for run in (lambda: build_caches(bad, data),
+                    lambda: lazy_log_likelihood(bad, data, caches),
+                    lambda: accumulate_lazy_gradient(bad, data, caches),
+                    lambda: holdout_loglik(bad, data)):
+            with pytest.raises(ValueError, match=match):
+                run()
 
 
 def sequence_gradient(params, data, caches, k):
@@ -256,6 +274,17 @@ def poison_workspace(monkeypatch):
         return block
 
     monkeypatch.setattr(Workspace, "__call__", poisoned)
+
+
+def test_holdout_is_the_cached_likelihood_per_event():
+    # held-out scoring sums u_hat from the parameters, the expression
+    # build_caches uses, instead of building caches: the same value, to the bit
+    rng = np.random.default_rng(139)
+    instances = [oracles.random_instance(rng) for _ in range(25)] + [ragged_instance()]
+    for params, data in instances:
+        if data.total_events:
+            want = lazy_log_likelihood(params, data, build_caches(params, data))
+            assert holdout_loglik(params, data) == want / data.total_events
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 10**9])

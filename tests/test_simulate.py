@@ -49,10 +49,6 @@ def test_graph_shape_and_connectivity():
 def test_graph_rejects_bad_inputs():
     with pytest.raises(ValueError):
         sample_scale_free_graph(1, seed=0)
-    with pytest.raises(ValueError):
-        sample_scale_free_graph(10, seed=0, alpha_in=0.5, beta_frac=0.5, gamma_out=0.5)
-    with pytest.raises(ValueError):
-        sample_scale_free_graph(10, seed=0, delta_in=-0.1)
 
 
 def test_graph_in_degree_tail_exponent():

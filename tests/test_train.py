@@ -305,6 +305,34 @@ def test_divergence_raises_with_last_good_snapshot():
     assert err.report.epoch_loglik == []
 
 
+def test_non_finite_block_at_an_epochs_end_keeps_the_last_good_snapshot(monkeypatch):
+    # entity 1 never opens a sequence, so a zero background rate leaves the
+    # likelihood finite; the report's snapshot must still refuse the block
+    # and hand back the start-up parameters
+    seqs = [
+        Sequence.from_arrays([0.5, 1.0, 1.5], [0, 1, 0], 4.0),
+        Sequence.from_arrays([0.4, 2.2], [0, 1], 4.0),
+    ]
+    data = Dataset(2, seqs)
+    config = TrainConfig(epochs=3, dim=2, log_every=100)
+    real = train_module._epoch
+
+    def epoch(params, *args):
+        z_next = real(params, *args)
+        params.theta_mu[1] = -np.inf
+        return z_next
+
+    monkeypatch.setattr(train_module, "_epoch", epoch)
+    with pytest.raises(TrainingDivergedError, match="^epoch 1: parameters must be finite") as info:
+        train(data, config)
+    err = info.value
+    assert err.epoch == 1
+    assert np.isfinite(err.last_params.theta).all()
+    want = init_params(data, config, np.random.default_rng(config.seed))
+    assert err.last_params.theta.tobytes() == want.theta.tobytes()
+    assert err.report.epoch_loglik == []
+
+
 def test_divergence_names_the_sequence():
     # entity 2's background rate underflows to exactly zero and it opens the
     # third sequence, so that sequence's first intensity is zero
