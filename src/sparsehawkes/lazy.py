@@ -2,14 +2,16 @@
 
 Most entities never appear in a given sequence, yet each one owes compensator
 mass there.  That mass only enters through two global sums, the total
-receiving embedding ``u_hat`` and the decay-weighted emitting totals across
-sequences ``z_hat``, kept in :class:`LazyCaches`, and through per-entity
-data-only terms (each entity's share of the horizons where it is absent, and
-the entities active nowhere) that the :class:`~.model.Dataset` computes
-once.  Together they remove every per-inactive-entity term from the
+receiving embedding ``u_hat`` (the parameters' alone, and all that
+:class:`LazyCaches` hold) and the decay-weighted emitting totals ``z_hat``
+(the data's too, summed by the gradient from its own data with ``_z_hat``,
+whose per-event weights are freed before the pass's blocks exist), and
+through per-entity data-only terms (each entity's share of the horizons
+where it is absent, and the entities active nowhere) that the
+:class:`~.model.Dataset` computes once.  Together they remove every per-inactive-entity term from the
 likelihood and gradient, which is what makes training on huge entity
-universes feasible.  The likelihood reads only ``u_hat``: held-out scoring
-and training's epoch report pass ``_log_likelihood`` that sum, not caches.
+universes feasible.  Held-out scoring and training pass the cores their sums
+as plain arrays, not caches.
 
 One gradient formula, ``_range_gradient`` over the scan of a range of whole
 sequences, serves every caller: a training step runs it on its one sequence
@@ -71,17 +73,14 @@ class StaleCacheError(RuntimeError):
 
 @dataclass
 class LazyCaches:
-    """The two parameter sums the sparse engine leans on.
+    """The parameter sum the sparse engine leans on; caches that pass
+    ``check`` serve any dataset over the same entities.
 
     u_hat : (d,) sum of receiving embeddings over all entities
-    z_hat : (d,) decay-weighted emitting totals summed over all sequences
     built_from : defensive copy of the parameters the caches were built from
-
-    The data-only terms live on the :class:`~.model.Dataset`.
     """
 
     u_hat: np.ndarray
-    z_hat: np.ndarray
     built_from: ModelParams
 
     def check(self, params: ModelParams):
@@ -94,17 +93,20 @@ class LazyCaches:
 
 
 def build_caches(params: ModelParams, data: Dataset) -> LazyCaches:
-    """One full pass over parameters and data; linear in both."""
+    """Caches of ``params`` for passes over ``data`` or any dataset with its entities."""
     _check_entities(params, data)
+    return LazyCaches(u_hat=params.factors_u().sum(axis=0), built_from=params.copy())
+
+
+def _z_hat(params: ModelParams, data: Dataset) -> np.ndarray:
+    """The decay-weighted emitting totals summed over the sequences of ``data``, (d,)."""
     # Emitting embeddings are activated once per (sequence, entity) slot,
     # against the slot's summed tail weights.
     w = -np.expm1(-params.beta() * data.event_frame()[1])
     slot_of, _, slot_entity, _, _, _ = data.slot_tables()
-    z_hat = np.bincount(slot_of, weights=w, minlength=len(slot_entity)) @ softplus(
+    return np.bincount(slot_of, weights=w, minlength=len(slot_entity)) @ softplus(
         params.theta_v[slot_entity]
     )
-    return LazyCaches(u_hat=params.factors_u().sum(axis=0), z_hat=z_hat,
-                      built_from=params.copy())
 
 
 def _chunks(data: Dataset) -> list[tuple[int, int]]:
@@ -181,10 +183,11 @@ def _log_likelihood(params: ModelParams, data: Dataset, u_hat: np.ndarray,
     return total
 
 
-def _range_gradient(params: ModelParams, bs: BatchStats, caches: LazyCaches, data: Dataset,
-                    out=None, ws=_fresh) -> tuple[np.ndarray, np.ndarray]:
+def _range_gradient(params: ModelParams, bs: BatchStats, u_hat: np.ndarray, z_hat: np.ndarray,
+                    data: Dataset, out=None, ws=_fresh) -> tuple[np.ndarray, np.ndarray]:
     """The gradient of the sequences that ``bs``, a ``gradients=True`` scan of
-    ``data``, covers.
+    ``data``, covers, against the receiving total ``u_hat`` and the emitting
+    total ``z_hat``.
 
     Returns the raw-parameter rows ``[u | v | mu | self]`` per slot, without
     never-active corrections and written into ``out`` if given, and the raw
@@ -192,7 +195,6 @@ def _range_gradient(params: ModelParams, bs: BatchStats, caches: LazyCaches, dat
     and the activation derivative is taken in place on ``bs.theta_slot``.
     """
     beta = bs.beta
-    u_hat = caches.u_hat
     ent = bs.slot_entity
     # Emitting and receiving embeddings share the structure "event sums
     # minus the slot's share of the compensator"; the sequence-local
@@ -208,7 +210,7 @@ def _range_gradient(params: ModelParams, bs: BatchStats, caches: LazyCaches, dat
     g_self = np.subtract(bs.r_over_lam, q_beta, out=rows[:, 2 * d + 1])
     g_u = np.subtract(bs.s_over_lam, np.multiply(bs.v_slot, g_self[:, None], out=tmp),
                       out=rows[:, :d])
-    g_u -= np.multiply((1.0 / (beta * data.activity_count[ent]))[:, None], caches.z_hat, out=tmp)
+    g_u -= np.multiply((1.0 / (beta * data.activity_count[ent]))[:, None], z_hat, out=tmp)
     g_v = np.subtract(bs.p_rev, np.multiply(bs.u_slot, g_self[:, None], out=tmp),
                       out=rows[:, d:2 * d])
     g_v -= np.multiply(q_beta[:, None], u_hat, out=tmp)
@@ -223,21 +225,23 @@ def _range_gradient(params: ModelParams, bs: BatchStats, caches: LazyCaches, dat
     return rows, g_beta * params.beta_grad()
 
 
-def accumulate_lazy_gradient(
-    params: ModelParams,
-    data: Dataset,
-    caches: LazyCaches,
-    check_caches: bool = True,
-) -> GradientBuffer:
+def accumulate_lazy_gradient(params: ModelParams, data: Dataset,
+                             caches: LazyCaches) -> GradientBuffer:
     """Full-dataset gradient assembled from per-sequence sparse pieces.
 
     Entities active nowhere still owe a background-rate term over every
     horizon and a receiving-embedding term against the global decayed totals;
     both are closed-form and added here.
     """
-    if check_caches:
-        caches.check(params)
+    caches.check(params)
+    return _gradient(params, data, caches.u_hat)
+
+
+def _gradient(params: ModelParams, data: Dataset, u_hat: np.ndarray) -> GradientBuffer:
+    """:func:`accumulate_lazy_gradient` on the receiving total ``u_hat``; the
+    emitting total is summed from ``data`` before the pass's blocks exist."""
     _check_entities(params, data)
+    z_hat = _z_hat(params, data)
     d = params.dim
     _, _, uniq, seq_slot_start, _, _ = data.slot_tables()
     # The pass's slot rows in slot order, and its decay term per sequence.
@@ -248,7 +252,7 @@ def accumulate_lazy_gradient(
     for k0, k1 in ranges:
         bs = batch_sequence_stats(params, data, gradients=True, subset=(k0, k1), workspace=ws)
         s0, s1 = seq_slot_start[k0], seq_slot_start[k1]
-        g_beta[k0:k1] = _range_gradient(params, bs, caches, data, rows[s0:s1], ws)[1]
+        g_beta[k0:k1] = _range_gradient(params, bs, u_hat, z_hat, data, rows[s0:s1], ws)[1]
     beta, sums = bs.beta, rows
     del bs, ws  # free the last scan and the workspace before the grouping
     if len(uniq):
@@ -268,13 +272,13 @@ def accumulate_lazy_gradient(
         buf.d_theta_mu[never] = -data.total_horizon * softplus_grad(params.theta_mu[never])
         g_u = params.theta_u[never]  # activated and scaled in place
         softplus_grad(g_u, out=g_u)
-        g_u *= -(caches.z_hat / beta)
+        g_u *= -(z_hat / beta)
         buf.d_theta_u[never] = g_u
     return buf
 
 
-def update_u_hat(caches: LazyCaches, entities, theta_u_old: np.ndarray, theta_u_new: np.ndarray):
-    """Constant-time-per-row refresh of the receiving-embedding total after
-    the rows of ``entities`` (one id with (d,) rows, or ids with (a, d)) moved."""
-    act = softplus(np.concatenate((theta_u_old, theta_u_new))).reshape(2, -1, len(caches.u_hat))
-    caches.u_hat += (act[1] - act[0]).sum(axis=0)
+def update_u_hat(u_hat: np.ndarray, entities, theta_u_old: np.ndarray, theta_u_new: np.ndarray):
+    """Constant-time-per-row refresh, in place, of the receiving total ``u_hat``
+    after the rows of ``entities`` (one id with (d,) rows, or ids with (a, d)) moved."""
+    act = softplus(np.concatenate((theta_u_old, theta_u_new))).reshape(2, -1, len(u_hat))
+    u_hat += (act[1] - act[0]).sum(axis=0)

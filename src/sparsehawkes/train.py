@@ -2,15 +2,15 @@
 
 One epoch walks the sequences once.  Each step scans one sequence on the
 dataset's cached layout: through its (m, m) decay kernel when it has at most
-``_PAIRWISE_MAX`` events, else with the banded scan.  It reads the
-one-epoch-lagged decayed emitting totals from the caches, the incrementally
-maintained receiving-embedding total, and only the parameters of entities
-active in the sequence; the lazy engine's one gradient formula, which a
-full gradient pass runs on each range of sequences, turns the scan into
-rows for those entities, which get one Adam update of their rows
-of the ``[u | v | mu | self]`` parameter block, together with the decay's
-slot.  The rows Adam read and wrote then refresh the receiving total
-through one activation.
+``_PAIRWISE_MAX`` events, else with the banded scan.  It reads two plain
+arrays, the one-epoch-lagged decayed emitting total ``z_hat`` and the
+incrementally maintained receiving total ``u_hat``, and only the parameters
+of entities active in the sequence; the lazy engine's one gradient formula,
+which a full gradient pass runs on each range of sequences, turns the scan
+into rows for those entities, which get one Adam update of their rows of the
+``[u | v | mu | self]`` parameter block, together with the decay's slot.
+The rows Adam read and wrote then refresh the receiving total through one
+activation.
 
 :func:`train` and :func:`train_parallel` run one loop, :func:`_fit`: the
 same start-up, the same epoch body :func:`_epoch` and the same decay slot.
@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lazy import (LazyCaches, _chunks, _log_likelihood, _range_gradient, _workspace,
-                   build_caches, update_u_hat)
+from .lazy import _chunks, _log_likelihood, _range_gradient, _workspace, _z_hat, update_u_hat
 from .model import Dataset, ModelParams, NumericalDivergenceError, softplus_inv
 from .scan import Workspace, _fresh, batch_sequence_stats, pairwise_sequence_stats
 
@@ -140,11 +139,7 @@ class TrainReport:
 
     ``u_hat_drift`` holds the relative gap per epoch between the running
     receiving-embedding total and the parameters' fresh sum, against which
-    ``epoch_loglik`` is computed (no caches are built after start-up).
-    ``final_caches`` is the training state at exit, the running ``u_hat``
-    and the lagged ``z_hat``.  Its ``built_from`` stays the starting
-    snapshot, so its ``check`` refuses the returned parameters: lagged sums
-    must not pass as fresh (``build_caches`` gives fresh ones).
+    ``epoch_loglik`` is computed (training builds no caches).
     ``decay_steps`` counts Adam steps on the decay parameter.
     """
 
@@ -152,7 +147,6 @@ class TrainReport:
     epoch_seconds: list[float] = field(default_factory=list)
     snapshot_paths: list[str] = field(default_factory=list)
     u_hat_drift: list[float] = field(default_factory=list)
-    final_caches: LazyCaches | None = None
     decay_steps: int = 0
 
 
@@ -231,36 +225,37 @@ def _maybe_checkpoint(config: TrainConfig, params: ModelParams, epoch: int,
     report.snapshot_paths.append(path)
 
 
-def _finish_epoch(params: ModelParams, data: Dataset, caches: LazyCaches,
+def _finish_epoch(params: ModelParams, data: Dataset, u_hat: np.ndarray,
                   config: TrainConfig, report: TrainReport, epoch: int,
                   secs: float, last_good: ModelParams,
                   ws: Workspace) -> tuple[np.ndarray, ModelParams]:
-    """Exact reporting against a receiving total summed afresh; returns that
-    total and a snapshot of ``params``, or raises on divergence."""
+    """Exact reporting against a receiving total summed afresh, and the
+    running total ``u_hat``'s drift from it; returns that total and a
+    snapshot of ``params``, or raises on divergence."""
     try:
-        u_hat = params.factors_u().sum(axis=0)
-        loglik = _log_likelihood(params, data, u_hat, ws)
+        fresh = params.factors_u().sum(axis=0)
+        loglik = _log_likelihood(params, data, fresh, ws)
         snapshot = params.copy()  # refuses a non-finite block
     except (NumericalDivergenceError, ValueError) as exc:
         raise TrainingDivergedError(
             f"epoch {epoch}: {exc}", last_good, report, epoch
         ) from exc
-    rebuilt_norm = float(np.linalg.norm(u_hat))
-    drift = float(np.linalg.norm(caches.u_hat - u_hat)) / max(rebuilt_norm, 1e-300)
+    rebuilt_norm = float(np.linalg.norm(fresh))
+    drift = float(np.linalg.norm(u_hat - fresh)) / max(rebuilt_norm, 1e-300)
     report.epoch_loglik.append(loglik)
     report.epoch_seconds.append(secs)
     report.u_hat_drift.append(drift)
     if epoch % config.log_every == 0 or epoch == config.epochs:
         print(f"epoch={epoch} loglik={loglik:.6f} secs={secs:.3f}", flush=True)
         _maybe_checkpoint(config, params, epoch, loglik, report)
-    return u_hat, snapshot
+    return fresh, snapshot
 
 
-def _step(params: ModelParams, data: Dataset, k: int, caches: LazyCaches, state: AdamState,
-          config: TrainConfig, ws: Workspace) -> np.ndarray:
-    """One sparse Adam step on sequence ``k``, against the lagged ``z_hat``
-    and the decay's value in its slot; a banded scan's scratch lives in the
-    epoch's workspace ``ws``.
+def _step(params: ModelParams, data: Dataset, k: int, u_hat: np.ndarray, z_hat: np.ndarray,
+          state: AdamState, config: TrainConfig, ws: Workspace) -> np.ndarray:
+    """One sparse Adam step on sequence ``k``, against the running ``u_hat``,
+    which it updates, the lagged ``z_hat`` and the decay's value in its slot;
+    a banded scan's scratch lives in the epoch's workspace ``ws``.
 
     Returns the sequence's decayed emitting total under the parameters before
     the step, its share of the next epoch's ``z_hat``.
@@ -271,20 +266,21 @@ def _step(params: ModelParams, data: Dataset, k: int, caches: LazyCaches, state:
         bs, ws = pairwise_sequence_stats(params, data, k), _fresh  # off the workspace
     else:
         bs = batch_sequence_stats(params, data, gradients=True, subset=(k, k + 1), workspace=ws)
-    rows, g_beta = _range_gradient(params, bs, caches, data, ws=ws)
+    rows, g_beta = _range_gradient(params, bs, u_hat, z_hat, data, ws=ws)
     old, new = _adam_rows(state, bs.slot_entity, rows, float(g_beta[0]), config, params)
     d = params.dim
-    update_u_hat(caches, bs.slot_entity, old[:, :d], new[:, :d])
+    update_u_hat(u_hat, bs.slot_entity, old[:, :d], new[:, :d])
     return bs.z[0]
 
 
-def _epoch(params: ModelParams, data: Dataset, shard: np.ndarray, caches: LazyCaches,
-           state: AdamState, config: TrainConfig, ws: Workspace) -> np.ndarray:
+def _epoch(params: ModelParams, data: Dataset, shard: np.ndarray, u_hat: np.ndarray,
+           z_hat: np.ndarray, state: AdamState, config: TrainConfig,
+           ws: Workspace) -> np.ndarray:
     """One :func:`_step` per sequence of ``shard``, in order; returns the sum
     of their shares of the next epoch's ``z_hat``."""
     z_next = np.zeros(params.dim)
     for k in shard.tolist():
-        z_next += _step(params, data, k, caches, state, config, ws)
+        z_next += _step(params, data, k, u_hat, z_hat, state, config, ws)
     return z_next
 
 
@@ -295,12 +291,12 @@ def _shared_array(shape, dtype=np.float64) -> np.ndarray:
 
 
 def _parallel_worker(worker_id: int, shard: np.ndarray, params: ModelParams, data: Dataset,
-                     caches: LazyCaches, state: AdamState, config: TrainConfig,
-                     ws: Workspace, queue):
+                     u_hat: np.ndarray, z_hat: np.ndarray, state: AdamState,
+                     config: TrainConfig, ws: Workspace, queue):
     """A forked worker's :func:`_epoch` over its shard, reported as one
     ``("done" | "diverged" | "error", worker_id, payload)`` on ``queue``."""
     try:
-        queue.put(("done", worker_id, _epoch(params, data, shard, caches, state, config, ws)))
+        queue.put(("done", worker_id, _epoch(params, data, shard, u_hat, z_hat, state, config, ws)))
     except NumericalDivergenceError as exc:
         queue.put(("diverged", worker_id, str(exc)))
     except Exception as exc:  # surfaced by the parent as a hard failure
@@ -345,12 +341,11 @@ def _fit(data: Dataset, config: TrainConfig, init: ModelParams | None, ctx=None)
     alloc = np.zeros if ctx is None else _shared_array
     params = ModelParams.from_block(alloc(initial.theta.shape), initial.theta_beta, config.dim)
     params.theta[:] = initial.theta
-    del initial  # the caches' copy is the last good snapshot until an epoch ends
-    caches = build_caches(params, data)
-    u_hat, caches.u_hat = caches.u_hat, alloc(config.dim)
-    caches.u_hat[:] = u_hat
+    u_hat = alloc(config.dim)
+    u_hat[:] = params.factors_u().sum(axis=0)
+    z_hat = _z_hat(params, data)
     state = AdamState(params, alloc, contextlib.nullcontext() if ctx is None else ctx.Lock())
-    report, last_good = TrainReport(), caches.built_from
+    report, last_good = TrainReport(), initial  # never written: good until an epoch ends
     nonempty = np.diff(data.offsets) > 0
     base_order = np.arange(len(data))
     ranges = _chunks(data)
@@ -364,7 +359,7 @@ def _fit(data: Dataset, config: TrainConfig, init: ModelParams | None, ctx=None)
         shards = [shard[nonempty[shard]] for shard in splits]
         if ctx is None:
             try:
-                caches.z_hat = _epoch(params, data, shards[0], caches, state, config, ws)
+                z_hat = _epoch(params, data, shards[0], u_hat, z_hat, state, config, ws)
             except NumericalDivergenceError as exc:
                 raise TrainingDivergedError(
                     f"epoch {epoch}: {exc}", last_good, report, epoch
@@ -373,7 +368,8 @@ def _fit(data: Dataset, config: TrainConfig, init: ModelParams | None, ctx=None)
             queue = ctx.Queue()
             workers = [
                 ctx.Process(target=_parallel_worker,
-                            args=(wid, shard, params, data, caches, state, config, ws, queue))
+                            args=(wid, shard, params, data, u_hat, z_hat, state, config, ws,
+                                  queue))
                 for wid, shard in enumerate(shards)
             ]
             results = None
@@ -393,17 +389,16 @@ def _fit(data: Dataset, config: TrainConfig, init: ModelParams | None, ctx=None)
                     raise TrainingDivergedError(msg, last_good, report, epoch)
                 if kind == "error":
                     raise RuntimeError(f"epoch {epoch} worker {wid} failed: {payload}")
-            caches.z_hat = np.sum([results[wid][1] for wid in range(len(workers))], axis=0)
+            z_hat = np.sum([results[wid][1] for wid in range(len(workers))], axis=0)
         params.theta_beta = float(state.decay[0])
         secs = time.perf_counter() - start
-        u_hat, last_good = _finish_epoch(params, data, caches, config, report, epoch, secs,
+        fresh, last_good = _finish_epoch(params, data, u_hat, config, report, epoch, secs,
                                          last_good, ws)
         del ws
         if ctx is not None:
             # lock-free interleaving lets the incremental receiving total
             # drift; reset it once per epoch after recording how far it moved
-            caches.u_hat[:] = u_hat
-    report.final_caches = caches
+            u_hat[:] = fresh
     report.decay_steps = int(state.decay[3])
     return params, report
 

@@ -4,7 +4,7 @@ the single-sequence wrappers and the aliases stay out of it, nothing under
 ``src/`` reaches into the test suite, one scan body builds every
 ``BatchStats``, the lazy engine's full passes scan ranges of sequences, a
 training step and the full gradient pass share one gradient function, and
-caches are built only where the gradient needs them."""
+no function under ``src/`` builds caches."""
 
 import ast
 import importlib
@@ -20,7 +20,7 @@ from sparsehawkes.evaluate import BenchmarkResult
 from sparsehawkes.lazy import LazyCaches, accumulate_lazy_gradient, lazy_log_likelihood
 from sparsehawkes.model import Dataset, Sequence
 from sparsehawkes.scan import BatchStats
-from sparsehawkes.train import AdamState
+from sparsehawkes.train import AdamState, TrainReport
 
 # ``__main__`` runs the command line when imported.
 SUBMODULES = sorted(
@@ -79,8 +79,10 @@ def test_removed_members_are_gone():
     assert not hasattr(Sequence, "active_entities")
     assert "_active" not in Sequence.__slots__
     assert set(BenchmarkResult.__dataclass_fields__).isdisjoint({"entity_touches", "threads"})
-    assert set(LazyCaches.__dataclass_fields__).isdisjoint(
-        {"d_const", "never_active", "total_horizon"})
+    # caches hold the one sum their check vouches for; training keeps its
+    # running u_hat and lagged z_hat as plain arrays
+    assert set(LazyCaches.__dataclass_fields__) == {"u_hat", "built_from"}
+    assert "final_caches" not in TrainReport.__dataclass_fields__
     # the decay's Adam state is the slot array ``AdamState.decay`` in both
     # training modes, and train and train_parallel start up inside one loop
     state = AdamState(sparsehawkes.ModelParams.from_block(np.zeros((1, 4)), 0.0, 1))
@@ -153,29 +155,36 @@ def test_step_and_full_pass_share_one_gradient_function():
             if isinstance(fn, ast.FunctionDef):
                 functions[name, fn.name] = fn
     shared = _called_names(functions["train.py", "_step"]) & _called_names(
-        functions["lazy.py", "accumulate_lazy_gradient"])
+        functions["lazy.py", "_gradient"])
     assert shared & {name for module, name in functions if module == "lazy.py"} == {
         "_range_gradient"}
     assert [name for (module, name), fn in functions.items() if module == "lazy.py"
-            and name != "build_caches"
+            and name != "_z_hat"
             and any(isinstance(node, ast.MatMult) for node in ast.walk(fn))] == []
     lazy = importlib.import_module("sparsehawkes.lazy")
     assert [name for name in ("_slot_gradients", "_decay_terms", "_slot_rows")
             if hasattr(lazy, name)] == []
 
 
-def test_only_training_start_up_and_the_gradient_benchmark_build_caches():
-    # the likelihood reads one cached sum, u_hat, which evaluation and the
-    # epoch report take from the parameters; the gradient's callers build
+def test_no_function_under_src_builds_caches():
+    # the caches hold one sum, u_hat, which the package's own callers take
+    # from the parameters; the gradient sums z_hat from its own data
     src = Path(sparsehawkes.__file__).parent
     callers = {(path.name, fn.name) for path in sorted(src.rglob("*.py"))
                for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(fn, ast.FunctionDef) and "build_caches" in _called_names(fn)}
-    assert callers == {("train.py", "_fit"), ("evaluate.py", "runtime_benchmark")}
+    assert callers == set()
+
+
+def takes_params_data_and_caches(fn):
+    params = inspect.signature(fn).parameters.values()
+    return [(p.name, p.default is p.empty) for p in params] == [
+        ("params", True), ("data", True), ("caches", True)]
 
 
 def test_lazy_log_likelihood_takes_params_data_and_caches():
-    params = inspect.signature(lazy_log_likelihood).parameters.values()
-    assert [(p.name, p.default is p.empty) for p in params] == [
-        ("params", True), ("data", True), ("caches", True)]
-    assert "check_caches" in inspect.signature(accumulate_lazy_gradient).parameters
+    assert takes_params_data_and_caches(lazy_log_likelihood)
+
+
+def test_accumulate_lazy_gradient_takes_params_data_and_caches():
+    assert takes_params_data_and_caches(accumulate_lazy_gradient)

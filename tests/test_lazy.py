@@ -58,7 +58,7 @@ def test_cache_identities():
 
 
 def test_z_hat_per_slot_matches_per_event_sum():
-    # build_caches activates each (sequence, entity) slot once; the plain
+    # _z_hat activates each (sequence, entity) slot once; the plain
     # form activates every event's emitting row
     rng = np.random.default_rng(42)
     for _ in range(20):
@@ -67,7 +67,7 @@ def test_z_hat_per_slot_matches_per_event_sum():
         for seq in data.sequences:
             w = -np.expm1(-params.beta() * (seq.horizon - seq.times))
             want += w @ softplus(params.theta_v[seq.entities])
-        np.testing.assert_allclose(build_caches(params, data).z_hat, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(lazy._z_hat(params, data), want, rtol=1e-12, atol=0)
 
 
 def test_u_hat_share_identity():
@@ -153,7 +153,7 @@ def test_parameters_must_cover_the_datas_entities():
     grown, _ = pad_with_silent_entities(params, data, 3)
     shrunk = ModelParams.from_block(params.theta[:-1].copy(), params.theta_beta, params.dim)
     for bad in (grown, shrunk):
-        caches = LazyCaches(bad.factors_u().sum(axis=0), np.zeros(bad.dim), bad.copy())
+        caches = LazyCaches(bad.factors_u().sum(axis=0), bad.copy())
         match = f"parameters cover {bad.num_entities} entities, data has {n}"
         for run in (lambda: build_caches(bad, data),
                     lambda: lazy_log_likelihood(bad, data, caches),
@@ -167,7 +167,7 @@ def sequence_gradient(params, data, caches, k):
     """Sequence ``k``'s gradient rows as a training step computes them:
     ``(entities, rows, decay term)``."""
     bs = batch_sequence_stats(params, data, True, subset=(k, k + 1))
-    rows, g_beta = _range_gradient(params, bs, caches, data)
+    rows, g_beta = _range_gradient(params, bs, caches.u_hat, lazy._z_hat(params, data), data)
     return bs.slot_entity, rows, g_beta[0]
 
 
@@ -214,6 +214,26 @@ def test_aggregated_gradient_with_silent_entities_equals_dense():
     assert oracles.rel_close(lazy_flat, dense_flat, rtol=1e-6, atol=1e-10)
 
 
+def test_caches_serve_any_dataset_over_the_same_entities():
+    # the caches hold only u_hat, which depends on the parameters alone; the
+    # gradient sums z_hat from the data it is given, so caches built on the
+    # whole dataset give the exact gradient of its first sequence alone
+    rng = np.random.default_rng(131)
+    draws = [oracles.random_instance(np.random.default_rng(3))]
+    while len(draws) < 12:
+        params, data = oracles.random_instance(rng)
+        if len(data) >= 2:
+            draws.append((params, data))
+    for params, data in draws:
+        part = Dataset(data.num_entities, data.sequences[:1])
+        got = accumulate_lazy_gradient(params, part, build_caches(params, data)).as_flat()
+        want = accumulate_lazy_gradient(params, part, build_caches(params, part)).as_flat()
+        assert got.tobytes() == want.tobytes()
+        dense_flat = dense_gradient(params, part).as_flat()
+        assert oracles.rel_close(got, dense_flat, rtol=1e-6, atol=1e-12), (
+            np.max(np.abs(got - dense_flat)))
+
+
 def test_empty_sequence_contributes_nothing():
     rng = np.random.default_rng(89)
     params = oracles.random_params(rng, 4, 2)
@@ -234,7 +254,7 @@ def test_update_u_hat_tracks_rebuild():
         x = int(rng.integers(0, n))
         old = params.theta_u[x].copy()
         params.theta_u[x] += rng.normal(0.0, 0.01, size=d)
-        update_u_hat(caches, x, old, params.theta_u[x])
+        update_u_hat(caches.u_hat, x, old, params.theta_u[x])
     rebuilt = params.factors_u().sum(axis=0)
     np.testing.assert_allclose(caches.u_hat, rebuilt, rtol=1e-6)
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from sparsehawkes.model import Dataset, NumericalDivergenceError, Sequence, softplus_inv
 from sparsehawkes.scan import (_banded_excl_scan, _bands, batch_sequence_stats,
                                pairwise_sequence_stats)
-from sparsehawkes.lazy import _range_gradient, accumulate_lazy_gradient, build_caches
+from sparsehawkes.lazy import _range_gradient, _z_hat, accumulate_lazy_gradient, build_caches
 from sparsehawkes.train import _PAIRWISE_MAX
 
 from oracles import random_instance, random_params, rel_close, sequence_stats_reference, stats_at
@@ -239,6 +239,7 @@ def test_batched_accumulation_matches_per_sequence_sum():
     for _ in range(10):
         params, data = random_instance(rng)
         caches = build_caches(params, data)
+        z_hat = _z_hat(params, data)
         got = accumulate_lazy_gradient(params, data, caches)
         want_mu = np.zeros(params.num_entities)
         want_self = np.zeros(params.num_entities)
@@ -248,7 +249,7 @@ def test_batched_accumulation_matches_per_sequence_sum():
         d = params.dim
         for k in range(len(data)):
             bs = batch_sequence_stats(params, data, True, subset=(k, k + 1))
-            rows, g_beta = _range_gradient(params, bs, caches, data)
+            rows, g_beta = _range_gradient(params, bs, caches.u_hat, z_hat, data)
             ent = bs.slot_entity
             want_u[ent] += rows[:, :d]
             want_v[ent] += rows[:, d:2 * d]
@@ -260,7 +261,7 @@ def test_batched_accumulation_matches_per_sequence_sum():
             from sparsehawkes.model import softplus_grad, checked_beta
 
             want_mu[never] = -data.total_horizon * softplus_grad(params.theta_mu[never])
-            want_u[never] = -(caches.z_hat[None, :] / checked_beta(params)) * softplus_grad(
+            want_u[never] = -(z_hat[None, :] / checked_beta(params)) * softplus_grad(
                 params.theta_u[never]
             )
         npt.assert_allclose(got.d_theta_mu, want_mu, rtol=1e-11, atol=1e-14)
@@ -380,7 +381,7 @@ def assert_kernel_matches_banded(params, data):
     The tolerance is scaled by each compared block's largest magnitude: where
     the banded scan underflows a cross-band term to exactly 0, the kernel
     keeps one of about 1e-152."""
-    caches = build_caches(params, data)
+    u_hat, z_hat = params.factors_u().sum(axis=0), _z_hat(params, data)
     offsets = data.offsets
     for k in np.flatnonzero(np.diff(offsets)).tolist():
         got = pairwise_sequence_stats(params, data, k)
@@ -393,15 +394,15 @@ def assert_kernel_matches_banded(params, data):
             assert getattr(got, name).dtype == getattr(want, name).dtype, name
         pairs = [(getattr(got, name), getattr(want, name), name)
                  for name in ("loglam", "z", "inv_lam")]
-        rows, g_beta = _range_gradient(params, got, caches, data)
-        rows_w, g_beta_w = _range_gradient(params, want, caches, data)
+        rows, g_beta = _range_gradient(params, got, u_hat, z_hat, data)
+        rows_w, g_beta_w = _range_gradient(params, want, u_hat, z_hat, data)
         pairs.append((rows, rows_w, "gradient rows"))
         for a, b, name in pairs:
             scale = np.abs(b).max(initial=0.0)
             npt.assert_allclose(a, b, rtol=1e-10, atol=1e-12 * scale, err_msg=f"seq {k}: {name}")
         # The decay term is a sum of O(1) parts that can cancel to 1e-6, so
         # its block is its parts.
-        beta, u_hat = want.beta, caches.u_hat
+        beta = want.beta
         parts = [want.beta_log[0], want.z[0] @ u_hat / beta**2, want.c_slot @ want.q / beta**2,
                  want.z_beta[0] @ u_hat / beta, want.c_slot @ want.q_beta / beta]
         npt.assert_allclose(g_beta, g_beta_w, rtol=1e-10,

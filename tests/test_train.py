@@ -11,14 +11,14 @@ from sparsehawkes import (
     Dataset,
     ModelParams,
     Sequence,
-    StaleCacheError,
     build_caches,
     lazy_log_likelihood,
     synthetic_dataset,
     thinning_sample,
 )
 from sparsehawkes.data_io import read_checkpoint_full
-from sparsehawkes.lazy import _range_gradient, accumulate_lazy_gradient, update_u_hat
+from sparsehawkes import evaluate
+from sparsehawkes.lazy import _range_gradient, _z_hat, accumulate_lazy_gradient, update_u_hat
 from sparsehawkes.scan import batch_sequence_stats
 from sparsehawkes.model import NumericalDivergenceError, softplus, softplus_inv
 from sparsehawkes.train import (
@@ -49,10 +49,10 @@ def make_grad(entities, n, d, fill=0.0, beta=0.0):
     return np.asarray(entities, dtype=np.int64), np.full((len(entities), 2 * d + 2), fill), beta
 
 
-def first_sequence_grad(params, data, caches):
+def first_sequence_grad(params, data, u_hat, z_hat):
     """Sequence 0's gradient as ``make_grad``'s triple, computed as a training step does."""
     bs = batch_sequence_stats(params, data, True, subset=(0, 1))
-    rows, g_beta = _range_gradient(params, bs, caches, data)
+    rows, g_beta = _range_gradient(params, bs, u_hat, z_hat, data)
     return bs.slot_entity, rows, float(g_beta[0])
 
 
@@ -160,50 +160,69 @@ def test_train_is_bitwise_deterministic():
     assert r1.epoch_loglik == r2.epoch_loglik
 
 
-def test_zero_learning_rate_freezes_params_and_lagged_totals_are_exact():
+def lagged_z_hats(monkeypatch):
+    """The ``z_hat`` each epoch body of ``train`` returns, for the next epoch."""
+    real, seen = train_module._epoch, []
+
+    def epoch(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(train_module, "_epoch", epoch)
+    return seen
+
+
+def test_zero_learning_rate_freezes_params_and_lagged_totals_are_exact(monkeypatch):
     data, _ = synthetic_dataset(
         nodes=10, sequences=15, beta=1.0, mu_rate=0.05, horizon=30.0, seed=5
     )
     init = init_params(data, TrainConfig(dim=3), np.random.default_rng(0))
     config = TrainConfig(epochs=2, learning_rate=0.0, dim=3, log_every=100)
+    lagged = lagged_z_hats(monkeypatch)
     params, report = train(data, config, init=init)
     np.testing.assert_array_equal(params.theta_u, init.theta_u)
     assert params.theta_beta == init.theta_beta
-    rebuilt = build_caches(params, data)
-    # the trainer refreshes z one sequence at a time while the rebuild sums
+    # the trainer refreshes z one sequence at a time while the fresh sum runs
     # over the whole event pool at once, so only summation-order noise may
     # separate them when the parameters never move
-    np.testing.assert_allclose(report.final_caches.z_hat, rebuilt.z_hat, rtol=1e-12)
-    np.testing.assert_array_equal(report.final_caches.u_hat, rebuilt.u_hat)
+    np.testing.assert_allclose(lagged[-1], _z_hat(params, data), rtol=1e-12)
+    assert report.u_hat_drift == [0.0, 0.0]
 
 
-def test_lagged_totals_stay_close_at_small_learning_rate():
+def test_lagged_totals_stay_close_at_small_learning_rate(monkeypatch):
     data, _ = synthetic_dataset(
         nodes=10, sequences=25, beta=1.0, mu_rate=0.08, horizon=30.0, seed=6
     )
     config = TrainConfig(epochs=3, learning_rate=1e-4, dim=3, log_every=100)
+    lagged = lagged_z_hats(monkeypatch)
     params, report = train(data, config)
-    rebuilt = build_caches(params, data)
-    gap = np.linalg.norm(report.final_caches.z_hat - rebuilt.z_hat)
-    scale = max(np.linalg.norm(rebuilt.z_hat), 1e-12)
+    fresh = _z_hat(params, data)
+    gap = np.linalg.norm(lagged[-1] - fresh)
+    scale = max(np.linalg.norm(fresh), 1e-12)
     assert gap / scale < 0.01
     # incremental receiving totals track the rebuild tightly in sequential mode
     assert report.u_hat_drift[-1] <= 1e-6
 
 
-def test_final_caches_hold_lagged_sums_and_refuse_the_returned_params():
-    # the training caches keep the starting snapshot as ``built_from``: their
-    # z_hat is the last epoch's lagged sum, which must not pass as fresh
+def test_training_copies_the_parameters_once_per_epoch_and_the_benchmark_never(monkeypatch):
+    # the epoch report's last-good snapshot is the only copy: start-up keeps
+    # the initial parameters, which training never writes, and the gradient
+    # benchmark takes u_hat from the parameters instead of building caches
+    copies = []
+    real = ModelParams.copy
+
+    def copy(self):
+        copies.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ModelParams, "copy", copy)
     data, _ = synthetic_dataset(
         nodes=10, sequences=15, beta=1.0, mu_rate=0.05, horizon=30.0, seed=5
     )
-    config = TrainConfig(epochs=3, dim=3, log_every=100)
-    params, report = train(data, config)
-    start = init_params(data, config, np.random.default_rng(config.seed))
-    np.testing.assert_array_equal(report.final_caches.built_from.theta, start.theta)
-    with pytest.raises(StaleCacheError):
-        lazy_log_likelihood(params, data, report.final_caches)
-    assert np.isfinite(lazy_log_likelihood(params, data, build_caches(params, data)))
+    evaluate.runtime_benchmark("lazy", data, repetitions=3)
+    assert copies == []
+    train(data, TrainConfig(epochs=3, dim=3, log_every=100))
+    assert len(copies) == 3
 
 
 def test_one_step_touches_only_active_entities():
@@ -221,29 +240,29 @@ def test_one_step_touches_only_active_entities():
     inactive = [0, 2, 3, 5, 6]
 
     def one_step(params):
-        caches = build_caches(params, data)
+        u_hat, z_hat = params.factors_u().sum(axis=0), _z_hat(params, data)
         config = TrainConfig(learning_rate=0.05, dim=d)
         state = AdamState(params)
-        grads = first_sequence_grad(params, data, caches)
+        grads = first_sequence_grad(params, data, u_hat, z_hat)
         old = params.theta_u[grads[0]].copy()
         _adam_rows(state, *grads, config, params)
         for k, x in enumerate(grads[0]):
-            update_u_hat(caches, int(x), old[k], params.theta_u[x])
-        return params, caches
+            update_u_hat(u_hat, int(x), old[k], params.theta_u[x])
+        return params, u_hat
 
     clean, _ = one_step(params_clean.copy())
 
     poisoned = params_clean.copy()
-    caches = build_caches(poisoned, data)
+    u_hat, z_hat = poisoned.factors_u().sum(axis=0), _z_hat(poisoned, data)
     for block in (poisoned.theta_mu, poisoned.theta_self, poisoned.theta_u, poisoned.theta_v):
         block[inactive] = np.nan
     config = TrainConfig(learning_rate=0.05, dim=d)
     state = AdamState(poisoned)
-    grads = first_sequence_grad(poisoned, data, caches)
+    grads = first_sequence_grad(poisoned, data, u_hat, z_hat)
     old = poisoned.theta_u[grads[0]].copy()
     _adam_rows(state, *grads, config, poisoned)
     for k, x in enumerate(grads[0]):
-        update_u_hat(caches, int(x), old[k], poisoned.theta_u[x])
+        update_u_hat(u_hat, int(x), old[k], poisoned.theta_u[x])
 
     np.testing.assert_array_equal(poisoned.theta_mu[active], clean.theta_mu[active])
     np.testing.assert_array_equal(poisoned.theta_self[active], clean.theta_self[active])
@@ -402,13 +421,20 @@ def test_parallel_needs_two_workers():
         train_parallel(data, TrainConfig(threads=1, dim=1))
 
 
-def test_parallel_quality_matches_sequential():
+def test_parallel_quality_matches_sequential(monkeypatch):
     data, _ = synthetic_dataset(
         nodes=20, sequences=150, beta=1.0, mu_rate=0.05, horizon=40.0, seed=15
     )
     config_seq = TrainConfig(epochs=8, dim=3, seed=3, log_every=100)
     _, seq_report = train(data, config_seq)
     config_par = TrainConfig(epochs=8, dim=3, seed=3, threads=2, log_every=100)
+    real_finish, running = train_module._finish_epoch, []
+
+    def finish_epoch(params, data, u_hat, *args):
+        running.append(u_hat)
+        return real_finish(params, data, u_hat, *args)
+
+    monkeypatch.setattr(train_module, "_finish_epoch", finish_epoch)
     par_params, par_report = train_parallel(data, config_par)
     seq_ll = seq_report.epoch_loglik[-1]
     par_ll = par_report.epoch_loglik[-1]
@@ -421,9 +447,8 @@ def test_parallel_quality_matches_sequential():
     assert len(par_report.u_hat_drift) == 8
     assert all(np.isfinite(d) and d <= 0.2 for d in par_report.u_hat_drift)
     # after the final epoch the running total was rebuilt exactly
-    np.testing.assert_array_equal(
-        par_report.final_caches.u_hat, softplus(par_params.theta_u).sum(axis=0)
-    )
+    assert len(running) == 8
+    np.testing.assert_array_equal(running[-1], softplus(par_params.theta_u).sum(axis=0))
     caches = build_caches(par_params, data)
     assert np.isfinite(lazy_log_likelihood(par_params, data, caches))
 
