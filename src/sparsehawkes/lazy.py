@@ -21,26 +21,31 @@ in the parameter block's ``[u | v | mu | self]`` layout, and every
 activation (and its derivative) is computed once per (sequence, entity) slot.
 
 The full passes (``lazy_log_likelihood`` and ``accumulate_lazy_gradient``)
-scan consecutive ranges of whole sequences holding about ``_CHUNK_EVENTS``
-events each; a longer sequence is a range of its own.  A pass's working
-memory is therefore one range's scan plus what it keeps for the whole
-dataset: one number per sequence, the gradient's ``(S, 2d + 2)`` block of
-slot rows and its ``(n, 2d + 2)`` output.  Each range's per-slot and
-per-sequence results are bit-identical to the same sequences' part of one
-whole-dataset scan, and every product with ``u_hat`` is taken row by row
-(``einsum``, not a BLAS matrix product, which rounds a row by its position
-in the block), so results do not depend on where the ranges are cut: a
-training step's gradient is, bit for bit, its sequence's part of the full
-pass.
+scan consecutive ranges of whole sequences holding at most ``_CHUNK_EVENTS``
+(2^11) events each; a longer sequence is a range of its own.  A pass's
+working memory is therefore one range's scan plus what it keeps for the
+whole dataset: one number per sequence, the gradient's ``(S, 2d + 2)`` block
+of slot rows and its ``(n, 2d + 2)`` output, into which the never-active
+terms are written in blocks of at most ``_CHUNK_EVENTS`` rows.  Each
+range's per-slot and per-sequence results are bit-identical to the same
+sequences' part of one whole-dataset scan, and every product with ``u_hat``
+is taken row by row (``einsum``, not a BLAS matrix product, which rounds a
+row by its position in the block), so results do not depend on where the
+ranges are cut: a training step's gradient is, bit for bit, its sequence's
+part of the full pass.
 
 Each pass owns one :class:`~.scan.Workspace`, sized by ``_workspace`` to its
 largest range, for the call only.  Every range's scan and ``_range_gradient``
 write their blocks into it, so after the first range a pass touches no fresh
 page for its scratch; the gradient's activation derivative is taken in place
-on the raw rows the scan gathered.  Training shares one workspace between an
-epoch's banded steps and its report (see :mod:`.train`).  The per-entity
-grouping of the slot rows copies entities with one slot and sums only the
-others (``scan._group_sums``).
+on the raw rows the scan gathered.  The range bound keeps the workspace
+small (a gradient pass over short sequences holds five blocks of about
+0.7 MB at d = 20), so it stays cache-resident and the next call gets its
+pages back from the allocator instead of faulting in a near-whole-dataset
+workspace afresh.  Training shares one workspace between an epoch's banded
+steps and its report (see :mod:`.train`).  The per-entity grouping of the
+slot rows copies entities with one slot and sums only the others
+(``scan._group_sums``).
 """
 
 from __future__ import annotations
@@ -62,9 +67,12 @@ __all__ = [
     "accumulate_lazy_gradient",
 ]
 
-# Events per range of a full pass (see the module docstring); of 2^12 to 2^15,
-# 2^13 measured best for memory and speed together (see CHANGES.md).
-_CHUNK_EVENTS = 2**13
+# Events per range of a full pass (see the module docstring).  Of 2^10 to
+# 2^13 (see CHANGES.md), 2^10 and 2^11 measured fastest on short sequences,
+# and 2^11 cuts half as many ranges: a gradient range's five workspace blocks
+# (about 3.5 MB at d = 20) stay cache-resident, and a call does not fault in
+# afresh a workspace the size of a 10,000-event dataset's, as 2^13 did.
+_CHUNK_EVENTS = 2**11
 
 
 class StaleCacheError(RuntimeError):
@@ -267,13 +275,17 @@ def _gradient(params: ModelParams, data: Dataset, u_hat: np.ndarray) -> Gradient
     buf = GradientBuffer(np.zeros(params.theta.shape), math.fsum(g_beta.tolist()), d)
     buf.d_theta[uniq] = sums
 
+    # The never-active terms are elementwise: blocks of at most
+    # ``_CHUNK_EVENTS`` rows, so no O(entities) gather is made.
     never = data.never_active()
-    if len(never):
-        buf.d_theta_mu[never] = -data.total_horizon * softplus_grad(params.theta_mu[never])
-        g_u = params.theta_u[never]  # activated and scaled in place
+    scale = -(z_hat / beta)
+    for i in range(0, len(never), _CHUNK_EVENTS):
+        block = never[i:i + _CHUNK_EVENTS]
+        buf.d_theta_mu[block] = -data.total_horizon * softplus_grad(params.theta_mu[block])
+        g_u = params.theta_u[block]  # activated and scaled in place
         softplus_grad(g_u, out=g_u)
-        g_u *= -(z_hat / beta)
-        buf.d_theta_u[never] = g_u
+        g_u *= scale
+        buf.d_theta_u[block] = g_u
     return buf
 
 

@@ -33,7 +33,11 @@ carry survives, propagated with step factors of ``exp(-width)`` per band so
 the huge and tiny scales cancel in pairs.  One forward routine (``_forward``
 on a ``_bands`` layout) runs this along chains of time-ordered events: each
 sequence for the emitting sums, each slot holding two or more events for the
-same-entity sums; the reverse scan reuses the sequences' bands.  The kernel
+same-entity sums; the reverse scan reuses the sequences' bands.  The layout
+holds the carries' level order (``_levels``: the k-th band of every chain,
+longest chains first) and each band's forward and reverse step factors,
+computed once for the forward and reverse scans on it, so a level of the
+carries (``_chain_carries``) is one multiply-add on slices.  The kernel
 needs none of this: its exponents ``-beta*(t_i - t_j)`` are never positive.
 
 Within a band the prefix sums are the additions ``np.cumsum`` makes, in its
@@ -52,9 +56,11 @@ to each scan.  The scan writes its large blocks into it with ``out=``: the
 slots' raw and activated rows, the per-event rows, the forward sums, the
 gradient columns and their per-slot sums, and the scratch of the scans.  A
 block whose value is dead serves the next one, so a gradient range needs
-five blocks, and no range after the first touches a fresh page.  The
-workspace dies with the call; nothing is kept on the dataset or in module
-state, so it adds nothing to the memory a long-lived process holds.
+five blocks, and no range after the first touches a fresh page.  The full
+passes bound a range to 2^11 events (``lazy._CHUNK_EVENTS``), about 3.5 MB
+of gradient workspace at d = 20 on short sequences.  The workspace dies
+with the call; nothing is kept on the dataset or in module state, so it
+adds nothing to the memory a long-lived process holds.
 """
 
 from __future__ import annotations
@@ -193,72 +199,102 @@ def _group_sums(x, order, counts, out, scratch=np.empty):
     return out
 
 
-def _chain_carries(first_flags, g, totals, reverse=False):
-    """Cross-band carries along chains of consecutive band records.
+def _levels(first_flags, g):
+    """Level layout of the cross-band carries along chains of consecutive
+    band records, or None when every chain is a single band: nothing then
+    crosses a band boundary.
 
     Chains are maximal runs marked by ``first_flags``; ``g`` holds each
-    band's integer phase index and ``totals`` its summed weights.  Forward
-    carries accumulate everything before a band, decayed to the band's start;
-    reverse carries accumulate everything after it, decayed so that one more
-    factor of ``exp(pos - width)`` lands on the consuming row.  Bands of a
-    chain are processed level by level, vectorized across chains.  Returns
-    None when every chain is a single band: nothing crosses a band boundary.
+    band's integer phase index.  Level ``k`` holds the ``k``-th band of every
+    chain longer than ``k``, with the chains longest first, so each level's
+    chains are a prefix of the level before's.  Returns ``(at, width,
+    start, fwd, rev)``: each band's row in level order, each level's width
+    and first row, and per row the step factor that decays the previous
+    band's carry onto it (forward) and the one that decays the next band's
+    (reverse).
     """
     if first_flags.all():
         return None
-    ne = len(g)
-    carr = np.zeros(totals.shape)
-    chain_of = first_flags.cumsum() - 1
+    nb = len(g)
     chain_first = first_flags.nonzero()[0]
-    rank = np.arange(ne) - chain_first[chain_of]
-    gf = g.astype(np.float64)
-    expand = (slice(None),) + (None,) * (totals.ndim - 1)
-    kmax = int(rank.max())
+    chain_of = first_flags.cumsum() - 1
+    rank = np.arange(nb) - chain_first[chain_of]
+    chain_pos = np.empty(len(chain_first), dtype=np.int64)
+    longest_first = np.argsort(-np.bincount(chain_of), kind="stable")
+    chain_pos[longest_first] = np.arange(len(chain_first))
+    width = np.bincount(rank)
+    start = width.cumsum() - width
+    at = start[rank] + chain_pos[chain_of]
+    # Phase steps between consecutive bands of one chain.
+    inner = ~first_flags[1:]
+    step = (g[:-1] - g[1:]).astype(np.float64)[inner]
+    fwd, rev = np.ones(nb), np.ones(nb)
+    fwd[at[1:][inner]] = np.exp(step * _BAND_WIDTH)
+    rev[at[:-1][inner]] = np.exp((step + 1.0) * _BAND_WIDTH)
+    return at, width.tolist(), start.tolist(), fwd, rev
+
+
+def _chain_carries(levels, totals, reverse=False):
+    """Cross-band carries per band, on the ``_levels`` layout of the bands'
+    chains, of their summed weights ``totals``.
+
+    Forward carries accumulate everything before a band, decayed to the
+    band's start; reverse carries accumulate everything after it, decayed so
+    that one more factor of ``exp(pos - width)`` lands on the consuming row.
+    A level is one multiply-add of slices in level order: the carries of
+    the level before (or after) into the bands of this one.
+    """
+    at, width, start, fwd, rev = levels
+    tot = np.empty(totals.shape)
+    tot[at] = totals
+    carr = np.zeros(totals.shape)
+    if totals.ndim > 1:
+        fwd, rev = fwd[:, None], rev[:, None]
     if not reverse:
-        for k in range(1, kmax + 1):
-            idx = (rank == k).nonzero()[0]
-            prev = idx - 1
-            fac = np.exp((gf[prev] - gf[idx]) * _BAND_WIDTH)
-            carr[idx] = fac[expand] * (carr[prev] + totals[prev])
+        for k in range(1, len(width)):
+            a, w, p = start[k], width[k], start[k - 1]
+            here = carr[a:a + w]
+            np.add(carr[p:p + w], tot[p:p + w], out=here)
+            here *= fwd[a:a + w]
     else:
-        last_flags = np.empty(ne, dtype=bool)
-        last_flags[:-1] = first_flags[1:]
-        last_flags[-1] = True
         dec = math.exp(-_BAND_WIDTH)
-        for k in range(kmax - 1, -1, -1):
-            idx = ((rank == k) & ~last_flags).nonzero()[0]
-            nxt = idx + 1
-            fac = np.exp((gf[idx] - gf[nxt] + 1.0) * _BAND_WIDTH)
-            carr[idx] = fac[expand] * (totals[nxt] + dec * carr[nxt])
-    return carr
+        for k in range(len(width) - 2, -1, -1):
+            a, w, n = start[k], width[k + 1], start[k + 1]
+            here = carr[a:a + w]
+            np.multiply(carr[n:n + w], dec, out=here)
+            here += tot[n:n + w]
+            here *= rev[a:a + w]
+    return carr[at]
 
 
 def _bands(first, g):
     """Band layout of rows grouped into chains: a band starts wherever
     ``first`` marks a chain start or the phase strip ``g`` changes.
 
-    Returns ``(band_first, band_len, band_of, pos, chain_first, band_g)``:
-    each band's first row and length, each row's band and position in it,
-    the bands that start a chain, and each band's strip.
+    Returns ``(band_first, band_len, band_of, pos, levels)``: each band's
+    first row and length, each row's band and position in it, and the
+    ``_levels`` layout of the bands' chains, computed once for every scan
+    on these bands.
     """
     new_band = first.copy()
     new_band[1:] |= g[1:] != g[:-1]
     band_of = new_band.cumsum() - 1
     band_first = new_band.nonzero()[0]
     pos = np.arange(len(g)) - band_first[band_of]
-    return band_first, np.bincount(band_of), band_of, pos, first[band_first], g[band_first]
+    return (band_first, np.bincount(band_of), band_of, pos,
+            _levels(first[band_first], g[band_first]))
 
 
 def _forward(x, bands, e_dn, scratch=np.empty):
     """Decayed sums of ``x`` over the earlier rows of each row's chain, in
     place: the banded exclusive scan, the carries across bands (gathered
     into ``scratch(shape)``), then the ``e_dn`` rescale."""
-    band_first, band_len, band_of, pos, chain_first, band_g = bands
+    band_first, band_len, band_of, pos, levels = bands
     totals = _banded_excl_scan(x, bands)
-    carries = _chain_carries(chain_first, band_g, totals)
-    if carries is not None:
+    if levels is not None:
+        carries = _chain_carries(levels, totals)
         x += np.take(carries, band_of, axis=0, out=scratch(x.shape), mode="clip")
-    x *= e_dn[:, None]
+    x *= e_dn if x.ndim == 1 else e_dn[:, None]
     return x
 
 
@@ -345,28 +381,29 @@ def _banded_sums(beta, trel, v_ev, bounds, slot_of, counts, by_slot, gradients, 
     # Same-entity sums: the same forward scan, with each slot's events (in
     # time order) one chain.  A slot holding a single event neither feeds
     # nor receives these sums, so only repeated slots are scanned; on sparse
-    # data that skips most of the work.
-    r_cols = np.zeros((m, 2 if gradients else 1))
+    # data that skips most of the work.  Each column is scanned on its own:
+    # NumPy runs an op on a column of a two-wide block as one inner loop per
+    # row, several times slower than the same op on a flat column.
+    r_all, r_t = np.zeros(m), np.zeros(m) if gradients else None
     if by_slot is not None:
         rep = by_slot[np.repeat(counts >= 2, counts)]
-        x = e_up[rep, None]
-        if gradients:
-            x = np.concatenate([x, (e_up * trel)[rep, None]], axis=1)
         bands_rep = _bands(np.diff(slot_of[rep], prepend=-1) != 0, g_ev[rep])
-        r_cols[rep] = _forward(x, bands_rep, e_dn[rep], scratch)
-    r_all = r_cols[:, 0]
-    r_dbeta = -trel * r_all + r_cols[:, 1] if gradients else None
+        dn = e_dn[rep]
+        r_all[rep] = _forward(e_up[rep], bands_rep, dn, scratch)
+        if gradients:
+            r_t[rep] = _forward((e_up * trel)[rep], bands_rep, dn, scratch)
+    r_dbeta = -trel * r_all + r_t if gradients else None
 
     def reverse(u, inv, out):
         # The reverse scan on the forward scan's bands, in place in the
         # "full" block: the forward sums are dead by now.
-        band_first, band_len, band_of, pos, chain_first, band_g = bands
+        band_first, band_len, band_of, pos, levels = bands
         x = np.multiply(u, inv[:, None], out=ws("full", (m, d)))
         x *= e_dn[:, None]
         totals = _banded_excl_scan(x, bands, reverse=True)
-        carries = _chain_carries(chain_first, band_g, totals, reverse=True)
         np.multiply(e_up[:, None], x, out=out)
-        if carries is not None:
+        if levels is not None:
+            carries = _chain_carries(levels, totals, reverse=True)
             x = np.take(carries, band_of, axis=0, out=x, mode="clip")
             x *= np.exp(psi - _BAND_WIDTH)[:, None]
             out += x

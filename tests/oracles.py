@@ -14,6 +14,8 @@ compare the package against them:
   sequence's statistics as a ``SequenceStats``; ``stats_at`` slices the same
   fields out of a scan's ``BatchStats``.  They reuse the package's
   ``softplus`` and ``ModelParams.beta``.
+- ``chain_carries_reference``: the banded scan's cross-band carries as a
+  level-by-level loop over chains of band records, vectorised across chains.
 - ``reference_train``: the first per-sequence training step, run on that
   scan.
 - ``reference_read_cascade_file``: the line-by-line cascade parser.
@@ -153,6 +155,51 @@ def rel_close(a, b, rtol: float, atol: float = 0.0) -> bool:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return bool(np.all(np.abs(a - b) <= atol + rtol * np.maximum(np.abs(a), np.abs(b))))
+
+
+# ---------------------------------------------------------------------------
+# the banded scan's carries
+
+
+def chain_carries_reference(first_flags, g, totals, reverse, width):
+    """Cross-band carries along chains of consecutive band records.
+
+    Chains are maximal runs marked by ``first_flags``; ``g`` holds each
+    band's integer phase index, ``totals`` its summed weights and ``width``
+    the phase width of a band.  Forward carries accumulate everything before
+    a band, decayed to the band's start; reverse carries accumulate
+    everything after it, decayed so that one more factor of
+    ``exp(pos - width)`` lands on the consuming row.  Bands of a chain are
+    processed level by level, vectorised across chains.  Returns None when
+    every chain is a single band.
+    """
+    if first_flags.all():
+        return None
+    ne = len(g)
+    carr = np.zeros(totals.shape)
+    chain_of = first_flags.cumsum() - 1
+    chain_first = first_flags.nonzero()[0]
+    rank = np.arange(ne) - chain_first[chain_of]
+    gf = g.astype(np.float64)
+    expand = (slice(None),) + (None,) * (totals.ndim - 1)
+    kmax = int(rank.max())
+    if not reverse:
+        for k in range(1, kmax + 1):
+            idx = (rank == k).nonzero()[0]
+            prev = idx - 1
+            fac = np.exp((gf[prev] - gf[idx]) * width)
+            carr[idx] = fac[expand] * (carr[prev] + totals[prev])
+    else:
+        last_flags = np.empty(ne, dtype=bool)
+        last_flags[:-1] = first_flags[1:]
+        last_flags[-1] = True
+        dec = math.exp(-width)
+        for k in range(kmax - 1, -1, -1):
+            idx = ((rank == k) & ~last_flags).nonzero()[0]
+            nxt = idx + 1
+            fac = np.exp((gf[idx] - gf[nxt] + 1.0) * width)
+            carr[idx] = fac[expand] * (totals[nxt] + dec * carr[nxt])
+    return carr
 
 
 # ---------------------------------------------------------------------------

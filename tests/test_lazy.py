@@ -307,11 +307,12 @@ def test_holdout_is_the_cached_likelihood_per_event():
             assert holdout_loglik(params, data) == want / data.total_events
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 10**9])
+@pytest.mark.parametrize("chunk", [1, 7, 2**13, 10**9])
 def test_chunked_full_passes_are_byte_identical(monkeypatch, chunk):
-    # one sequence per range, a few per range, and the whole dataset in one
-    # range must all give what the default ranges give, to the last bit,
-    # also when every workspace block is poisoned before each use
+    # one sequence per range, a few per range, the earlier default of 2^13
+    # events and the whole dataset in one range must all give what the
+    # default ranges give, to the last bit, also when every workspace block
+    # is poisoned before each use
     rng = np.random.default_rng(101)
     cases = [oracles.random_instance(rng, max_entities=10, max_seqs=8) for _ in range(25)]
     cases.append(ragged_instance())
@@ -336,7 +337,7 @@ def long_instance(rng):
     return params, Dataset(9, seqs)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, lazy._CHUNK_EVENTS])
+@pytest.mark.parametrize("chunk", [1, 7, lazy._CHUNK_EVENTS, 2**13])
 def test_step_gradient_is_the_full_pass_slice(monkeypatch, chunk):
     # a training step's banded one-sequence gradient is, to the last bit, its
     # sequence's slot rows (before the pass groups them by entity) and decay
@@ -431,6 +432,23 @@ def test_full_pass_working_memory_does_not_grow_with_the_data():
     assert max(ll_peaks) <= 1.25 * min(ll_peaks), ll_peaks
     for peak, block in zip(grad_peaks[1:], block_bytes[1:]):
         assert peak - grad_peaks[0] <= 2 * (block - block_bytes[0]), (grad_peaks, block_bytes)
+
+
+def test_gradient_pass_scratch_stays_range_sized():
+    # 2,000 five-event sequences over 10,000 entities (d = 20), each entity
+    # active once: past what the pass must hold (its slot rows, their copy
+    # in entity order and its output block), the scratch of its ranges fits
+    # in 4 MiB; ranges of 2^13 events needed about 14 MB of workspace alone
+    rng = np.random.default_rng(149)
+    n, ns, m, d = 10_000, 2_000, 5, 20
+    params = oracles.random_params(rng, n, d)
+    times = np.sort(rng.uniform(0.0, 10.0, (ns, m)), axis=1).ravel()
+    data = Dataset.from_columns(n, np.arange(ns + 1) * m, times, rng.permutation(n),
+                                np.full(ns, 10.0))
+    caches = build_caches(params, data)
+    block = (len(data.slot_tables()[2]) * 2 + n) * (2 * d + 2) * 8
+    peak = traced_peak(lambda: accumulate_lazy_gradient(params, data, caches))
+    assert peak <= block + 4 * 2**20, (peak, block)
 
 
 def test_later_ranges_scan_in_the_calls_workspace(monkeypatch):

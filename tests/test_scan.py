@@ -16,12 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsehawkes.model import Dataset, NumericalDivergenceError, Sequence, softplus_inv
-from sparsehawkes.scan import (_banded_excl_scan, _bands, batch_sequence_stats,
-                               pairwise_sequence_stats)
+from sparsehawkes.scan import (_BAND_WIDTH, _banded_excl_scan, _bands, _chain_carries, _levels,
+                               batch_sequence_stats, pairwise_sequence_stats)
 from sparsehawkes.lazy import _range_gradient, _z_hat, accumulate_lazy_gradient, build_caches
 from sparsehawkes.train import _PAIRWISE_MAX
 
-from oracles import random_instance, random_params, rel_close, sequence_stats_reference, stats_at
+from oracles import (chain_carries_reference, random_instance, random_params, rel_close,
+                     sequence_stats_reference, stats_at)
 
 
 def assert_stats_match(st, rf, rtol=1e-9, context="", grad_rtol=None):
@@ -122,6 +123,33 @@ def test_short_band_sums_equal_cumsum_bit_for_bit(tail, reverse):
             want, want_totals = cumsum_excl_scan(x, lengths, reverse)
             assert got.tobytes() == want.tobytes(), (width, lengths)
             assert totals.tobytes() == want_totals.tobytes(), (width, lengths)
+
+
+@pytest.mark.parametrize("tail", [(), (3,)])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_level_carries_equal_the_per_level_loop_bit_for_bit(tail, reverse):
+    # the carries run level by level on slices of a layout computed once;
+    # each band's arithmetic is the per-level loop's, so the carries must
+    # match it to the last bit: one chain of 12 bands, many chains of mixed
+    # lengths (phase steps of 1 to 3 bands), and chains of one band each,
+    # which need no carries at all
+    rng = np.random.default_rng(23)
+    for lengths in ([12], rng.integers(1, 9, 40), [1] * 9):
+        lengths = np.asarray(lengths)
+        nb = int(lengths.sum())
+        first = np.zeros(nb, dtype=bool)
+        first[np.cumsum(lengths) - lengths] = True
+        steps = np.where(first, rng.integers(0, 40, nb), rng.integers(1, 4, nb))
+        g = np.concatenate([np.cumsum(steps[a:a + n])
+                            for a, n in zip(np.cumsum(lengths) - lengths, lengths)])
+        totals = rng.normal(size=(nb,) + tail) * 10.0 ** rng.uniform(-3, 3, (nb,) + tail)
+        want = chain_carries_reference(first, g, totals, reverse, _BAND_WIDTH)
+        levels = _levels(first, g)
+        if want is None:
+            assert levels is None
+            continue
+        got = _chain_carries(levels, totals, reverse)
+        assert got.tobytes() == want.tobytes(), lengths
 
 
 def test_degenerate_shapes_in_one_batch():
