@@ -299,11 +299,14 @@ def read_checkpoint_full(path) -> Checkpoint:
             raise CheckpointFormatError(f"implausible dimensions |X|={n} d={d}")
         n = int(n)
         d = int(d)
-        # Each part is read straight into its columns of one [u | v | mu | self]
-        # block, allocated once the file has shown it holds the first part.
-        raw_mu = _read_exact(fh, 8 * n, "theta_mu")
+        # the header, blocks, decay and two counts must fit before the allocation
+        need, size = 24 + 8 * (n * (2 * d + 2) + 3), os.fstat(fh.fileno()).st_size
+        if size < need:
+            raise CheckpointFormatError(f"truncated checkpoint: |X|={n} d={d} needs at least "
+                                        f"{need} bytes, the file has {size}")
+        # Each part is read straight into its columns of one [u | v | mu | self] block.
         theta = np.empty((n, 2 * d + 2))
-        theta[:, 2 * d] = np.frombuffer(raw_mu, dtype="<f8")
+        theta[:, 2 * d] = np.frombuffer(_read_exact(fh, 8 * n, "theta_mu"), dtype="<f8")
         (theta_beta,) = struct.unpack("<d", _read_exact(fh, 8, "theta_beta"))
         theta[:, 2 * d + 1] = np.frombuffer(_read_exact(fh, 8 * n, "theta_self"), dtype="<f8")
         for cols, name in ((slice(0, d), "theta_u"), (slice(d, 2 * d), "theta_v")):

@@ -38,10 +38,6 @@ class GradientBuffer:
     d_theta_mu = _Columns(ModelParams.theta_mu.cols, "d_theta")
     d_theta_self = _Columns(ModelParams.theta_self.cols, "d_theta")
 
-    @classmethod
-    def zeros(cls, num_entities: int, dim: int) -> "GradientBuffer":
-        return cls(np.zeros((num_entities, 2 * dim + 2)), 0.0, dim)
-
     def as_flat(self) -> np.ndarray:
         """Concatenate all blocks into one vector (mu, beta, self, u, v)."""
         return np.concatenate([

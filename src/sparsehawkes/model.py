@@ -7,7 +7,7 @@ non-negative embeddings, diagonal entries get their own parameter.  All raw
 parameters live in an unconstrained space and are mapped through softplus,
 so positivity never has to be enforced by projection.  The per-entity ones
 form one ``(n, 2d + 2)`` row block ``[u | v | mu | self]``, the layout of the
-gradient rows and the Adam moments.  A :class:`Dataset` owns flat event
+gradient rows and the Adam moments.  A :class:`Dataset` owns checked event
 columns, its sequences are read-only views of them, and it computes once the
 slot tables, per-event frame and per-entity terms, which no parameter affects.
 """
@@ -15,14 +15,12 @@ slot tables, per-event frame and per-entity terms, which no parameter affects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence as SequenceType
+from typing import Sequence as SequenceType
 
 import numpy as np
 
 __all__ = [
     "NumericalDivergenceError",
-    "Event",
     "Sequence",
     "Dataset",
     "ModelParams",
@@ -85,74 +83,96 @@ def checked_beta(params: "ModelParams") -> float:
     return beta
 
 
-@dataclass(frozen=True)
-class Event:
-    """A single timestamped occurrence attributed to one entity."""
+def _checked_columns(num_entities, offsets, times, labels, horizons):
+    """The one event checker: the columns as read-only int64 ``offsets`` and
+    ``labels`` and float64 ``times`` and ``horizons``, or ``ValueError``.
 
-    entity: int
-    time: float
+    Sequence ``k`` owns events ``offsets[k]:offsets[k + 1]``, finite and
+    strictly increasing in time (the intensity at an event is defined over
+    strictly earlier history) within ``[0, horizons[k]]``.  Horizons are
+    positive reals; entities are integers ``>= 0``, below ``num_entities``
+    unless that is None.  Only a failed test locates its fault.
+    """
+    if num_entities is not None and num_entities <= 0:
+        raise ValueError("num_entities must be positive")
+    raw_offsets, raw_labels = np.asarray(offsets), np.asarray(labels)
+    times, horizons = np.asarray(times, np.float64), np.asarray(horizons, np.float64)
+    for name, column in (("offsets", raw_offsets), ("event times", times),
+                         ("event entities", raw_labels), ("horizons", horizons)):
+        if column.ndim != 1:
+            raise ValueError(f"{name} must be a 1-d column, got shape {column.shape}")
+
+    def as_int64(column):
+        with np.errstate(invalid="ignore"):  # NaN and infinities fail the test
+            cast = column.astype(np.int64, copy=False)
+        # only a non-integer column can change under the cast
+        return cast, (cast != column) if column.dtype.kind not in "iub" else np.False_
+
+    offsets, changed = as_int64(raw_offsets)
+    if changed.any():
+        j = int(changed.argmax())
+        raise ValueError(f"offset {j} is {raw_offsets[j].item()!r}, not an integer")
+    if len(raw_labels) != len(times):
+        raise ValueError(f"{len(times)} event times but {len(raw_labels)} event entities")
+    lengths = np.diff(offsets)
+    if (len(offsets) != len(horizons) + 1 or offsets[0] != 0 or offsets[-1] != len(times)
+            or (lengths < 0).any()):
+        raise ValueError(f"offsets must rise from 0 to the {len(times)} events in "
+                         f"{len(horizons) + 1} entries, one more than the horizons")
+    if not (np.isfinite(horizons) & (horizons > 0)).all():
+        k = int(np.argmin(np.isfinite(horizons) & (horizons > 0)))
+        raise ValueError(f"sequence {k}: horizon {float(horizons[k])!r} is not a positive real")
+
+    def fault(bad, problem):
+        i = int(np.argmax(bad))
+        k = int(offsets.searchsorted(i, side="right")) - 1
+        return ValueError(f"sequence {k} event {i - int(offsets[k])} at t={float(times[i])!r} "
+                          f"(entity {raw_labels[i].item()!r}, horizon {float(horizons[k])!r}): "
+                          f"{problem}")
+
+    # whole-column comparisons, so no NaN or infinity meets arithmetic and warns
+    labels, changed = as_int64(raw_labels)
+    rises = np.empty(len(times), dtype=bool)
+    np.greater(times[1:], times[:-1], out=rises[1:])
+    rises[offsets[:-1][lengths > 0]] = True
+    for bad, problem in (
+            (changed, "entities must be integers"),
+            (labels < 0, "entities must be non-negative"),
+            (labels >= (np.inf if num_entities is None else num_entities),
+             f"entities must be below {num_entities}"),
+            (~np.isfinite(times), "event times must be finite"),
+            (~rises, "event times must strictly increase"),
+            (times < 0, "event times must be non-negative"),
+            (times > np.repeat(horizons, lengths), "event times must not pass the horizon")):
+        if bad.any():
+            raise fault(bad, problem)
+    for column in (offsets, times, labels, horizons):
+        column.setflags(write=False)
+    return offsets, times, labels, horizons
 
 
 class Sequence:
-    """An ordered event sequence observed on the window [0, horizon].
-
-    Events must be strictly increasing in time; two events at the same
-    timestamp are rejected because the intensity at an event time is defined
-    over strictly earlier history only.
-    """
+    """An ordered event sequence observed on the window [0, horizon]: a
+    read-only view of columns that passed :func:`_checked_columns`, as a
+    :class:`Dataset`'s or through :meth:`from_arrays`."""
 
     __slots__ = ("times", "entities", "horizon")
 
-    def __init__(self, events: Iterable[Event], horizon: float):
-        events = list(events)
-        times = np.array([e.time for e in events], dtype=np.float64)
-        entities = np.array([e.entity for e in events], dtype=np.int64)
-        self._init_from_arrays(times, entities, float(horizon))
-
     @classmethod
     def from_arrays(cls, times, entities, horizon: float) -> "Sequence":
-        """Build a sequence without constructing Event objects."""
-        obj = cls.__new__(cls)
-        obj._init_from_arrays(
-            np.asarray(times, dtype=np.float64).copy(),
-            np.asarray(entities, dtype=np.int64).copy(),
-            float(horizon),
-        )
-        return obj
+        """A sequence over copies of ``times`` and ``entities``, checked as
+        the columns of one sequence with no entity bound but ``>= 0``."""
+        times = np.array(times, dtype=np.float64)
+        _, times, entities, horizons = _checked_columns(
+            None, [0, times.size], times, np.array(entities), [horizon])
+        return cls._view(times, entities, float(horizons[0]))
 
     @classmethod
     def _view(cls, times, entities, horizon: float) -> "Sequence":
-        """A sequence over arrays a :class:`Dataset` has validated, not copied."""
+        """A sequence over checked columns, not copied."""
         obj = cls.__new__(cls)
         obj.times, obj.entities, obj.horizon = times, entities, horizon
         return obj
-
-    def _init_from_arrays(self, times, entities, horizon):
-        if times.ndim != 1 or entities.ndim != 1 or len(times) != len(entities):
-            raise ValueError("times and entities must be 1-d arrays of equal length")
-        if not math.isfinite(horizon) or horizon <= 0:
-            raise ValueError(f"horizon must be a positive real, got {horizon}")
-        if len(times):
-            if not np.all(np.isfinite(times)):
-                raise ValueError("event times must be finite")
-            if times[0] < 0:
-                raise ValueError("event times must be non-negative")
-            diffs = np.diff(times)
-            if np.any(diffs <= 0):
-                k = int(np.argmax(diffs <= 0))
-                raise ValueError(
-                    f"event times must strictly increase; violation after index {k} "
-                    f"(t={times[k]!r} then t={times[k + 1]!r})"
-                )
-            if times[-1] > horizon:
-                raise ValueError(
-                    f"event at t={times[-1]!r} lies beyond the horizon {horizon!r}"
-                )
-        times.setflags(write=False)
-        entities.setflags(write=False)
-        self.times = times
-        self.entities = entities
-        self.horizon = horizon
 
     def __len__(self) -> int:
         return len(self.times)
@@ -160,11 +180,8 @@ class Sequence:
     def __eq__(self, other):
         if not isinstance(other, Sequence):
             return NotImplemented
-        return (
-            self.horizon == other.horizon
-            and np.array_equal(self.times, other.times)
-            and np.array_equal(self.entities, other.entities)
-        )
+        return self.horizon == other.horizon and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in ("times", "entities"))
 
     def __repr__(self):
         return f"Sequence(n={len(self)}, horizon={self.horizon})"
@@ -172,7 +189,7 @@ class Sequence:
 
 class Dataset:
     """A collection of sequences over a shared entity universe, held as
-    read-only flat columns.
+    read-only flat columns that both constructors check with one checker.
 
     Sequence ``k`` owns events ``offsets[k]:offsets[k + 1]`` of ``times`` and
     ``labels`` and is observed on ``[0, horizons[k]]``.  The engines read the
@@ -191,42 +208,24 @@ class Dataset:
         self._init(num_entities, np.cumsum([0] + [len(s) for s in sequences]),
                    np.concatenate([s.times for s in sequences] or [np.zeros(0)]),
                    np.concatenate([s.entities for s in sequences] or [np.zeros(0, np.int64)]),
-                   np.array([s.horizon for s in sequences], dtype=np.float64), sequences)
+                   np.array([s.horizon for s in sequences], dtype=np.float64))
 
     @classmethod
     def from_columns(cls, num_entities: int, offsets, times, labels, horizons) -> "Dataset":
         """A dataset over ready columns, adopted without a copy when they are
         int64 (offsets, labels) and float64 (times, horizons) already."""
         data = cls.__new__(cls)
-        data._init(num_entities, np.asarray(offsets, np.int64), np.asarray(times, np.float64),
-                   np.asarray(labels, np.int64), np.asarray(horizons, np.float64))
+        data._init(num_entities, offsets, times, labels, horizons)
         return data
 
-    def _init(self, num_entities, offsets, times, labels, horizons, sequences=None):
+    def _init(self, num_entities, offsets, times, labels, horizons):
         num_entities = int(num_entities)
-        if num_entities <= 0:
-            raise ValueError("num_entities must be positive")
-        lengths = np.diff(offsets)
-        if (len(offsets) != len(horizons) + 1 or offsets[0] != 0 or offsets[-1] != len(times)
-                or len(labels) != len(times) or np.any(lengths < 0)):
-            raise ValueError("inconsistent dataset columns")
-        seq_of = np.repeat(np.arange(len(horizons)), lengths)
-        tail = horizons[seq_of] - times
-        outside = (labels < 0) | (labels >= num_entities)
-        if outside.any():
-            i = int(outside.argmax())
-            raise ValueError(f"sequence {int(seq_of[i])} references entity {int(labels[i])} "
-                             f"outside the universe of {num_entities} entities")
-        if not (np.isfinite(horizons).all() and (horizons > 0).all() and np.isfinite(times).all()
-                and (times >= 0).all() and (tail >= 0).all()):
-            raise ValueError("horizons must be positive reals and event times within [0, horizon]")
-        if ((np.diff(times) <= 0) & (seq_of[1:] == seq_of[:-1])).any():
-            raise ValueError("event times must strictly increase within a sequence")
-        for column in (offsets, times, labels, horizons):
-            column.setflags(write=False)
-        self.num_entities, self._sequences = num_entities, sequences
+        offsets, times, labels, horizons = _checked_columns(
+            num_entities, offsets, times, labels, horizons)
+        self.num_entities, self._sequences = num_entities, None
         self.offsets, self.times, self.labels, self.horizons = offsets, times, labels, horizons
-        self._frame = (seq_of, tail, times - times[offsets[seq_of]])
+        seq_of = np.repeat(np.arange(len(horizons)), np.diff(offsets))
+        self._frame = (seq_of, horizons[seq_of] - times, times - times[offsets[seq_of]])
 
         # Slots: one stable sort of the (sequence, entity) codes groups each
         # slot's events in time order, sequence-major.
@@ -252,8 +251,7 @@ class Dataset:
 
     @property
     def sequences(self) -> list[Sequence]:
-        """The list the dataset was built from, or else read-only views of the
-        columns, built on first use."""
+        """Read-only views of the columns, built on first use."""
         if self._sequences is None:
             bounds = self.offsets.tolist()
             self._sequences = [Sequence._view(self.times[a:b], self.labels[a:b], h) for a, b, h

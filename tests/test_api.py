@@ -1,10 +1,10 @@
 """The package's public surface: every exported name resolves, the package
 exports its submodules' lists and nothing else, the stepwise reference stack,
 the single-sequence wrappers and the aliases stay out of it, nothing under
-``src/`` reaches into the test suite, one scan body builds every
-``BatchStats``, the lazy engine's full passes scan ranges of sequences, a
-training step and the full gradient pass share one gradient function, and
-no function under ``src/`` builds caches."""
+``src/`` reaches into the test suite, events have one checker, one scan body
+builds every ``BatchStats``, the lazy engine's full passes scan ranges of
+sequences, a training step and the full gradient pass share one gradient
+function, and no function under ``src/`` builds caches."""
 
 import ast
 import importlib
@@ -35,13 +35,14 @@ EXPORTING = [name for name in SUBMODULES if name not in ("sparsehawkes.cli", "sp
 # The event-by-event reference lives in tests/oracles.py; per-sequence
 # questions are asked with batch_sequence_stats(..., subset=(k, k + 1)).
 # The aliases went for their direct forms: read_cascade_file(p).dataset and
-# read_checkpoint_full.  The dataset summary had no reader.
+# read_checkpoint_full.  The dataset summary had no reader.  Sequences are
+# built from columns, so the one-event record went with its constructor.
 REMOVED = (
     "SequenceScan", "sequence_stats_reference", "SequenceStats", "sequence_stats",
     "alpha", "alpha_row", "intensity", "compensator",
     "lazy_sequence_gradients", "SequenceGradient",
     "parse_cascades", "read_checkpoint", "write_series_tsv",
-    "dataset_stats", "DatasetStats",
+    "dataset_stats", "DatasetStats", "Event",
 )
 
 
@@ -60,7 +61,7 @@ def test_package_exports_each_submodule_list_once():
     names = [name for module in EXPORTING for name in importlib.import_module(module).__all__]
     assert len(names) == len(set(names))
     assert sorted(sparsehawkes.__all__) == sorted(names + ["__version__"])
-    assert len(sparsehawkes.__all__) <= 38
+    assert len(sparsehawkes.__all__) <= 37
 
 
 @pytest.mark.parametrize("module_name", ["sparsehawkes"] + SUBMODULES)
@@ -89,6 +90,21 @@ def test_removed_members_are_gone():
     assert [name for name in ("decay_guard", "m_beta", "v_beta", "t_beta", "zeros")
             if hasattr(state, name)] == []
     assert not hasattr(importlib.import_module("sparsehawkes.train"), "_start")
+    # gradients are built by the engines, and a zero one as a plain block
+    assert not hasattr(sparsehawkes.GradientBuffer, "zeros")
+    assert not hasattr(Sequence, "_init_from_arrays")
+    assert "__init__" not in vars(Sequence)
+
+
+def test_sequence_leaves_validation_to_the_one_checker():
+    # Sequence and Dataset share model._checked_columns, so no method of
+    # Sequence may raise beside it
+    tree = ast.parse((Path(sparsehawkes.__file__).parent / "model.py").read_text(encoding="utf-8"))
+    cls, = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Sequence"]
+    raising = [fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)
+               and any(isinstance(node, ast.Raise) for node in ast.walk(fn))]
+    assert raising == []
+    assert "_checked_columns" in _called_names(cls)
 
 
 def test_package_never_imports_from_tests():

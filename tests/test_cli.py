@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sparsehawkes import (
 )
 from sparsehawkes.model import softplus, softplus_inv
 from sparsehawkes.cli import main
+from sparsehawkes.data_io import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -366,3 +368,13 @@ def test_inspect_corrupt_checkpoint(tmp_path, capsys):
     code = main(["inspect", "--checkpoint", str(bad), "--out", str(tmp_path / "x")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_inspect_checkpoint_whose_header_outgrows_the_file(tmp_path, capsys):
+    # the header claims |X| = 10,000 and d = 1,000,000 in an 80 KB file
+    bad = tmp_path / "big.ckpt"
+    header = CHECKPOINT_MAGIC + struct.pack("<IQQ", CHECKPOINT_VERSION, 10_000, 10**6)
+    bad.write_bytes(header + bytes(80_000 - len(header)))
+    code = main(["inspect", "--checkpoint", str(bad), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: truncated checkpoint: |X|=10000 d=1000000")

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -439,6 +440,16 @@ def test_checkpoint_truncation_rejected(tmp_path):
     # cut inside every region: header, parameter blocks, vocabulary, metadata
     for cut in (2, 6, 12, 30, 50, 70, 90, 100, 106, len(blob) - 1):
         reject(tmp_path, blob[:cut], "truncated|bad magic")
+
+
+def test_checkpoint_header_outgrowing_the_file_is_refused_before_allocation(tmp_path):
+    # 80 KB whose header claims |X| = 10,000 and d = 1,000,000: a 149 GiB
+    # parameter block that the file size rules out before it is allocated
+    blob = valid_checkpoint_bytes(tmp_path)
+    blob[8:24] = struct.pack("<QQ", 10_000, 10**6)
+    blob += bytes(80_000 - len(blob))
+    reject(tmp_path, blob, r"^truncated checkpoint: \|X\|=10000 d=1000000 needs at least "
+                           r"160000160048 bytes, the file has 80000$")
 
 
 def test_checkpoint_trailing_bytes_rejected(tmp_path):

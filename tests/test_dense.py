@@ -62,7 +62,7 @@ def test_gradient_zero_event_dataset():
     # Only background-rate coordinates carry gradient when nothing happened.
     rng = np.random.default_rng(127)
     params = oracles.random_params(rng, 4, 2)
-    data = Dataset(4, [Sequence([], horizon=3.0), Sequence([], horizon=2.0)])
+    data = Dataset(4, [Sequence.from_arrays([], [], 3.0), Sequence.from_arrays([], [], 2.0)])
     g = dense_gradient(params, data)
     from sparsehawkes.model import softplus_grad
 
@@ -78,13 +78,13 @@ def test_likelihood_overflow_raises():
     params = ModelParams(
         np.array([700.0, 700.0]), 0.0, np.zeros(n), np.zeros((n, d)), np.zeros((n, d)), d
     )
-    seq = Sequence([], horizon=1e307)
+    seq = Sequence.from_arrays([], [], 1e307)
     with pytest.raises(NumericalDivergenceError):
         dense_log_likelihood(params, Dataset(n, [seq]))
 
 
 def test_gradient_buffer_zeros_shape():
-    buf = GradientBuffer.zeros(3, 2)
+    buf = GradientBuffer(np.zeros((3, 8)), 0.0, 2)
     assert buf.as_flat().shape == (3 + 1 + 3 + 6 + 6,)
     assert np.all(buf.as_flat() == 0.0)
 
@@ -109,7 +109,7 @@ def test_gradients_are_one_row_block_in_the_parameter_layout():
 
 def test_gradient_buffer_views_write_into_the_block_and_flatten_in_order():
     n, d = 3, 2
-    buf = GradientBuffer.zeros(n, d)
+    buf = GradientBuffer(np.zeros((n, 2 * d + 2)), 0.0, d)
     buf.d_theta_u[1] = [1.0, 2.0]
     buf.d_theta_v[:, 1] += 3.0
     buf.d_theta_mu[2] = 4.0

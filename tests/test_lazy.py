@@ -127,7 +127,7 @@ def test_likelihood_with_never_active_entities():
 def test_empty_sequences_carry_only_background_mass():
     rng = np.random.default_rng(61)
     params = oracles.random_params(rng, 3, 2)
-    data = Dataset(3, [Sequence([], horizon=4.0), Sequence([], horizon=6.0)])
+    data = Dataset(3, [Sequence.from_arrays([], [], 4.0), Sequence.from_arrays([], [], 6.0)])
     caches = build_caches(params, data)
     want = -10.0 * float(softplus(params.theta_mu).sum())
     assert lazy_log_likelihood(params, data, caches) == pytest.approx(want, rel=1e-12)
@@ -237,7 +237,7 @@ def test_caches_serve_any_dataset_over_the_same_entities():
 def test_empty_sequence_contributes_nothing():
     rng = np.random.default_rng(89)
     params = oracles.random_params(rng, 4, 2)
-    seq = Sequence([], horizon=5.0)
+    seq = Sequence.from_arrays([], [], 5.0)
     data = Dataset(4, [seq])
     caches = build_caches(params, data)
     entities, rows, g_beta = sequence_gradient(params, data, caches, 0)
@@ -274,11 +274,12 @@ def ragged_instance():
     longer than the default chunk between short ones."""
     rng = np.random.default_rng(103)
     params = oracles.random_params(rng, 12, 3)
-    seqs = [Sequence([], horizon=3.0)]
+    seqs = [Sequence.from_arrays([], [], 3.0)]
     seqs += [oracles.random_sequence(rng, 9, 12) for _ in range(5)]
     long_times = np.sort(rng.uniform(0.0, 400.0, lazy._CHUNK_EVENTS + 500))
     seqs.append(Sequence.from_arrays(long_times, rng.integers(0, 9, len(long_times)), 400.0))
-    seqs += [Sequence([], horizon=2.0)] + [oracles.random_sequence(rng, 9, 12) for _ in range(4)]
+    seqs.append(Sequence.from_arrays([], [], 2.0))
+    seqs += [oracles.random_sequence(rng, 9, 12) for _ in range(4)]
     return params, Dataset(12, seqs)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from scipy.integrate import quad
 
 from sparsehawkes.model import (
     Dataset,
-    Event,
     ModelParams,
     NumericalDivergenceError,
     Sequence,
@@ -78,23 +78,23 @@ def test_softplus_inv_round_trip():
 
 
 def test_sequence_validation():
-    Sequence([Event(0, 1.0), Event(1, 2.0)], horizon=5.0)
+    Sequence.from_arrays([1.0, 2.0], [0, 1], 5.0)
     with pytest.raises(ValueError):
-        Sequence([Event(0, 2.0), Event(1, 2.0)], horizon=5.0)  # tie
+        Sequence.from_arrays([2.0, 2.0], [0, 1], 5.0)  # tie
     with pytest.raises(ValueError):
-        Sequence([Event(0, 3.0), Event(1, 2.0)], horizon=5.0)  # out of order
+        Sequence.from_arrays([3.0, 2.0], [0, 1], 5.0)  # out of order
     with pytest.raises(ValueError):
-        Sequence([Event(0, -1.0)], horizon=5.0)
+        Sequence.from_arrays([-1.0], [0], 5.0)
     with pytest.raises(ValueError):
-        Sequence([Event(0, 6.0)], horizon=5.0)  # beyond horizon
+        Sequence.from_arrays([6.0], [0], 5.0)  # beyond horizon
     with pytest.raises(ValueError):
-        Sequence([], horizon=0.0)
+        Sequence.from_arrays([], [], 0.0)
     with pytest.raises(ValueError):
-        Sequence([Event(0, 1.0)], horizon=float("nan"))
+        Sequence.from_arrays([1.0], [0], float("nan"))
 
 
 def test_sequence_active_entities_and_equality():
-    s = Sequence([Event(3, 0.5), Event(1, 1.0), Event(3, 2.0)], horizon=4.0)
+    s = Sequence.from_arrays([0.5, 1.0, 2.0], [3, 1, 3], 4.0)
     assert np.unique(s.entities).tolist() == [1, 3]
     assert len(s) == 3
     assert s == Sequence.from_arrays([0.5, 1.0, 2.0], [3, 1, 3], 4.0)
@@ -102,9 +102,9 @@ def test_sequence_active_entities_and_equality():
 
 
 def test_dataset_indexing():
-    s0 = Sequence([Event(0, 1.0)], horizon=2.0)
-    s1 = Sequence([Event(2, 0.5), Event(0, 1.5)], horizon=2.0)
-    s2 = Sequence([], horizon=3.0)
+    s0 = Sequence.from_arrays([1.0], [0], 2.0)
+    s1 = Sequence.from_arrays([0.5, 1.5], [2, 0], 2.0)
+    s2 = Sequence.from_arrays([], [], 3.0)
     data = Dataset(4, [s0, s1, s2])
     assert data.activity_count.tolist() == [2, 0, 1, 0]
     assert list(data.never_active()) == [1, 3]
@@ -145,9 +145,9 @@ def test_dataset_columns_constructor_matches_sequences():
     assert len(columnar) == len(listed) == 10
     assert columnar.total_events == listed.total_events
     assert columnar.total_horizon == listed.total_horizon
-    # the list a dataset was built from is kept; a columnar one gets views
-    assert all(a is b for a, b in zip(listed.sequences, seqs))
-    assert columnar.sequences == seqs
+    # either constructor's sequences are views of its own columns
+    assert listed.sequences == columnar.sequences == seqs
+    assert all(np.shares_memory(s.times, listed.times) for s in listed.sequences if len(s))
     assert columnar.sequences is columnar.sequences
 
 
@@ -189,6 +189,95 @@ def test_dataset_columns_validated(offsets, times, labels, horizons):
     # a decrease across a sequence boundary is fine
     Dataset.from_columns(3, np.array([0, 1, 2]), np.array([1.5, 0.5]), np.array([0, 1]),
                          np.array([2.0, 2.0]))
+
+
+def from_both(times, entities, horizon):
+    """A one-sequence fault as both public constructors express it."""
+    return [lambda: Sequence.from_arrays(times, entities, horizon),
+            lambda: Dataset.from_columns(3, [0, np.size(times)], times, entities, [horizon])]
+
+
+def from_columns(offsets, times, labels, horizons):
+    return [lambda: Dataset.from_columns(3, offsets, times, labels, horizons)]
+
+
+@pytest.mark.parametrize("constructors,message", [
+    pytest.param(from_both([1.0, 1.0], [0, 1], 2.0),
+                 "sequence 0 event 1 at t=1.0 (entity 1, horizon 2.0): "
+                 "event times must strictly increase", id="tie"),
+    pytest.param(from_both([1.5, 0.5], [0, 1], 2.0),
+                 "sequence 0 event 1 at t=0.5 (entity 1, horizon 2.0): "
+                 "event times must strictly increase", id="out-of-order"),
+    pytest.param(from_both([-0.5, 1.0], [0, 1], 2.0),
+                 "sequence 0 event 0 at t=-0.5 (entity 0, horizon 2.0): "
+                 "event times must be non-negative", id="negative-time"),
+    pytest.param(from_both([0.5, np.nan], [0, 1], 2.0),
+                 "sequence 0 event 1 at t=nan (entity 1, horizon 2.0): "
+                 "event times must be finite", id="nan-time"),
+    pytest.param(from_both([np.inf], [0], 2.0),
+                 "sequence 0 event 0 at t=inf (entity 0, horizon 2.0): "
+                 "event times must be finite", id="inf-time"),
+    pytest.param(from_both([np.inf], [0], np.inf),
+                 "sequence 0: horizon inf is not a positive real", id="inf-time-and-horizon"),
+    pytest.param(from_both([0.5, 2.5], [0, 1], 2.0),
+                 "sequence 0 event 1 at t=2.5 (entity 1, horizon 2.0): "
+                 "event times must not pass the horizon", id="beyond-horizon"),
+    pytest.param(from_both([], [], 0.0),
+                 "sequence 0: horizon 0.0 is not a positive real", id="zero-horizon"),
+    pytest.param(from_both([1.0], [0], np.nan),
+                 "sequence 0: horizon nan is not a positive real", id="nan-horizon"),
+    pytest.param(from_both([0.5, 1.0], [0, -1], 2.0),
+                 "sequence 0 event 1 at t=1.0 (entity -1, horizon 2.0): "
+                 "entities must be non-negative", id="negative-entity"),
+    pytest.param(from_both([0.5, 1.0], [0], 2.0),
+                 "2 event times but 1 event entities", id="mismatched-lengths"),
+    pytest.param(from_both([0.5, 1.0], [0.0, 1.9], 2.0),
+                 "sequence 0 event 1 at t=1.0 (entity 1.9, horizon 2.0): "
+                 "entities must be integers", id="non-integral-label"),
+    pytest.param(from_both([0.5], [np.nan], 2.0),
+                 "sequence 0 event 0 at t=0.5 (entity nan, horizon 2.0): "
+                 "entities must be integers", id="nan-label"),
+    pytest.param(from_both([[0.5, 1.0]], [0, 1], 2.0),
+                 "event times must be a 1-d column, got shape (1, 2)", id="2d-times"),
+    pytest.param(from_both([0.5, 1.0], [[0, 1]], 2.0),
+                 "event entities must be a 1-d column, got shape (1, 2)", id="2d-entities"),
+    # faults only a dataset can express
+    pytest.param(from_columns([0, 1.5, 3], [0.5, 1.0, 1.5], [0, 1, 2], [2.0, 2.0]),
+                 "offset 1 is 1.5, not an integer", id="non-integral-offset"),
+    pytest.param(from_columns([[0, 1]], [0.5], [0], [2.0]),
+                 "offsets must be a 1-d column, got shape (1, 2)", id="2d-offsets"),
+    pytest.param(from_columns([0, 2], [0.5], [0], [2.0]),
+                 "offsets must rise from 0 to the 1 events in 2 entries, one more than the "
+                 "horizons", id="offsets-past-the-events"),
+    pytest.param(from_columns([0, 1, 1, 3], [0.5, 1.0, 1.0], [0, 1, 2], [2.0, 3.0, 4.0]),
+                 "sequence 2 event 1 at t=1.0 (entity 2, horizon 4.0): "
+                 "event times must strictly increase", id="tie-after-an-empty-sequence"),
+    pytest.param(from_columns([0, 1, 3], [0.5, 0.2, 0.7], [0, 1, 3], [1.0, 1.5]) + [
+        lambda: Dataset(3, [Sequence.from_arrays([0.5], [0], 1.0),
+                            Sequence.from_arrays([0.2, 0.7], [1, 3], 1.5)])],
+                 "sequence 1 event 1 at t=0.7 (entity 3, horizon 1.5): "
+                 "entities must be below 3", id="entity-outside-the-universe"),
+    pytest.param([lambda: Dataset(0, []), lambda: Dataset.from_columns(0, [0], [], [], [])],
+                 "num_entities must be positive", id="no-entities"),
+])
+def test_every_constructor_raises_one_message_per_fault(constructors, message):
+    # one checker serves every constructor; it warns about nothing it refuses
+    for build in constructors:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as error:
+                build()
+        assert str(error.value) == message
+
+
+def test_integral_columns_of_any_dtype_build_the_int_columns():
+    floats = Dataset.from_columns(3, [0.0, 2.0, 3.0], [0.5, 1.0, 0.2], [2.0, 0.0, 1.0],
+                                  [2.0, 1.0])
+    ints = Dataset.from_columns(3, np.array([0, 2, 3]), [0.5, 1.0, 0.2],
+                                np.array([2, 0, 1], dtype=np.int32), [2.0, 1.0])
+    assert floats == ints
+    assert floats.offsets.dtype == floats.labels.dtype == ints.labels.dtype == np.int64
+    assert Sequence.from_arrays([0.2], [1.0], 1.0) == ints.sequences[1]
 
 
 def test_model_params_validation():
@@ -247,7 +336,7 @@ def test_alpha_factorization():
 def test_intensity_before_first_event_is_background():
     rng = np.random.default_rng(3)
     params = oracles.random_params(rng, 3, 2)
-    seq = Sequence([Event(1, 5.0)], horizon=10.0)
+    seq = Sequence.from_arrays([5.0], [1], 10.0)
     assert oracles.intensity_brute(params, seq, 0, 4.0) == pytest.approx(
         float(softplus(params.theta_mu[0])))
 
@@ -256,7 +345,7 @@ def test_compensator_single_event_closed_form():
     rng = np.random.default_rng(5)
     params = oracles.random_params(rng, 3, 2)
     t1, horizon = 2.0, 9.0
-    seq = Sequence([Event(2, t1)], horizon=horizon)
+    seq = Sequence.from_arrays([t1], [2], horizon)
     beta = params.beta()
     for x in range(3):
         expect = float(softplus(params.theta_mu[x])) * horizon + oracles.alpha_brute(

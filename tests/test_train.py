@@ -461,7 +461,7 @@ def test_train_reproduces_reference_trajectory():
     base, _ = synthetic_dataset(
         nodes=8, sequences=12, beta=1.0, mu_rate=0.08, horizon=25.0, seed=17
     )
-    data = Dataset(11, base.sequences + [Sequence([], horizon=3.0)])
+    data = Dataset(11, base.sequences + [Sequence.from_arrays([], [], 3.0)])
     config = TrainConfig(epochs=3, dim=3, learning_rate=0.05, log_every=100)
     init = init_params(data, config, np.random.default_rng(3))
     params, report = train(data, config, init=init)
@@ -490,9 +490,9 @@ def test_step_sends_only_long_sequences_to_the_banded_scan(monkeypatch):
 
 def test_init_params_counts_events_across_empty_sequences():
     seqs = [
-        Sequence([], horizon=3.0),
+        Sequence.from_arrays([], [], 3.0),
         Sequence.from_arrays([0.5, 1.0, 2.0], [2, 0, 2], 3.0),
-        Sequence([], horizon=1.0),
+        Sequence.from_arrays([], [], 1.0),
         Sequence.from_arrays([0.1], [4], 2.0),
     ]
     data = Dataset(6, seqs)
@@ -511,7 +511,7 @@ def test_parallel_applies_every_decay_step():
     base, _ = synthetic_dataset(
         nodes=20, sequences=150, beta=1.0, mu_rate=0.05, horizon=40.0, seed=18
     )
-    data = Dataset(20, base.sequences + [Sequence([], horizon=5.0)])
+    data = Dataset(20, base.sequences + [Sequence.from_arrays([], [], 5.0)])
     nonempty = sum(1 for s in data.sequences if len(s))
     _, report = train_parallel(data, TrainConfig(epochs=3, dim=3, threads=2, log_every=100))
     assert report.decay_steps == 3 * nonempty
