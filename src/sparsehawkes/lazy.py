@@ -42,10 +42,10 @@ on the raw rows the scan gathered.  The range bound keeps the workspace
 small (a gradient pass over short sequences holds five blocks of about
 0.7 MB at d = 20), so it stays cache-resident and the next call gets its
 pages back from the allocator instead of faulting in a near-whole-dataset
-workspace afresh.  Training shares one workspace between an epoch's banded
-steps and its report (see :mod:`.train`).  The per-entity grouping of the
-slot rows copies entities with one slot and sums only the others
-(``scan._group_sums``).
+workspace afresh.  Training shares one workspace between an epoch's steps,
+banded or through the kernel, and its report (see :mod:`.train`).  The
+per-entity grouping of the slot rows copies entities with one slot and sums
+only the others (``scan._group_sums``).
 """
 
 from __future__ import annotations
@@ -289,8 +289,9 @@ def _gradient(params: ModelParams, data: Dataset, u_hat: np.ndarray) -> Gradient
     return buf
 
 
-def update_u_hat(u_hat: np.ndarray, entities, theta_u_old: np.ndarray, theta_u_new: np.ndarray):
+def update_u_hat(u_hat: np.ndarray, theta_u_old: np.ndarray, theta_u_new: np.ndarray):
     """Constant-time-per-row refresh, in place, of the receiving total ``u_hat``
-    after the rows of ``entities`` (one id with (d,) rows, or ids with (a, d)) moved."""
+    after receiving-embedding rows moved from ``theta_u_old`` to ``theta_u_new``
+    (one (d,) row each, or (a, d) rows)."""
     act = softplus(np.concatenate((theta_u_old, theta_u_new))).reshape(2, -1, len(u_hat))
     u_hat += (act[1] - act[0]).sum(axis=0)

@@ -273,7 +273,8 @@ def synthetic_dataset(
     root = np.random.SeedSequence(seed)
     graph_seed, sampling_seed = root.spawn(2)
     graph = sample_scale_free_graph(nodes, seed=int(graph_seed.generate_state(1)[0]))
-    influence = InfluenceMatrix.from_values(graph.values.astype(np.float64))
+    # the estimate iterates in float64 either way, so the graph's note holds
+    influence = InfluenceMatrix(graph.values.astype(np.float64), graph.spectral_note)
     if rank is not None:
         influence = low_rank_approximation(influence, rank)
     influence = rescale_for_stability(influence, beta)

@@ -9,6 +9,9 @@ of entities active in the sequence; the lazy engine's one gradient formula,
 which a full gradient pass runs on each range of sequences, turns the scan
 into rows for those entities, which get one Adam update of their rows of the
 ``[u | v | mu | self]`` parameter block, together with the decay's slot.
+The rows' moments and step counts sit side by side in one ``[m | v | t]``
+block, read in one gather and written in one scatter per step, and one
+function states Adam's update for those rows and for the decay's slot alike.
 The rows Adam read and wrote then refresh the receiving total through one
 activation.
 
@@ -25,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
 import multiprocessing
 import os
 import queue as queue_module
@@ -36,7 +38,7 @@ import numpy as np
 
 from .lazy import _chunks, _log_likelihood, _range_gradient, _workspace, _z_hat, update_u_hat
 from .model import Dataset, ModelParams, NumericalDivergenceError, softplus_inv
-from .scan import Workspace, _fresh, batch_sequence_stats, pairwise_sequence_stats
+from .scan import Workspace, batch_sequence_stats, pairwise_sequence_stats
 
 __all__ = [
     "TrainingDivergedError",
@@ -113,12 +115,16 @@ class TrainConfig:
 
 
 class AdamState:
-    """Adam moments as (n, 2d + 2) rows ``[u | v | mu | self]``, with per-row
-    step counts, and the decay's slot ``(value, m, v, steps)``.
+    """Adam moments of the parameter rows ``[u | v | mu | self]`` of width w
+    = 2d + 2, in one (n, 2w + 1) block ``[m | v | t]``, and the decay's slot
+    ``(value, m, v, t)``.
 
-    A row's blocks move together and share the counter ``t``, which advances
-    only when the row is touched, so rarely seen entities get the full bias
-    correction on their first updates instead of a stale global step number.
+    A row's blocks move together and share its step count ``t``, a float64
+    column (exact up to 2^53), which advances only when the row is touched,
+    so rarely seen entities get the full bias correction on their first
+    updates instead of a stale global step number.  One ``alloc`` call draws
+    the block, so parallel workers share one buffer, and a step reads a
+    row's ``(m, v, t)`` in one gather and writes them in one scatter.
     The decay slot is the decay's one home in both modes: each update holds
     ``lock`` from read to write, a no-op sequentially and one lock shared by
     the parallel workers, so no update is lost.
@@ -127,7 +133,7 @@ class AdamState:
     def __init__(self, params: ModelParams, alloc=np.zeros, lock=contextlib.nullcontext()):
         """Zero moments for ``params`` from ``alloc``; the slot starts at its decay."""
         n, w = params.theta.shape
-        self.m, self.v, self.t = alloc((n, w)), alloc((n, w)), alloc(n, np.int64)
+        self.block = alloc((n, 2 * w + 1))
         self.decay = alloc(4)
         self.decay[0] = params.theta_beta
         self.lock = lock
@@ -150,6 +156,18 @@ class TrainReport:
     decay_steps: int = 0
 
 
+def _adam(m, v, t, g, config: TrainConfig):
+    """Adam's update (Kingma & Ba 2015) of the moments ``m``, ``v`` at step
+    count ``t`` for the negated gradient ``g``, on arrays and floats alike:
+    returns the step to subtract and the advanced ``(m, v, t)``."""
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    t = t + 1
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    return (config.learning_rate * (m / (1.0 - b1**t))
+            / (np.sqrt(v / (1.0 - b2**t)) + config.adam_eps)), m, v, t
+
+
 def _adam_rows(state: AdamState, idx: np.ndarray, rows: np.ndarray, d_beta: float,
                config: TrainConfig, params: ModelParams):
     """One sparse ascent step, in place, on the gradient rows ``[u | v | mu | self]``
@@ -161,28 +179,18 @@ def _adam_rows(state: AdamState, idx: np.ndarray, rows: np.ndarray, d_beta: floa
     just before the write and as written: under parallel training another
     worker may have moved them since this step's scan read them.
     """
-    b1 = config.adam_beta1
-    b2 = config.adam_beta2
-    g = -rows
-    state.t[idx] = steps = state.t[idx] + 1
-    state.m[idx] = m = b1 * state.m[idx] + (1.0 - b1) * g
-    state.v[idx] = v = b2 * state.v[idx] + (1.0 - b2) * g * g
-    m_hat = m / (1.0 - b1**steps)[:, None]
-    v_hat = v / (1.0 - b2**steps)[:, None]
+    w = rows.shape[1]
+    moments = state.block[idx]  # the rows' [m | v | t], gathered once
+    m, v, t = moments[:, :w], moments[:, w:2 * w], moments[:, 2 * w:]
+    step, m[:], v[:], t[:] = _adam(m, v, t, -rows, config)  # into the gathered copy
+    state.block[idx] = moments  # and scattered once
     old = params.theta[idx]
-    params.theta[idx] = new = old - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-
-    g = -d_beta
+    params.theta[idx] = new = old - step
     with state.lock:
-        beta, m, v, steps = state.decay.tolist()
-        steps += 1
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**steps)
-        v_hat = v / (1.0 - b2**steps)
-        beta -= config.learning_rate * m_hat / (math.sqrt(v_hat) + config.adam_eps)
-        state.decay[:] = beta, m, v, steps
-    params.theta_beta = beta
+        beta, m, v, t = state.decay.tolist()
+        step, m, v, t = _adam(m, v, t, -d_beta, config)
+        state.decay[:] = beta - step, m, v, t
+        params.theta_beta = float(state.decay[0])
     return old, new
 
 
@@ -255,7 +263,8 @@ def _step(params: ModelParams, data: Dataset, k: int, u_hat: np.ndarray, z_hat: 
           state: AdamState, config: TrainConfig, ws: Workspace) -> np.ndarray:
     """One sparse Adam step on sequence ``k``, against the running ``u_hat``,
     which it updates, the lagged ``z_hat`` and the decay's value in its slot;
-    a banded scan's scratch lives in the epoch's workspace ``ws``.
+    a banded scan's blocks and the gradient's scratch live in the epoch's
+    workspace ``ws``.
 
     Returns the sequence's decayed emitting total under the parameters before
     the step, its share of the next epoch's ``z_hat``.
@@ -263,13 +272,13 @@ def _step(params: ModelParams, data: Dataset, k: int, u_hat: np.ndarray, z_hat: 
     params.theta_beta = float(state.decay[0])
     offsets = data.offsets
     if offsets[k + 1] - offsets[k] <= _PAIRWISE_MAX:
-        bs, ws = pairwise_sequence_stats(params, data, k), _fresh  # off the workspace
+        bs = pairwise_sequence_stats(params, data, k)
     else:
         bs = batch_sequence_stats(params, data, gradients=True, subset=(k, k + 1), workspace=ws)
     rows, g_beta = _range_gradient(params, bs, u_hat, z_hat, data, ws=ws)
     old, new = _adam_rows(state, bs.slot_entity, rows, float(g_beta[0]), config, params)
     d = params.dim
-    update_u_hat(u_hat, bs.slot_entity, old[:, :d], new[:, :d])
+    update_u_hat(u_hat, old[:, :d], new[:, :d])
     return bs.z[0]
 
 
@@ -351,11 +360,11 @@ def _fit(data: Dataset, config: TrainConfig, init: ModelParams | None, ctx=None)
     ranges = _chunks(data)
     for epoch in range(1, config.epochs + 1):
         start = time.perf_counter()
-        # the epoch's banded steps and its report share one workspace, which
+        # the epoch's steps and its report share one workspace, which
         # is dropped with the epoch (a forked worker writes its own copy)
         ws = _workspace(data, ranges, config.dim)
         order = rng.permutation(base_order) if config.shuffle else base_order
-        splits = np.array_split(order, 1 if ctx is None else config.threads)
+        splits = np.array_split(order, config.threads)  # one shard in train
         shards = [shard[nonempty[shard]] for shard in splits]
         if ctx is None:
             try:
@@ -411,6 +420,8 @@ def train(data: Dataset, config: TrainConfig,
     seeded shuffle.  Reported likelihoods are exact, computed after each
     epoch against the receiving total summed afresh from the parameters.
     """
+    if config.threads > 1:
+        raise ValueError("train runs one process; use train_parallel for threads > 1")
     return _fit(data, config, init)
 
 

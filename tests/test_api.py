@@ -4,7 +4,8 @@ the single-sequence wrappers and the aliases stay out of it, nothing under
 ``src/`` reaches into the test suite, events have one checker, one scan body
 builds every ``BatchStats``, the lazy engine's full passes scan ranges of
 sequences, a training step and the full gradient pass share one gradient
-function, and no function under ``src/`` builds caches."""
+function, Adam's update is stated once and reads its row state in one
+gather, and no function under ``src/`` builds caches."""
 
 import ast
 import importlib
@@ -85,10 +86,11 @@ def test_removed_members_are_gone():
     assert set(LazyCaches.__dataclass_fields__) == {"u_hat", "built_from"}
     assert "final_caches" not in TrainReport.__dataclass_fields__
     # the decay's Adam state is the slot array ``AdamState.decay`` in both
-    # training modes, and train and train_parallel start up inside one loop
+    # training modes, the rows' is the one block ``AdamState.block``, and
+    # train and train_parallel start up inside one loop
     state = AdamState(sparsehawkes.ModelParams.from_block(np.zeros((1, 4)), 0.0, 1))
-    assert [name for name in ("decay_guard", "m_beta", "v_beta", "t_beta", "zeros")
-            if hasattr(state, name)] == []
+    assert [name for name in ("decay_guard", "m_beta", "v_beta", "t_beta", "zeros",
+                              "m", "v", "t") if hasattr(state, name)] == []
     assert not hasattr(importlib.import_module("sparsehawkes.train"), "_start")
     # gradients are built by the engines, and a zero one as a plain block
     assert not hasattr(sparsehawkes.GradientBuffer, "zeros")
@@ -180,6 +182,22 @@ def test_step_and_full_pass_share_one_gradient_function():
     lazy = importlib.import_module("sparsehawkes.lazy")
     assert [name for name in ("_slot_gradients", "_decay_terms", "_slot_rows")
             if hasattr(lazy, name)] == []
+
+
+def test_one_adam_update_reads_and_writes_the_row_block_once():
+    # a step gathers its rows' [m | v | t] from the state block once and
+    # scatters them once, and Adam's update is stated once: the rows and the
+    # decay slot both call it, and no second, scalar copy takes math.sqrt
+    tree = ast.parse((Path(sparsehawkes.__file__).parent / "train.py").read_text(encoding="utf-8"))
+    fn, = [node for node in tree.body
+           if isinstance(node, ast.FunctionDef) and node.name == "_adam_rows"]
+    indexed = [type(node.ctx).__name__ for node in ast.walk(fn) if isinstance(node, ast.Subscript)
+               and isinstance(node.value, ast.Attribute) and node.value.attr == "block"]
+    assert sorted(indexed) == ["Load", "Store"]
+    assert [call.func.id for call in ast.walk(fn) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id == "_adam"] == ["_adam"] * 2
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and node.attr == "sqrt" and getattr(node.value, "id", None) == "math"] == []
 
 
 def test_no_function_under_src_builds_caches():

@@ -254,7 +254,7 @@ def test_update_u_hat_tracks_rebuild():
         x = int(rng.integers(0, n))
         old = params.theta_u[x].copy()
         params.theta_u[x] += rng.normal(0.0, 0.01, size=d)
-        update_u_hat(caches.u_hat, x, old, params.theta_u[x])
+        update_u_hat(caches.u_hat, old, params.theta_u[x])
     rebuilt = params.factors_u().sum(axis=0)
     np.testing.assert_allclose(caches.u_hat, rebuilt, rtol=1e-6)
 
@@ -335,6 +335,17 @@ def long_instance(rng):
     for m in (_PAIRWISE_MAX + 1, 0, 150, 5, 400):
         times = np.unique(rng.uniform(0.0, 2000.0, m))
         seqs.append(Sequence.from_arrays(times, rng.integers(0, 6, len(times)), 2000.0))
+    return params, Dataset(9, seqs)
+
+
+def short_instance(rng):
+    """Sequences within a training step's kernel limit, with repeated and
+    distinct entities, between a one-event and an empty one."""
+    params = oracles.random_params(rng, 9, 4)
+    seqs = []
+    for m in (5, 1, 0, _PAIRWISE_MAX, 12):
+        times = np.unique(rng.uniform(0.0, 50.0, m))
+        seqs.append(Sequence.from_arrays(times, rng.integers(0, 6, len(times)), 50.0))
     return params, Dataset(9, seqs)
 
 
@@ -486,17 +497,18 @@ def test_later_ranges_scan_in_the_calls_workspace(monkeypatch):
 
 
 def test_training_epochs_read_only_what_they_wrote_in_the_workspace(monkeypatch):
-    # an epoch's banded steps and its report share one workspace: poisoning
-    # every block before each use leaves the trained parameters and the
-    # reported likelihoods unchanged, to the last bit
-    _, data = long_instance(np.random.default_rng(131))
+    # an epoch's steps, banded or through the kernel, and its report share
+    # one workspace: poisoning every block before each use leaves the trained
+    # parameters and the reported likelihoods unchanged, to the last bit
     config = TrainConfig(epochs=2, dim=4, log_every=100)
-    params, report = train(data, config)
+    cases = [instance(np.random.default_rng(131)) for instance in (long_instance, short_instance)]
+    clean = [train(data, config) for _, data in cases]
     poison_workspace(monkeypatch)
-    poisoned, poisoned_report = train(data, config)
-    assert poisoned.theta.tobytes() == params.theta.tobytes()
-    assert poisoned.theta_beta == params.theta_beta
-    assert poisoned_report.epoch_loglik == report.epoch_loglik
+    for (_, data), (params, report) in zip(cases, clean):
+        poisoned, poisoned_report = train(data, config)
+        assert poisoned.theta.tobytes() == params.theta.tobytes()
+        assert poisoned.theta_beta == params.theta_beta
+        assert poisoned_report.epoch_loglik == report.epoch_loglik
 
 
 def test_grouped_rows_equal_reduceat():

@@ -1,3 +1,4 @@
+import ctypes
 import importlib
 import multiprocessing
 import os
@@ -112,12 +113,55 @@ def test_adam_untouched_rows_completely_frozen():
     np.testing.assert_array_equal(params.theta_self[rest], before.theta_self[rest])
     np.testing.assert_array_equal(params.theta_u[rest], before.theta_u[rest])
     np.testing.assert_array_equal(params.theta_v[rest], before.theta_v[rest])
-    assert np.all(state.m[rest] == 0) and np.all(state.v[rest] == 0)
-    assert np.all(state.t[rest] == 0)
-    # touched rows did move and their counters advanced
+    assert np.all(state.block[rest] == 0)
+    # touched rows did move and their counters, the block's last column, advanced
     assert np.all(params.theta_mu[[1, 3]] != before.theta_mu[[1, 3]])
-    assert np.all(state.t[[1, 3]] == 1)
+    assert np.all(state.block[[1, 3], -1] == 1)
     assert state.decay[3] == 1
+
+
+def test_adam_moves_a_row_and_the_decay_by_one_formula():
+    # a state row and the decay slot, fed the same gradient at steps 1..1000
+    # from the same value, hold the same moments and step count to the bit
+    # after every step, and move by the same step to the bit.  The one
+    # exception is the bias correction's power: rows raise b**t over an
+    # array, the decay over a float, and NumPy's array power (a SIMD loop on
+    # some builds) can round b**t a last bit away from the C library's pow.
+    config = TrainConfig(learning_rate=0.01)
+    params = ModelParams.from_block(np.zeros((1, 4)), 0.0, 1)
+    state = AdamState(params)
+    apart = []
+    for t, g in enumerate(np.random.default_rng(5).normal(size=1000), start=1):
+        params.theta[0] = 0.0
+        state.decay[0] = 0.0
+        _adam_rows(state, np.array([0]), np.full((1, 4), g), g, config, params)
+        m, v, steps = np.split(state.block[0], [4, 8])
+        assert np.all(m == state.decay[1]) and np.all(v == state.decay[2])
+        assert steps[0] == state.decay[3] == t
+        assert np.all(params.theta[0] == params.theta[0, 0])
+        if params.theta[0, 0] != params.theta_beta:
+            apart.append(t)
+    powers_apart = [t for t in range(1, 1001) for b in (config.adam_beta1, config.adam_beta2)
+                    if (b ** np.array([float(t)]))[0] != b ** float(t)]
+    assert set(apart) <= set(powers_apart)
+
+
+def test_adam_state_keeps_row_moments_in_one_shared_buffer():
+    # parallel training shares the rows' [m | v | t] through one buffer: a
+    # forked worker's step lands in the parent's moments and step counts
+    params = small_params(n=4, d=2)
+    state = AdamState(params, train_module._shared_array)
+    assert sorted(vars(state)) == ["block", "decay", "lock"]
+    assert state.block.shape == (4, 13)
+    raw = state.block.base.base  # the reshaped view's buffer
+    assert isinstance(raw, ctypes.Array) and len(raw) == state.block.size
+    worker = multiprocessing.get_context("fork").Process(
+        target=_adam_rows, args=(state, *make_grad([2], 4, 2, fill=0.5), TrainConfig(), params))
+    worker.start()
+    worker.join(timeout=30)
+    assert worker.exitcode == 0
+    assert np.all(state.block[2, :12] != 0) and state.block[2, 12] == 1
+    assert np.all(state.block[[0, 1, 3]] == 0)
 
 
 def poisson_dataset(rate, horizon, n_seqs, seed):
@@ -247,7 +291,7 @@ def test_one_step_touches_only_active_entities():
         old = params.theta_u[grads[0]].copy()
         _adam_rows(state, *grads, config, params)
         for k, x in enumerate(grads[0]):
-            update_u_hat(u_hat, int(x), old[k], params.theta_u[x])
+            update_u_hat(u_hat, old[k], params.theta_u[x])
         return params, u_hat
 
     clean, _ = one_step(params_clean.copy())
@@ -262,7 +306,7 @@ def test_one_step_touches_only_active_entities():
     old = poisoned.theta_u[grads[0]].copy()
     _adam_rows(state, *grads, config, poisoned)
     for k, x in enumerate(grads[0]):
-        update_u_hat(u_hat, int(x), old[k], poisoned.theta_u[x])
+        update_u_hat(u_hat, old[k], poisoned.theta_u[x])
 
     np.testing.assert_array_equal(poisoned.theta_mu[active], clean.theta_mu[active])
     np.testing.assert_array_equal(poisoned.theta_self[active], clean.theta_self[active])
@@ -413,6 +457,14 @@ def test_init_params_warm_starts_at_empirical_rates():
     expected = np.maximum(counts, 0.5) / data.total_horizon
     np.testing.assert_allclose(params.mu(), expected, rtol=1e-12)
     assert abs(params.beta() - 1.0) < 1e-12
+
+
+def test_train_refuses_more_than_one_thread():
+    # train runs in one process, so a threads value it would ignore, yet
+    # record in the config digest, is refused in favour of train_parallel
+    data = poisson_dataset(rate=0.5, horizon=10.0, n_seqs=2, seed=14)
+    with pytest.raises(ValueError, match="train_parallel"):
+        train(data, TrainConfig(threads=2, dim=1))
 
 
 def test_parallel_needs_two_workers():
