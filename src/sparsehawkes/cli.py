@@ -189,6 +189,11 @@ def cmd_train(args) -> int:
     return 0
 
 
+def entity_index(label: str, bound: int) -> int | None:
+    """The index below ``bound`` that ``label`` spells in ASCII digits alone, or None."""
+    return int(label) if label.isascii() and label.isdigit() and int(label) < bound else None
+
+
 def remap_to_checkpoint(cascade: CascadeFile, vocabulary: list[str],
                         num_entities: int) -> Dataset:
     """Re-index parsed events into the checkpoint's entity numbering, sharing
@@ -197,8 +202,7 @@ def remap_to_checkpoint(cascade: CascadeFile, vocabulary: list[str],
     if vocabulary:
         lookup = list(map(dict(zip(vocabulary, range(num_entities))).get, cascade.vocabulary))
     else:
-        lookup = [int(x) if x.isascii() and x.isdigit() and int(x) < num_entities else None
-                  for x in cascade.vocabulary]
+        lookup = [entity_index(x, num_entities) for x in cascade.vocabulary]
     if None in lookup:
         label = cascade.vocabulary[lookup.index(None)]
         raise CliError(f"entity label {label!r} is not in the checkpoint" if vocabulary else
@@ -218,15 +222,10 @@ def load_truth(path, vocabulary: list[str], num_entities: int):
         beta = float(archive["beta"])
         alpha = archive["alpha"]
     if vocabulary:
-        try:
-            idx = np.array([int(label) for label in vocabulary])
-        except ValueError:
-            raise CliError(
-                "checkpoint labels are not integer indices; cannot align them "
-                "with the truth arrays"
-            ) from None
-        if idx.min() < 0 or idx.max() >= len(mu):
-            raise CliError("checkpoint labels fall outside the truth universe")
+        idx = [entity_index(label, len(mu)) for label in vocabulary]
+        if None in idx:
+            raise CliError(f"checkpoint label {vocabulary[idx.index(None)]!r} is not an "
+                           f"index below {len(mu)}; cannot align it with the truth arrays")
         return mu[idx], beta, alpha[np.ix_(idx, idx)]
     if len(mu) != num_entities:
         raise CliError(

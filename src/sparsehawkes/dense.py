@@ -5,7 +5,8 @@ so its cost scales with the product of entity count and sequence count.
 It exists as the trustworthy slow path: the sparse engine must reproduce its
 values to tight tolerance, and it in turn is checked against the brute-force
 history sums (``loglik_brute``) and finite differences (``fd_gradient``) of
-the test suite's ``tests/oracles.py``.
+the test suite's ``tests/oracles.py``.  Like the sparse engine, it refuses
+parameters that break the row contract (:func:`~.model.check_rows`).
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Dataset, ModelParams, NumericalDivergenceError, _Columns, checked_beta,
-                    softplus_grad)
+from .model import Dataset, ModelParams, NumericalDivergenceError, _Columns, softplus_grad
 from .scan import batch_sequence_stats
 
 __all__ = ["GradientBuffer", "dense_log_likelihood", "dense_gradient"]
@@ -72,7 +72,6 @@ def dense_log_likelihood(params: ModelParams, data: Dataset) -> float:
     """Exact log-likelihood with per-entity compensators summed explicitly."""
     u_full = params.factors_u()
     mu_total = float(params.mu().sum())
-    beta = checked_beta(params)
     batch = batch_sequence_stats(params, data)
     start = batch.seq_slot_start
     loglam, horizons = batch.loglam.tolist(), batch.horizons.tolist()
@@ -80,7 +79,7 @@ def dense_log_likelihood(params: ModelParams, data: Dataset) -> float:
     for k in range(len(data)):
         sl = slice(start[k], start[k + 1])
         comp = (u_full @ batch.z[k]).sum() + batch.c_slot[sl] @ batch.q[sl]
-        terms.append(loglam[k] - horizons[k] * mu_total - comp / beta)
+        terms.append(loglam[k] - horizons[k] * mu_total - comp / batch.beta)
     total = math.fsum(terms)
     if not math.isfinite(total):
         raise NumericalDivergenceError(f"log-likelihood is not finite: {total!r}")
@@ -92,11 +91,11 @@ def dense_gradient(params: ModelParams, data: Dataset) -> GradientBuffer:
     d = params.dim
     u_full = params.factors_u()
     u_sum = u_full.sum(axis=0)
-    beta = checked_beta(params)
     n = params.num_entities
     dmu, du = np.zeros(n), np.zeros((n, d))
 
     batch = batch_sequence_stats(params, data, gradients=True)
+    beta = batch.beta
     order = _canonical_order(data)
     uz, uz_beta = np.zeros((2, batch.num_seqs))
     for k in order:

@@ -11,7 +11,9 @@ where it is absent, and the entities active nowhere) that the
 :class:`~.model.Dataset` computes once.  Together they remove every per-inactive-entity term from the
 likelihood and gradient, which is what makes training on huge entity
 universes feasible.  Held-out scoring and training pass the cores their sums
-as plain arrays, not caches.
+as plain arrays, not caches.  ``u_hat`` sums the parameter rows and the
+never-active terms the data's entities, so the scan body, ``_z_hat`` and
+``build_caches`` first check the row contract (:func:`~.model.check_rows`).
 
 One gradient formula, ``_range_gradient`` over the scan of a range of whole
 sequences, serves every caller: a training step runs it on its one sequence
@@ -56,7 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import GradientBuffer
-from .model import Dataset, ModelParams, NumericalDivergenceError, softplus, softplus_grad
+from .model import (Dataset, ModelParams, NumericalDivergenceError, check_rows, softplus,
+                    softplus_grad)
 from .scan import BatchStats, Workspace, _fresh, _group_sums, batch_sequence_stats
 
 __all__ = [
@@ -102,12 +105,13 @@ class LazyCaches:
 
 def build_caches(params: ModelParams, data: Dataset) -> LazyCaches:
     """Caches of ``params`` for passes over ``data`` or any dataset with its entities."""
-    _check_entities(params, data)
+    check_rows(params, data)
     return LazyCaches(u_hat=params.factors_u().sum(axis=0), built_from=params.copy())
 
 
 def _z_hat(params: ModelParams, data: Dataset) -> np.ndarray:
     """The decay-weighted emitting totals summed over the sequences of ``data``, (d,)."""
+    check_rows(params, data)
     # Emitting embeddings are activated once per (sequence, entity) slot,
     # against the slot's summed tail weights.
     w = -np.expm1(-params.beta() * data.event_frame()[1])
@@ -137,13 +141,6 @@ def _workspace(data: Dataset, ranges: list[tuple[int, int]], dim: int) -> Worksp
     return Workspace(max(int(offsets[k1] - offsets[k0]) for k0, k1 in ranges), 2 * dim + 3)
 
 
-def _check_entities(params: ModelParams, data: Dataset):
-    """Refuse parameters with other than one row per entity of ``data``."""
-    if params.num_entities != data.num_entities:
-        raise ValueError(f"parameters cover {params.num_entities} entities, "
-                         f"data has {data.num_entities}")
-
-
 def lazy_log_likelihood(params: ModelParams, data: Dataset, caches: LazyCaches) -> float:
     """Exact log-likelihood in per-active-entity form, against ``caches``
     built from ``params``.
@@ -160,7 +157,6 @@ def _log_likelihood(params: ModelParams, data: Dataset, u_hat: np.ndarray,
                     ws: Workspace | None = None) -> float:
     """:func:`lazy_log_likelihood` on the receiving total ``u_hat``; the
     ranges' scratch lives in ``ws``, or in one workspace for this call."""
-    _check_entities(params, data)
     seq_slot_start = data.slot_tables()[3]
     seq_vals = np.empty(len(data))
     ranges = _chunks(data)
@@ -248,7 +244,6 @@ def accumulate_lazy_gradient(params: ModelParams, data: Dataset,
 def _gradient(params: ModelParams, data: Dataset, u_hat: np.ndarray) -> GradientBuffer:
     """:func:`accumulate_lazy_gradient` on the receiving total ``u_hat``; the
     emitting total is summed from ``data`` before the pass's blocks exist."""
-    _check_entities(params, data)
     z_hat = _z_hat(params, data)
     d = params.dim
     _, _, uniq, seq_slot_start, _, _ = data.slot_tables()

@@ -83,6 +83,14 @@ def checked_beta(params: "ModelParams") -> float:
     return beta
 
 
+def check_rows(params: "ModelParams", data: "Dataset"):
+    """The row contract, which every reader of parameter rows against a
+    dataset checks first: one parameter row per entity of ``data``."""
+    if params.num_entities != data.num_entities:
+        raise ValueError(f"parameters cover {params.num_entities} entities, "
+                         f"data has {data.num_entities}")
+
+
 def _checked_columns(num_entities, offsets, times, labels, horizons):
     """The one event checker: the columns as read-only int64 ``offsets`` and
     ``labels`` and float64 ``times`` and ``horizons``, or ``ValueError``.

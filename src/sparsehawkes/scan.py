@@ -8,9 +8,10 @@ operating on identical per-event quantities while they differ in how they
 charge the inactive entities.
 
 One body, ``_scan``, computes them for a range of a :class:`~.model.Dataset`'s
-sequences on its cached slot tables and per-event frame: one gather and
-activation of the slots' parameter rows, the decay and intensity checks, and
-the per-slot and per-sequence reductions.  Only the decayed sums over earlier
+sequences on its cached slot tables and per-event frame: the row contract
+(:func:`~.model.check_rows`), one gather and activation of the slots'
+parameter rows, the decay and intensity checks, and the per-slot and
+per-sequence reductions.  Only the decayed sums over earlier
 (and later) events come from one of two strategies.  ``_banded_sums`` runs
 banded prefix scans for ``batch_sequence_stats``, which the engines run over
 all sequences and a training step over one long one (``subset=``).
@@ -71,7 +72,8 @@ from functools import partial
 
 import numpy as np
 
-from .model import Dataset, ModelParams, NumericalDivergenceError, checked_beta, softplus
+from .model import (Dataset, ModelParams, NumericalDivergenceError, check_rows, checked_beta,
+                    softplus)
 
 __all__ = ["BatchStats", "batch_sequence_stats", "pairwise_sequence_stats"]
 
@@ -454,6 +456,7 @@ def _scan(params: ModelParams, data: Dataset, k0: int, k1: int, gradients: bool,
     the workspace ``ws``, so the result's slot arrays are views that the
     next scan on the same workspace overwrites.
     """
+    check_rows(params, data)
     beta = checked_beta(params)
     _, tail, trel = data.event_frame()
     slot_of, slot_seq, slot_entity, seq_slot_start, counts, by_slot = data.slot_tables()
@@ -470,11 +473,7 @@ def _scan(params: ModelParams, data: Dataset, k0: int, k1: int, gradients: bool,
     # the last column then becomes the diagonal correction s - u.v.  A
     # gradient scan keeps the raw rows for the activation's derivative; a
     # likelihood scan drops them, so the per-event rows overwrite them.
-    # (The gather clips instead of checking each index: the dataset's labels
-    # are below its entity count, so only a smaller parameter block needs it.)
-    if data.num_entities > params.num_entities and np.any(slot_entity >= params.num_entities):
-        raise IndexError(f"the data's entities reach past the parameters' "
-                         f"{params.num_entities}")
+    # (The gathers clip instead of checking each index: check_rows bounds the labels.)
     raw = np.take(params.theta, slot_entity, axis=0, mode="clip",
                   out=ws("raw" if gradients else "ev", (slots, 2 * d + 2)))
     act = softplus(raw, out=ws("act", (slots, 2 * d + 2)))

@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import mmap
 import multiprocessing
 import os
 import queue as queue_module
@@ -158,14 +159,14 @@ class TrainReport:
 
 def _adam(m, v, t, g, config: TrainConfig):
     """Adam's update (Kingma & Ba 2015) of the moments ``m``, ``v`` at step
-    count ``t`` for the negated gradient ``g``, on arrays and floats alike:
-    returns the step to subtract and the advanced ``(m, v, t)``."""
+    count ``t`` for the negated gradient ``g``, arrays and floats rounded alike
+    (``np.power``): returns the step to subtract and the advanced ``(m, v, t)``."""
     b1, b2 = config.adam_beta1, config.adam_beta2
     t = t + 1
     m = b1 * m + (1.0 - b1) * g
     v = b2 * v + (1.0 - b2) * g * g
-    return (config.learning_rate * (m / (1.0 - b1**t))
-            / (np.sqrt(v / (1.0 - b2**t)) + config.adam_eps)), m, v, t
+    return (config.learning_rate * (m / (1.0 - np.power(b1, t)))
+            / (np.sqrt(v / (1.0 - np.power(b2, t))) + config.adam_eps)), m, v, t
 
 
 def _adam_rows(state: AdamState, idx: np.ndarray, rows: np.ndarray, d_beta: float,
@@ -294,9 +295,10 @@ def _epoch(params: ModelParams, data: Dataset, shard: np.ndarray, u_hat: np.ndar
 
 
 def _shared_array(shape, dtype=np.float64) -> np.ndarray:
-    """Zeros in anonymous shared memory, which forked workers write in place."""
-    raw = multiprocessing.RawArray(np.ctypeslib.as_ctypes_type(dtype), int(np.prod(shape)))
-    return np.frombuffer(raw, dtype=dtype).reshape(shape)
+    """Zeros in an anonymous shared mapping of their own, which forked workers
+    write in place and which unmaps when its last array goes."""
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
 
 
 def _parallel_worker(worker_id: int, shard: np.ndarray, params: ModelParams, data: Dataset,
@@ -341,10 +343,6 @@ def _fit(data: Dataset, config: TrainConfig, init: ModelParams | None, ctx=None)
     parameters, Adam state and ``u_hat`` in memory from one allocator."""
     rng = np.random.default_rng(config.seed)
     initial = init_params(data, config, rng) if init is None else init
-    if initial.num_entities != data.num_entities:
-        raise ValueError(
-            f"init covers {initial.num_entities} entities, data has {data.num_entities}"
-        )
     if initial.dim != config.dim:
         raise ValueError(f"init has dim {initial.dim}, config.dim is {config.dim}")
     alloc = np.zeros if ctx is None else _shared_array

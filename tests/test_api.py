@@ -5,7 +5,8 @@ the single-sequence wrappers and the aliases stay out of it, nothing under
 builds every ``BatchStats``, the lazy engine's full passes scan ranges of
 sequences, a training step and the full gradient pass share one gradient
 function, Adam's update is stated once and reads its row state in one
-gather, and no function under ``src/`` builds caches."""
+gather, no function under ``src/`` builds caches, and one function states
+the row contract between parameters and data."""
 
 import ast
 import importlib
@@ -222,3 +223,20 @@ def test_lazy_log_likelihood_takes_params_data_and_caches():
 
 def test_accumulate_lazy_gradient_takes_params_data_and_caches():
     assert takes_params_data_and_caches(accumulate_lazy_gradient)
+
+
+def test_one_function_states_the_row_contract():
+    # "one parameter row per entity of the data" is raised by one function
+    # (model.check_rows, which the scan body and the lazy totals call), not
+    # by per-engine copies or a partial IndexError in the scan
+    src = Path(sparsehawkes.__file__).parent
+    raisers = [(path.name, fn.name) for path in sorted(src.rglob("*.py"))
+               for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(fn, ast.FunctionDef) and any(
+                   isinstance(node, ast.Raise) and "parameters cover" in ast.unparse(node)
+                   for node in ast.walk(fn))]
+    assert raisers == [("model.py", "check_rows")]
+    assert not hasattr(importlib.import_module("sparsehawkes.lazy"), "_check_entities")
+    scan_tree = ast.parse((src / "scan.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(scan_tree) if isinstance(node, ast.Raise)
+            and "IndexError" in ast.unparse(node)] == []

@@ -265,6 +265,23 @@ def test_eval_without_vocabulary_reads_labels_as_entity_indices(tmp_path, capsys
         assert repr(label) in capsys.readouterr().err
 
 
+def test_eval_truth_refuses_labels_that_are_not_plain_indices(tmp_path, capsys):
+    # checkpoint labels align with truth rows by the rule that reads data
+    # labels as indices: "1_0" is no index, though int() would read it as 10
+    params = ModelParams.from_block(np.full((2, 4), -1.0), 0.2, 1)
+    ckpt = tmp_path / "m.ckpt"
+    write_checkpoint(ckpt, params, {}, vocabulary=["0", "1_0"])
+    data = tmp_path / "d.tsv"
+    data.write_text("s\t0\t0.5\ns\t1_0\t1.0\n", encoding="utf-8")
+    truth = tmp_path / "truth.npz"
+    np.savez(truth, mu=np.ones(11), beta=np.float64(1.0), alpha=np.ones((11, 11)))
+    out = tmp_path / "ev"
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--truth", str(truth), "--out", str(out)]) == 1
+    assert "'1_0'" in capsys.readouterr().err
+    assert not (out / "recovery.tsv").exists()
+
+
 def test_eval_missing_truth_file(tmp_path, sim_dir, fit_dir, capsys):
     code = main([
         "eval", "--checkpoint", str(fit_dir / "model.ckpt"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparsehawkes import lazy, scan
-from sparsehawkes.evaluate import holdout_loglik
+from sparsehawkes.evaluate import holdout_loglik, runtime_benchmark
 from sparsehawkes.model import Dataset, ModelParams, NumericalDivergenceError, Sequence, softplus
 from sparsehawkes.dense import dense_gradient, dense_log_likelihood
 from sparsehawkes.lazy import (
@@ -16,7 +16,8 @@ from sparsehawkes.lazy import (
     lazy_log_likelihood,
     update_u_hat,
 )
-from sparsehawkes.scan import Workspace, _group_sums, batch_sequence_stats
+from sparsehawkes.scan import (Workspace, _group_sums, batch_sequence_stats,
+                               pairwise_sequence_stats)
 from sparsehawkes.train import TrainConfig, _PAIRWISE_MAX, train
 
 import oracles
@@ -161,6 +162,38 @@ def test_parameters_must_cover_the_datas_entities():
                     lambda: holdout_loglik(bad, data)):
             with pytest.raises(ValueError, match=match):
                 run()
+
+
+ROW_CONTRACT_ENTRY_POINTS = {
+    "dense_log_likelihood": dense_log_likelihood,
+    "dense_gradient": dense_gradient,
+    "runtime_benchmark_dense": lambda p, data: runtime_benchmark("dense", data, 1, params=p),
+    "runtime_benchmark_lazy": lambda p, data: runtime_benchmark("lazy", data, 1, params=p),
+    "batch_sequence_stats": batch_sequence_stats,
+    "pairwise_sequence_stats": lambda p, data: pairwise_sequence_stats(p, data, 0),
+    "lazy_log_likelihood": lambda p, data: lazy_log_likelihood(
+        p, data, LazyCaches(p.factors_u().sum(axis=0), p.copy())),
+    "accumulate_lazy_gradient": lambda p, data: accumulate_lazy_gradient(
+        p, data, LazyCaches(p.factors_u().sum(axis=0), p.copy())),
+    "build_caches": build_caches,
+    "holdout_loglik": holdout_loglik,
+    "train_init": lambda p, data: train(data, TrainConfig(epochs=1, dim=p.dim), init=p),
+}
+
+
+@pytest.mark.parametrize("rows", [3, 7])
+@pytest.mark.parametrize("entry", sorted(ROW_CONTRACT_ENTRY_POINTS))
+def test_every_entry_point_refuses_other_row_counts(entry, rows):
+    # one row contract for both engines: on 5 entities whose labels use only
+    # 0-2, a 3-row block would gather inside itself and a 7-row block would
+    # charge two phantom entities, so both must be refused, not scored
+    data = Dataset(5, [Sequence.from_arrays([0.5, 1.0, 2.0], [0, 1, 2], 3.0),
+                       Sequence.from_arrays([0.2, 0.9], [2, 1], 3.0)])
+    params = oracles.random_params(np.random.default_rng(1), 5, 2)
+    theta = np.concatenate([params.theta, params.theta[:2]])[:rows].copy()
+    bad = ModelParams.from_block(theta, params.theta_beta, params.dim)
+    with pytest.raises(ValueError, match=f"^parameters cover {rows} entities, data has 5$"):
+        ROW_CONTRACT_ENTRY_POINTS[entry](bad, data)
 
 
 def sequence_gradient(params, data, caches, k):
